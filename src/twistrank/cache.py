@@ -16,6 +16,7 @@ from .classgroup import summary_from_counts
 
 CACHE_ENV_VAR = "TWISTRANK_CACHE"
 
+#: Class number and 3-torsion count keyed by discriminant.
 ClassData = dict[int, tuple[int, int]]
 BadLine = tuple[int, str, str]  # (line number, raw text, reason)
 

@@ -237,29 +237,7 @@ def is_equivalent(f1: Form, f2: Form) -> bool:
 # ---------------------------------------------------------------------------
 # Reduced form enumeration
 
-_NUMPY_THRESHOLD = 6000
-
-
-def _reduced_forms_definite_py(n: int) -> list[tuple[int, int, int]]:
-    parity = n & 1
-    out = []
-    for a in range(1, isqrt(n // 3) + 1):
-        start = -a if (a & 1) == parity else -a + 1
-        fa = 4 * a
-        for b in range(start, a + 1, 2):
-            num = b * b + n
-            if num % fa:
-                continue
-            c = num // fa
-            if c < a:
-                continue
-            if b < 0 and (c == a or -b == a):
-                continue
-            out.append((a, b, c))
-    return out
-
-
-def _reduced_forms_definite_np(n: int) -> list[tuple[int, int, int]]:
+def _reduced_forms_definite(n: int) -> list[tuple[int, int, int]]:
     parity = n & 1
     amax = isqrt(n // 3)
     a = np.arange(1, amax + 1, dtype=np.int64)
@@ -311,12 +289,7 @@ def reduced_forms(delta: int) -> list[Form]:
     if abs(delta) > MAX_DISCRIMINANT:
         raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
     if delta < 0:
-        n = -delta
-        raw = (
-            _reduced_forms_definite_np(n)
-            if n >= _NUMPY_THRESHOLD
-            else _reduced_forms_definite_py(n)
-        )
+        raw = _reduced_forms_definite(-delta)
     else:
         raw = _reduced_forms_indefinite(delta)
     forms = [Form(*t) for t in raw]

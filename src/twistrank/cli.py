@@ -30,13 +30,8 @@ from .discriminants import (
     enumerate_progression,
     is_fundamental,
 )
-from .selmer import ValidationError, twist_record
-from .stats import (
-    EmptyFamilyError,
-    correspondence_check,
-    rearrangement_check,
-    scan_family,
-)
+from .selmer import twist_record
+from .stats import correspondence_check, rearrangement_check, scan_family
 
 CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
 
@@ -97,10 +92,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             writer.writerow(CSV_COLUMNS)
             for rec in result.records:
                 h = result.class_data[rec.field_discriminant][0]
-                rank = (rec.selmer_dim - rec.case.dimension_parity) // 2
-                writer.writerow(
-                    [rec.d, rec.field_discriminant, h, rank, rec.selmer_dim, rec.rank_bound]
-                )
+                writer.writerow([
+                    rec.d, rec.field_discriminant, h, rec.three_rank, rec.selmer_dim,
+                    rec.rank_bound,
+                ])
     return 0
 
 
@@ -283,9 +278,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, EmptyFamilyError, cache_mod.CacheCorruption) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,11 @@ from enum import Enum
 from math import gcd
 
 from .arith import (
+    Factorization,
     canonical_residue,
     factorize,
     is_perfect_cube,
     is_perfect_square,
-    is_squarefree,
 )
 from .classgroup import ClassGroupSummary, class_group_summary
 
@@ -53,47 +53,48 @@ FAMILY_RESIDUES = (1, 25)
 DIRECT_ONLY_RESIDUE = 13
 
 
-def validate_coefficient(a: int) -> StollCase:
-    """Classify a Mordell coefficient, rejecting anything outside the formula."""
+def _squarefree_factorization(name: str, n: int) -> Factorization:
+    """Factorization of n, rejecting n when some prime divides it twice."""
+    fac = factorize(n)
+    if any(e > 1 for _, e in fac.factors):
+        raise ValidationError(f"{name} = {n} is not square-free")
+    return fac
+
+
+def _classify_coefficient(a: int) -> tuple[StollCase, Factorization]:
     if a == 0:
         raise ValidationError("A must be nonzero")
-    if not is_squarefree(a):
-        raise ValidationError(f"A = {a} is not square-free")
+    fac = _squarefree_factorization("A", a)
     r = canonical_residue(a, 36)
     if r in FAMILY_RESIDUES:
-        return StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG
+        return (StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG), fac
     if r == DIRECT_ONLY_RESIDUE:
-        return StollCase.NEG5_A_POS if a > 0 else StollCase.NEG5_A_NEG
+        return (StollCase.NEG5_A_POS if a > 0 else StollCase.NEG5_A_NEG), fac
     raise ValidationError(
         f"A = {a} has A mod 36 = {r}; need 1 or 25 (family cases) or 13 (direct case)"
     )
 
 
-def validate_twist_pair(a: int, d: int) -> StollCase:
-    """Accept a quadratic twist parameter D for the coefficient A."""
-    case = validate_coefficient(a)
-    if d < 1:
-        raise ValidationError("D must be a positive integer")
-    if canonical_residue(d, 12) != 1:
-        raise ValidationError(f"D = {d} is not ≡ 1 mod 12")
-    if not is_squarefree(d):
-        raise ValidationError(f"D = {d} is not square-free")
-    if gcd(a, d) != 1:
-        raise ValidationError(f"D = {d} shares the factor {gcd(a, d)} with A = {a}")
-    return case
+def validate_coefficient(a: int) -> StollCase:
+    """Classify a Mordell coefficient, rejecting anything outside the formula."""
+    return _classify_coefficient(a)[0]
 
 
-def _squarefree_radicand(a: int, d: int, d_exponent: int) -> int:
-    """Square-free part of -A * D**d_exponent, computed from the factorizations.
+def _field_discriminant(
+    case: StollCase, fac_a: Factorization, fac_d: Factorization, d_exponent: int
+) -> int:
+    """Discriminant of the quadratic field attached to y**2 = x**3 - A*D**d_exponent.
 
-    A and D are square-free and coprime, so the kernel must come out to
-    -A * D (odd exponent) or -A (even exponent); the identity is recomputed
-    from prime exponents and asserted rather than assumed.
+    A and D are square-free and coprime, so the square-free kernel of
+    -A * D**d_exponent must come out to -A * D (odd exponent) or -A (even
+    exponent); the identity is recomputed from prime exponents and asserted
+    rather than assumed.  The sqrt(3A) cases take -3 times the kernel.
     """
+    a, d = fac_a.value, fac_d.value
     exponents: dict[int, int] = {}
-    for p, e in factorize(a).factors:
+    for p, e in fac_a.factors:
         exponents[p] = exponents.get(p, 0) + e
-    for p, e in factorize(d).factors:
+    for p, e in fac_d.factors:
         exponents[p] = exponents.get(p, 0) + e * d_exponent
     kernel = -1 if a > 0 else 1
     for p, e in sorted(exponents.items()):
@@ -105,21 +106,37 @@ def _squarefree_radicand(a: int, d: int, d_exponent: int) -> int:
             f"square-free kernel of -({a})*({d})^{d_exponent} came out {kernel}, "
             f"expected {expected}"
         )
-    return kernel
-
-
-def _field_discriminant(radicand: int) -> int:
-    """Discriminant of Q(sqrt(radicand)) for a square-free radicand."""
+    radicand = -3 * kernel if case.uses_sqrt_3a else kernel
     return radicand if canonical_residue(radicand, 4) == 1 else 4 * radicand
+
+
+def _certify_twist(a: int, d: int, modulus: int, d_exponent: int) -> tuple[StollCase, int]:
+    """Validate the twist y**2 = x**3 - A*D**d_exponent with D ≡ 1 mod modulus.
+
+    Returns the case and the field discriminant; A and D are factored once
+    each.  Quadratic twists use (12, 3), cubic twists (9, 2).
+    """
+    case, fac_a = _classify_coefficient(a)
+    if d < 1:
+        raise ValidationError("D must be a positive integer")
+    if canonical_residue(d, modulus) != 1:
+        raise ValidationError(f"D = {d} is not ≡ 1 mod {modulus}")
+    if d % 2 == 0:  # reachable for modulus 9 only: D ≡ 1 mod 12 is odd
+        raise ValidationError(f"D = {d} must be odd so that A*D^2 stays 1 mod 12")
+    fac_d = _squarefree_factorization("D", d)
+    if gcd(a, d) != 1:
+        raise ValidationError(f"D = {d} shares the factor {gcd(a, d)} with A = {a}")
+    return case, _field_discriminant(case, fac_a, fac_d, d_exponent)
+
+
+def validate_twist_pair(a: int, d: int) -> StollCase:
+    """Accept a quadratic twist parameter D for the coefficient A."""
+    return _certify_twist(a, d, 12, 3)[0]
 
 
 def twist_field_discriminant(a: int, d: int) -> int:
     """Discriminant of the quadratic field attached to the twist E_D: y^2 = x^3 - A*D^3."""
-    case = validate_twist_pair(a, d)
-    radicand = _squarefree_radicand(a, d, 3)
-    if case.uses_sqrt_3a:
-        radicand = -3 * radicand
-    return _field_discriminant(radicand)
+    return _certify_twist(a, d, 12, 3)[1]
 
 
 def _dimension_from_summary(case: StollCase, summary: ClassGroupSummary) -> int:
@@ -133,13 +150,7 @@ def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None
     supplied to avoid recomputing the class group; it is checked against the
     expected discriminant.
     """
-    case = validate_twist_pair(a, d)
-    delta = twist_field_discriminant(a, d)
-    if summary is None:
-        summary = class_group_summary(delta)
-    elif summary.delta != delta:
-        raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
-    return _dimension_from_summary(case, summary)
+    return twist_record(a, d, summary=summary).selmer_dim
 
 
 def cubic_twist_selmer_dimension(a: int, d: int) -> int:
@@ -149,21 +160,8 @@ def cubic_twist_selmer_dimension(a: int, d: int) -> int:
     the untwisted curve's; the kernel normalization computes that collapse
     honestly rather than assuming it.
     """
-    case = validate_coefficient(a)
-    if d < 1:
-        raise ValidationError("D must be a positive integer")
-    if canonical_residue(d, 9) != 1:
-        raise ValidationError(f"D = {d} is not ≡ 1 mod 9")
-    if d % 2 == 0:
-        raise ValidationError(f"D = {d} must be odd so that A*D^2 stays 1 mod 12")
-    if not is_squarefree(d):
-        raise ValidationError(f"D = {d} is not square-free")
-    if gcd(a, d) != 1:
-        raise ValidationError(f"D = {d} shares the factor {gcd(a, d)} with A = {a}")
-    radicand = _squarefree_radicand(a, d, 2)
-    if case.uses_sqrt_3a:
-        radicand = -3 * radicand
-    return _dimension_from_summary(case, class_group_summary(_field_discriminant(radicand)))
+    case, delta = _certify_twist(a, d, 9, 2)
+    return _dimension_from_summary(case, class_group_summary(delta))
 
 
 def torsion_is_trivial(b: int) -> bool:
@@ -196,6 +194,11 @@ class TwistRecord:
     rank_bound: int
     torsion_trivial: bool
 
+    @property
+    def three_rank(self) -> int:
+        """3-rank of the field's class group, read back from the Selmer dimension."""
+        return (self.selmer_dim - self.case.dimension_parity) // 2
+
     def to_json_dict(self) -> dict:
         return {
             "A": self.a,
@@ -210,8 +213,7 @@ class TwistRecord:
 
 def twist_record(a: int, d: int, *, summary: ClassGroupSummary | None = None) -> TwistRecord:
     """Full certified record for the pair (A, D): dimension, rank bound, torsion flag."""
-    case = validate_twist_pair(a, d)
-    delta = twist_field_discriminant(a, d)
+    case, delta = _certify_twist(a, d, 12, 3)
     if summary is None:
         summary = class_group_summary(delta)
     elif summary.delta != delta:

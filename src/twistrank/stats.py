@@ -17,7 +17,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import count_squarefree, squarefree_flags
+from .arith import count_squarefree, factorize, squarefree_flags
+from .cache import ClassData
 from .classgroup import class_group_summary, summary_from_counts
 from .discriminants import (
     NEGATIVE,
@@ -27,8 +28,6 @@ from .discriminants import (
     enumerate_progression,
 )
 from .selmer import StollCase, TwistRecord, twist_record, validate_coefficient
-
-ClassData = dict[int, tuple[int, int]]
 
 
 class EmptyFamilyError(ValueError):
@@ -67,8 +66,6 @@ def density_constant(a: int) -> Fraction:
     """Asymptotic density of the twist family inside the square-free integers:
     (1/8) * prod over primes p | A of p / ((p - 1) * (p + 1)), exactly."""
     _family_case(a)
-    from .arith import factorize
-
     out = Fraction(1, 8)
     for p, _ in factorize(a).factors:
         out *= Fraction(p, (p - 1) * (p + 1))
@@ -214,7 +211,7 @@ def scan_family(
     n = len(records)
     d_max = (x - 1) // (4 * abs(a))
     squarefree_count = count_squarefree(d_max + 1)
-    ranks = [(rec.selmer_dim - rec.case.dimension_parity) // 2 for rec in records]
+    ranks = [rec.three_rank for rec in records]
     h3_mean = Fraction(sum(3**r for r in ranks), n)
     avg_dim = Fraction(sum(rec.selmer_dim for rec in records), n)
     k_hi = max(k, max(ranks) + (0 if a > 0 else 1))
@@ -351,7 +348,7 @@ def average_dimension_report(
         scan = scan_family(a, x, jobs=jobs, class_data=class_data)
     ok = True
     for rec in scan.records:
-        rank = (rec.selmer_dim - rec.case.dimension_parity) // 2
+        rank = rec.three_rank
         if 2 * rank > 3**rank - 1:
             ok = False
     return AverageDimensionReport(

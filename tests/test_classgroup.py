@@ -127,13 +127,15 @@ def test_reduced_forms_definite_matches_triple_loop():
 
 
 def test_reduced_forms_definite_vectorized_path_agrees():
-    # large enough to cross the numpy threshold; the pure-Python twin is the
-    # oracle
-    from twistrank.classgroup import _reduced_forms_definite_np, _reduced_forms_definite_py
+    # the raw enumerator, before the primitivity filter, against the
+    # triple-loop oracle at |delta| above the small-delta sweep
+    from twistrank.classgroup import _reduced_forms_definite
 
     for delta in (-6004, -7403, -9587):
         assert is_fundamental(delta)
-        assert _reduced_forms_definite_np(-delta) == _reduced_forms_definite_py(-delta)
+        raw = _reduced_forms_definite(-delta)
+        assert raw == sorted(set(raw))
+        assert set(raw) == naive_reduced_definite(delta), delta
 
 
 def test_reduced_forms_indefinite_basic_properties():

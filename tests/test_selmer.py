@@ -168,13 +168,13 @@ def test_cubic_twist_dimension_invariant_in_d():
 
 
 def test_cubic_twist_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="mod 9"):
         cubic_twist_selmer_dimension(1, 2)  # not 1 mod 9
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="odd"):
         cubic_twist_selmer_dimension(1, 10)  # even
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="square-free"):
         cubic_twist_selmer_dimension(1, 325)  # 5^2 * 13 is not square-free
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="factor"):
         cubic_twist_selmer_dimension(13, 91)  # shares the factor 13
 
 
@@ -231,4 +231,7 @@ def test_twist_record_negative_branch():
 def test_twist_record_with_summary_matches_direct():
     for a, d in ((1, 61), (37, 13), (-35, 1)):
         delta = twist_field_discriminant(a, d)
-        assert twist_record(a, d, summary=class_group_summary(delta)) == twist_record(a, d)
+        summary = class_group_summary(delta)
+        rec = twist_record(a, d, summary=summary)
+        assert rec == twist_record(a, d)
+        assert rec.three_rank == summary.three_rank
