@@ -237,7 +237,7 @@ def is_equivalent(f1: Form, f2: Form) -> bool:
 # ---------------------------------------------------------------------------
 # Reduced form enumeration
 
-def _reduced_forms_definite(n: int) -> list[tuple[int, int, int]]:
+def _reduced_forms_definite(n: int) -> list[Form]:
     parity = n & 1
     amax = isqrt(n // 3)
     a = np.arange(1, amax + 1, dtype=np.int64)
@@ -254,13 +254,11 @@ def _reduced_forms_definite(n: int) -> list[tuple[int, int, int]]:
     a_s, b_s, num_s = a_flat[sel], b_flat[sel], num[sel]
     c_s = num_s // (4 * a_s)
     keep = (c_s >= a_s) & ~((b_s < 0) & ((c_s == a_s) | (-b_s == a_s)))
-    return [
-        (int(x), int(y), int(z))
-        for x, y, z in zip(a_s[keep], b_s[keep], c_s[keep])
-    ]
+    keep &= np.gcd(np.gcd(a_s, b_s), c_s) == 1
+    return list(map(Form, a_s[keep].tolist(), b_s[keep].tolist(), c_s[keep].tolist()))
 
 
-def _reduced_forms_indefinite(delta: int) -> list[tuple[int, int, int]]:
+def _reduced_forms_indefinite(delta: int) -> list[Form]:
     s = isqrt(delta)
     parity = delta & 1
     out = []
@@ -272,8 +270,9 @@ def _reduced_forms_indefinite(delta: int) -> list[tuple[int, int, int]]:
             for aa in {d, n // d}:
                 t = 2 * aa
                 if (t + b) ** 2 > delta and (t <= b or (t - b) ** 2 < delta):
-                    out.append((aa, b, -(n // aa)))
-                    out.append((-aa, b, n // aa))
+                    if gcd(aa, b, n // aa) == 1:
+                        out.append(Form(aa, b, -(n // aa)))
+                        out.append(Form(-aa, b, n // aa))
     out.sort()
     return out
 
@@ -281,32 +280,41 @@ def _reduced_forms_indefinite(delta: int) -> list[tuple[int, int, int]]:
 def reduced_forms(delta: int) -> list[Form]:
     """Every primitive reduced form of the discriminant, sorted lexicographically.
 
-    For fundamental discriminants every form is automatically primitive; for
-    other discriminants the imprimitive ones are filtered out, so the count
-    is always the form class number.
+    Both enumerators keep only primitive forms (for fundamental discriminants
+    every form is primitive), so the count is always the form class number.
     """
     _check_discriminant(delta)
     if abs(delta) > MAX_DISCRIMINANT:
         raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
     if delta < 0:
-        raw = _reduced_forms_definite(-delta)
-    else:
-        raw = _reduced_forms_indefinite(delta)
-    forms = [Form(*t) for t in raw]
-    return [f for f in forms if f.content() == 1]
+        return _reduced_forms_definite(-delta)
+    return _reduced_forms_indefinite(delta)
 
 
 # ---------------------------------------------------------------------------
 # Class group summary
 
-def _cube_reduced(t: tuple[int, int, int], delta: int, s: int) -> tuple[int, int, int]:
+def _mul(
+    t1: tuple[int, int, int], t2: tuple[int, int, int], delta: int, s: int
+) -> tuple[int, int, int]:
+    """Reduced product of two reduced forms; s = isqrt(delta) when delta > 0."""
     if delta < 0:
-        sq = _reduce_definite_raw(*_compose_raw(*t, *t, delta))
-        return _reduce_definite_raw(*_compose_raw(*sq, *t, delta))
-    t = _positive_leading_raw(*t, delta, s)
-    sq = _reduce_indefinite_raw(*_compose_raw(*t, *t, delta), delta, s)
-    sq = _positive_leading_raw(*sq, delta, s)
-    return _reduce_indefinite_raw(*_compose_raw(*sq, *t, delta), delta, s)
+        return _reduce_definite_raw(*_compose_raw(*t1, *t2, delta))
+    t1 = _positive_leading_raw(*t1, delta, s)
+    t2 = _positive_leading_raw(*t2, delta, s)
+    return _reduce_indefinite_raw(*_compose_raw(*t1, *t2, delta), delta, s)
+
+
+def _classes(
+    delta: int, s: int
+) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int], int]:
+    """A representative per class, the class index of every reduced form, the identity's index."""
+    forms = reduced_forms(delta)
+    if delta < 0:
+        index = {f: i for i, f in enumerate(forms)}
+        return forms, index, index[_reduce_definite_raw(*principal_form(delta))]
+    reps, index = _cycles_indefinite(forms, delta, s)
+    return reps, index, index[_reduce_indefinite_raw(*principal_form(delta), delta, s)]
 
 
 def _exact_three_rank(three_torsion: int) -> int:
@@ -346,75 +354,57 @@ def class_group_summary(delta: int) -> ClassGroupSummary:
     """Class number and 3-torsion of the (narrow, if delta > 0) class group."""
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
-    if abs(delta) > MAX_DISCRIMINANT:
-        raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
     s = isqrt(delta) if delta > 0 else 0
-    forms = reduced_forms(delta)
-    if delta < 0:
-        identity = _reduce_definite_raw(*principal_form(delta))
-        reps = [tuple(f) for f in forms]
-        torsion = sum(1 for t in reps if _cube_reduced(t, delta, s) == identity)
-        h = len(reps)
-    else:
-        cycles, index = _cycles_indefinite(forms, delta, s)
-        h = len(cycles)
-        identity_cid = index[_reduce_indefinite_raw(*principal_form(delta), delta, s)]
-        torsion = sum(
-            1
-            for cyc in cycles
-            if index[_cube_reduced(cyc[0], delta, s)] == identity_cid
-        )
-    rank = _exact_three_rank(torsion)
-    if h % torsion:
-        raise ArithmeticError(f"3-torsion {torsion} does not divide h = {h}")
-    return ClassGroupSummary(
-        delta=delta, class_number=h, three_torsion=torsion, three_rank=rank
+    reps, index, identity = _classes(delta, s)
+    torsion = sum(
+        1 for t in reps if index[_mul(_mul(t, t, delta, s), t, delta, s)] == identity
     )
+    return summary_from_counts(delta, len(reps), torsion)
 
 
 def _cycles_indefinite(
     forms: list[Form], delta: int, s: int
-) -> tuple[list[list[tuple[int, int, int]]], dict[tuple[int, int, int], int]]:
-    """Partition the reduced forms into rho-cycles; every form lands in exactly one."""
+) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:
+    """Partition the reduced forms into rho-cycles; every form lands in exactly one.
+
+    Returns the least form of each cycle and the cycle index of every form.
+    """
     index: dict[tuple[int, int, int], int] = {}
-    cycles: list[list[tuple[int, int, int]]] = []
+    leads: list[tuple[int, int, int]] = []
     for f in forms:
-        t = tuple(f)
-        if t in index:
+        if f in index:
             continue
-        cid = len(cycles)
+        cid = len(leads)
         cyc = []
-        g = t
+        g = f
         while g not in index:
             index[g] = cid
             cyc.append(g)
             g = _rho_raw(*g, delta, s)
-        if g != t:
-            raise ArithmeticError(f"rho walk from {t} did not close into a cycle")
-        lead = min(range(len(cyc)), key=cyc.__getitem__)
-        cycles.append(cyc[lead:] + cyc[:lead])
-    return cycles, index
+        if g != f:
+            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
+        leads.append(min(cyc))
+    return leads, index
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles
 
-_spf_cache: dict[str, np.ndarray] = {}
+_spf = np.zeros(0, dtype=np.int64)
 
 
 def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table 0..limit, grown geometrically and cached."""
-    table = _spf_cache.get("table")
-    if table is None or len(table) <= limit:
-        size = max(limit + 1, 2 * len(table) if table is not None else 10**4 + 1)
+    """Smallest-prime-factor table 0..limit, grown geometrically and kept for reuse."""
+    global _spf
+    if len(_spf) <= limit:
+        size = max(limit + 1, 2 * len(_spf), 10**4 + 1)
         spf = np.zeros(size, dtype=np.int64)
         for i in range(2, size):
             if spf[i] == 0:
                 sl = spf[i::i]
                 sl[sl == 0] = i
-        _spf_cache["table"] = spf
-        table = spf
-    return table
+        _spf = spf
+    return _spf
 
 
 def analytic_class_number_oracle(delta: int, terms: int | None = None) -> int:
@@ -464,28 +454,8 @@ def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
     elementary divisors recovered by order counting, independent of the
     cubing shortcut.  Refuses groups larger than max_order.
     """
-    summary_forms = reduced_forms(delta)
     s = isqrt(delta) if delta > 0 else 0
-    if delta < 0:
-        reps = [tuple(f) for f in summary_forms]
-        lookup = {t: i for i, t in enumerate(reps)}
-        identity = lookup[_reduce_definite_raw(*principal_form(delta))]
-
-        def mul(i: int, j: int) -> int:
-            return lookup[_reduce_definite_raw(*_compose_raw(*reps[i], *reps[j], delta))]
-
-    else:
-        cycles, index = _cycles_indefinite(summary_forms, delta, s)
-        reps = [cyc[0] for cyc in cycles]
-        lookup = index
-        identity = index[_reduce_indefinite_raw(*principal_form(delta), delta, s)]
-
-        def mul(i: int, j: int) -> int:
-            f1 = _positive_leading_raw(*reps[i], delta, s)
-            f2 = _positive_leading_raw(*reps[j], delta, s)
-            prod = _reduce_indefinite_raw(*_compose_raw(*f1, *f2, delta), delta, s)
-            return lookup[prod]
-
+    reps, index, identity = _classes(delta, s)
     h = len(reps)
     if h > max_order:
         raise ValueError(f"class number {h} exceeds the brute-force guard {max_order}")
@@ -493,7 +463,7 @@ def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
     for i in range(h):
         acc, order = i, 1
         while acc != identity:
-            acc = mul(acc, i)
+            acc = index[_mul(reps[acc], reps[i], delta, s)]
             order += 1
             if order > h:
                 raise ArithmeticError("element order exceeded the group size")

@@ -28,7 +28,6 @@ from .discriminants import (
     ProgressionFamily,
     condition_star,
     enumerate_progression,
-    is_fundamental,
 )
 from .selmer import twist_record
 from .stats import correspondence_check, rearrangement_check, scan_family
@@ -113,8 +112,8 @@ def cmd_progression(args: argparse.Namespace) -> int:
 
 def _verify_analytic(limit: int) -> tuple[bool, str]:
     checked = 0
-    for delta in range(-5, -limit, -1):
-        if not is_fundamental(delta):
+    for delta in enumerate_progression(ProgressionFamily(limit, 0, 1, NEGATIVE)):
+        if delta in (-3, -4):
             continue
         h = class_group_summary(delta).class_number
         if h != analytic_class_number_oracle(delta):
@@ -125,15 +124,14 @@ def _verify_analytic(limit: int) -> tuple[bool, str]:
 
 def _verify_structure(limit: int) -> tuple[bool, str]:
     checked = 0
-    for delta in list(range(-3, -limit - 1, -1)) + list(range(5, limit + 1)):
-        if not is_fundamental(delta):
-            continue
-        s = class_group_summary(delta)
-        structure = brute_force_group_structure(delta)
-        rank = sum(1 for n in structure if n % 3 == 0)
-        if rank != s.three_rank:
-            return False, f"3-rank mismatch at delta = {delta}"
-        checked += 1
+    for sign in (NEGATIVE, POSITIVE):
+        for delta in enumerate_progression(ProgressionFamily(limit + 1, 0, 1, sign)):
+            s = class_group_summary(delta)
+            structure = brute_force_group_structure(delta)
+            rank = sum(1 for n in structure if n % 3 == 0)
+            if rank != s.three_rank:
+                return False, f"3-rank mismatch at delta = {delta}"
+            checked += 1
     return True, f"{checked} discriminants, 3-rank = brute-force group structure"
 
 

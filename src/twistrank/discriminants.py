@@ -11,6 +11,7 @@ the pair (m, N), checked here clause by clause.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -26,14 +27,18 @@ MAX_DISCRIMINANT = 10**9
 
 def is_fundamental(delta: int) -> bool:
     """True when delta is the discriminant of a quadratic field."""
+    return _is_fundamental(delta, is_squarefree)
+
+
+def _is_fundamental(delta: int, squarefree: Callable[[int], bool]) -> bool:
     if delta == 1 or delta == 0:
         return False
     r = delta % 4
     if r == 1:
-        return is_squarefree(delta)
+        return squarefree(delta)
     if r == 0:
         d = delta // 4
-        return d % 4 in (2, 3) and is_squarefree(d)
+        return d % 4 in (2, 3) and squarefree(d)
     return False
 
 
@@ -73,33 +78,26 @@ class ProgressionFamily:
         return is_fundamental(delta)
 
 
-def _is_fundamental_flagged(delta: int, flags: bytearray) -> bool:
-    """is_fundamental with square-freeness answered by a precomputed sieve."""
-    r = delta % 4
-    if r == 1:
-        return delta != 1 and flags[abs(delta)] == 1
-    if r == 0:
-        d = delta // 4
-        return d % 4 in (2, 3) and flags[abs(d)] == 1
-    return False
-
-
 def enumerate_progression(family: ProgressionFamily) -> list[int]:
     """All members of the family, sorted by absolute value (ascending)."""
     x, m, n = family.bound_x, family.residue_m, family.modulus_n
     if x > MAX_DISCRIMINANT:
         raise ValueError(f"bound_x exceeds the scan limit {MAX_DISCRIMINANT}")
     flags = squarefree_flags(x)
+
+    def squarefree(v: int) -> bool:
+        return flags[abs(v)] == 1
+
     out = []
     if family.sign == NEGATIVE:
         first = m - n
         for delta in range(first, -x, -n):
-            if _is_fundamental_flagged(delta, flags):
+            if _is_fundamental(delta, squarefree):
                 out.append(delta)
     else:
         first = m if m > 0 else n
         for delta in range(first, x, n):
-            if _is_fundamental_flagged(delta, flags):
+            if _is_fundamental(delta, squarefree):
                 out.append(delta)
     return out
 

@@ -127,12 +127,15 @@ def test_reduced_forms_definite_matches_triple_loop():
 
 
 def test_reduced_forms_definite_vectorized_path_agrees():
-    # the raw enumerator, before the primitivity filter, against the
-    # triple-loop oracle at |delta| above the small-delta sweep
+    # the raw enumerator, which tests primitivity itself, against the
+    # triple-loop oracle at |delta| above the small-delta sweep; -6039 =
+    # 9 * (-671) is not fundamental, and 30 of its 90 reduced forms are
+    # imprimitive
     from twistrank.classgroup import _reduced_forms_definite
 
     for delta in (-6004, -7403, -9587):
         assert is_fundamental(delta)
+    for delta in (-6004, -7403, -9587, -6039):
         raw = _reduced_forms_definite(-delta)
         assert raw == sorted(set(raw))
         assert set(raw) == naive_reduced_definite(delta), delta
@@ -154,8 +157,10 @@ def test_reduced_forms_indefinite_basic_properties():
 
 def test_reduced_forms_non_fundamental_keeps_primitive_classes():
     # -12 = 4 * (-3) is not fundamental; (2, 2, 2) is a reduced but
-    # imprimitive form of -12 and must not be counted
+    # imprimitive form of -12 and must not be counted; likewise
+    # (2, 2, -2) and (-2, 2, 2) of 20 = 4 * 5
     assert reduced_forms(-12) == [Form(1, 0, 3)]
+    assert reduced_forms(20) == [Form(-1, 4, 1), Form(1, 4, -1)]
 
 
 def test_reduce_rejects_imprimitive():
