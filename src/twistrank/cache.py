@@ -12,12 +12,12 @@ import json
 import os
 import tempfile
 
-from .classgroup import summary_from_counts
+from .classgroup import ClassGroupSummary, summary_from_counts
 
 CACHE_ENV_VAR = "TWISTRANK_CACHE"
 
-#: Class number and 3-torsion count keyed by discriminant.
-ClassData = dict[int, tuple[int, int]]
+#: Validated class-group summaries keyed by discriminant.
+ClassData = dict[int, ClassGroupSummary]
 BadLine = tuple[int, str, str]  # (line number, raw text, reason)
 
 
@@ -37,7 +37,7 @@ def default_path() -> str | None:
     return os.environ.get(CACHE_ENV_VAR) or None
 
 
-def _parse_line(line: str) -> tuple[int, tuple[int, int]]:
+def _parse_line(line: str) -> ClassGroupSummary:
     obj = json.loads(line)
     if not isinstance(obj, dict) or set(obj) != {"delta", "h", "three_torsion"}:
         raise ValueError("keys must be exactly delta, h, three_torsion")
@@ -47,8 +47,7 @@ def _parse_line(line: str) -> tuple[int, tuple[int, int]]:
             raise ValueError(f"{name} must be an integer")
     # re-derives the 3-rank, so this also rejects torsion values that are not
     # powers of 3 or do not divide h
-    summary_from_counts(delta, h, torsion)
-    return delta, (h, torsion)
+    return summary_from_counts(delta, h, torsion)
 
 
 def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
@@ -65,16 +64,17 @@ def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
             if not line:
                 continue
             try:
-                delta, pair = _parse_line(line)
+                summary = _parse_line(line)
             except (ValueError, ArithmeticError) as exc:
                 bad.append((lineno, raw.rstrip("\n"), str(exc)))
                 continue
-            if delta in data and data[delta] != pair:
+            delta = summary.delta
+            if delta in data and data[delta] != summary:
                 bad.append(
                     (lineno, raw.rstrip("\n"), f"conflicts with earlier entry for {delta}")
                 )
                 continue
-            data[delta] = pair
+            data[delta] = summary
     return data, bad
 
 
@@ -92,10 +92,10 @@ def _write_atomic(path: str, data: ClassData) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for delta in sorted(data):
-                h, torsion = data[delta]
+                s = data[delta]
                 fh.write(
                     json.dumps(
-                        {"delta": delta, "h": h, "three_torsion": torsion},
+                        {"delta": s.delta, "h": s.class_number, "three_torsion": s.three_torsion},
                         sort_keys=True,
                     )
                     + "\n"
@@ -116,12 +116,12 @@ def save(path: str, data: ClassData) -> None:
     merged: ClassData = {}
     if os.path.exists(path):
         merged.update(load(path))
-    for delta, pair in data.items():
-        if delta in merged and merged[delta] != pair:
+    for delta, summary in data.items():
+        if delta in merged and merged[delta] != summary:
             raise CacheCorruption(
                 path, [(0, "", f"new entry for {delta} conflicts with stored value")]
             )
-        merged[delta] = pair
+        merged[delta] = summary
     _write_atomic(path, merged)
 
 

@@ -407,14 +407,14 @@ def _spf_table(limit: int) -> np.ndarray:
     return _spf
 
 
-def analytic_class_number_oracle(delta: int, terms: int | None = None) -> int:
+def analytic_class_number_oracle(delta: int) -> int:
     """Imaginary quadratic class number by Dirichlet's analytic formula.
 
     Evaluates h = w * sqrt|delta| / (2*pi) * L(1, chi) through the exact
     finite character sum  h = |sum_{t=1}^{|delta|-1} t * chi(t)| / |delta|
     (unit count w = 2), a route fully independent of form reduction and
-    composition.  `terms` must cover one full character period; the sum is
-    checked for exact integrality and anything else fails loudly.
+    composition.  The sum covers exactly one character period and is checked
+    for exact integrality; anything else fails loudly.
     """
     if delta >= 0:
         raise ValueError("the analytic oracle handles negative discriminants only")
@@ -423,10 +423,6 @@ def analytic_class_number_oracle(delta: int, terms: int | None = None) -> int:
     if delta in (-3, -4):
         raise ExtraUnitsDiscriminant(delta)
     n = -delta
-    if terms is None:
-        terms = max(n, 10**4)
-    if terms < n:
-        raise ValueError(f"terms = {terms} does not cover the character period {n}")
     spf = _spf_table(n)
     chi = np.zeros(n, dtype=np.int64)
     chi[1] = 1

@@ -30,7 +30,7 @@ from .discriminants import (
     enumerate_progression,
 )
 from .selmer import twist_record
-from .stats import correspondence_check, rearrangement_check, scan_family
+from .stats import correspondence_check, family_progression, rearrangement_check, scan_family
 
 CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
 
@@ -90,7 +90,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for rec in result.records:
-                h = result.class_data[rec.field_discriminant][0]
+                h = result.class_data[rec.field_discriminant].class_number
                 writer.writerow([
                     rec.d, rec.field_discriminant, h, rec.three_rank, rec.selmer_dim,
                     rec.rank_bound,
@@ -145,14 +145,11 @@ def _verify_correspondence(x: int) -> tuple[bool, str]:
 
 def _verify_condition(limit: int) -> tuple[bool, str]:
     checked = 0
-    for a in range(1, limit):
+    for a in [*range(1, limit), *range(-1, -limit, -1)]:
         if a % 36 in (1, 13, 25) and is_squarefree(a):
-            if not condition_star(48 * a * a - 4 * a, 48 * a * a):
-                return False, f"condition fails for A = {a}"
-            checked += 1
-    for a in range(-1, -limit, -1):
-        if a % 36 in (1, 13, 25) and is_squarefree(a):
-            if not condition_star(-4 * a, 48 * a * a):
+            # the condition is on (m, N) alone, so any bound X will do
+            family = family_progression(a, 1)
+            if not condition_star(family.residue_m, family.modulus_n):
                 return False, f"condition fails for A = {a}"
             checked += 1
     return True, f"{checked} coefficients with |A| < {limit}"

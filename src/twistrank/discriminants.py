@@ -88,18 +88,11 @@ def enumerate_progression(family: ProgressionFamily) -> list[int]:
     def squarefree(v: int) -> bool:
         return flags[abs(v)] == 1
 
-    out = []
     if family.sign == NEGATIVE:
-        first = m - n
-        for delta in range(first, -x, -n):
-            if _is_fundamental(delta, squarefree):
-                out.append(delta)
+        candidates = range(m - n, -x, -n)
     else:
-        first = m if m > 0 else n
-        for delta in range(first, x, n):
-            if _is_fundamental(delta, squarefree):
-                out.append(delta)
-    return out
+        candidates = range(m if m > 0 else n, x, n)
+    return [delta for delta in candidates if _is_fundamental(delta, squarefree)]
 
 
 @dataclass(frozen=True)

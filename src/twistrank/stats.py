@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .arith import count_squarefree, factorize, squarefree_flags
 from .cache import ClassData
-from .classgroup import class_group_summary, summary_from_counts
+from .classgroup import class_group_summary
 from .discriminants import (
     NEGATIVE,
     POSITIVE,
@@ -103,27 +103,32 @@ def scan_parameters(a: int, x: int) -> list[int]:
     return [d for d in range(1, d_max + 1, 12 * abs(a)) if flags[d]]
 
 
-def _class_worker(delta: int) -> tuple[int, int, int]:
-    s = class_group_summary(delta)
-    return delta, s.class_number, s.three_torsion
-
-
 def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
-    """Class number and 3-torsion for each discriminant, optionally in parallel.
+    """Class-group summary for each discriminant, optionally in parallel.
 
-    The result does not depend on jobs; partitioning only affects wall time.
+    The result does not depend on jobs; partitioning only affects wall time,
+    and no more workers start than there are discriminants.
     """
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
     todo = sorted(set(deltas))
     if jobs == 1 or len(todo) < 8:
-        return {d: (h, t) for d, h, t in map(_class_worker, todo)}
+        return dict(zip(todo, map(class_group_summary, todo)))
+    jobs = min(jobs, len(todo))
     chunk = max(1, len(todo) // (jobs * 8))
     with multiprocessing.Pool(jobs) as pool:
-        return {
-            d: (h, t)
-            for d, h, t in pool.imap_unordered(_class_worker, todo, chunksize=chunk)
-        }
+        return dict(zip(todo, pool.map(class_group_summary, todo, chunksize=chunk)))
+
+
+def _complete(
+    deltas: list[int], class_data: ClassData | None, jobs: int
+) -> tuple[ClassData, ClassData]:
+    """Class data for exactly these discriminants, and the part of it newly
+    computed: entries of class_data are reused, the rest computed."""
+    supplied = class_data or {}
+    fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
+    data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
+    return data, fresh
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def scan_family(
 ) -> ScanResult:
     """Scan the twist family of A up to X and aggregate certified statistics.
 
-    class_data may carry previously computed (h, three_torsion) pairs keyed by
+    class_data may carry previously computed class-group summaries keyed by
     discriminant; anything missing is computed (in parallel when jobs > 1)
     and reported back in new_class_data.
     """
@@ -198,16 +203,10 @@ def scan_family(
             f"no twist parameters below X/(4|A|) = {x}/{4 * abs(a)}; raise X"
         )
     deltas = [-4 * a * d for d in params]
-    supplied = dict(class_data) if class_data else {}
-    missing = [delta for delta in deltas if delta not in supplied]
-    fresh = compute_class_data(missing, jobs=jobs)
-    data = {**supplied, **fresh}
-    records = []
-    for d, delta in zip(params, deltas):
-        h, torsion = data[delta]
-        records.append(
-            twist_record(a, d, summary=summary_from_counts(delta, h, torsion))
-        )
+    data, fresh = _complete(deltas, class_data, jobs)
+    records = [
+        twist_record(a, d, summary=data[delta]) for d, delta in zip(params, deltas)
+    ]
     n = len(records)
     d_max = (x - 1) // (4 * abs(a))
     squarefree_count = count_squarefree(d_max + 1)
@@ -238,9 +237,8 @@ def scan_family(
             "average_dimension_bound": average_dimension_bound(a),
         },
     )
-    used = {delta: data[delta] for delta in deltas}
     return ScanResult(
-        report=report, records=records, class_data=used, new_class_data=fresh
+        report=report, records=records, class_data=data, new_class_data=fresh
     )
 
 
@@ -266,26 +264,27 @@ def nh_mean(
     deltas = enumerate_progression(family)
     if not deltas:
         raise EmptyFamilyError("the progression family is empty below the bound")
-    supplied = dict(class_data) if class_data else {}
-    missing = [d for d in deltas if d not in supplied]
-    data = {**supplied, **compute_class_data(missing, jobs=jobs)}
-    return Fraction(sum(data[d][1] for d in deltas), len(deltas))
+    data, _ = _complete(deltas, class_data, jobs)
+    return Fraction(sum(s.three_torsion for s in data.values()), len(deltas))
+
+
+def family_progression(a: int, x: int) -> ProgressionFamily:
+    """The progression family of discriminants ≡ m mod 48*A**2 below X that the
+    twists of A map onto, where m = 48*A**2 - 4*A for A > 0 and m = -4*A for
+    A < 0; the discriminants are negative exactly when A > 0."""
+    m = 48 * a * a - 4 * a if a > 0 else -4 * a
+    return ProgressionFamily(x, m, 48 * a * a, NEGATIVE if a > 0 else POSITIVE)
 
 
 def correspondence_check(a: int, x: int) -> bool:
     """Verify D -> -4*A*D maps the twist parameters bijectively onto the
-    progression family of discriminants ≡ m mod 48*A**2 below X, where
-    m = 48*A**2 - 4*A for A > 0 and m = -4*A for A < 0."""
+    family_progression(A, X)."""
     _family_case(a)
     params = scan_parameters(a, x)
-    m = 48 * a * a - 4 * a if a > 0 else -4 * a
-    family = ProgressionFamily(
-        x, m, 48 * a * a, NEGATIVE if a > 0 else POSITIVE
-    )
     image = {-4 * a * d for d in params}
     if len(image) != len(params):
         return False
-    return image == set(enumerate_progression(family))
+    return image == set(enumerate_progression(family_progression(a, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +334,19 @@ class AverageDimensionReport:
     per_sample_inequality_ok: bool
 
 
-def average_dimension_report(
-    a: int, x: int, *, jobs: int = 1, class_data: ClassData | None = None,
-    scan: ScanResult | None = None,
-) -> AverageDimensionReport:
-    """Family-average Selmer dimension against its asymptotic bound.
+def average_dimension_report(scan: ScanResult) -> AverageDimensionReport:
+    """Family-average Selmer dimension of a scan against its asymptotic bound.
 
     Also verifies, sample by sample, that twice the 3-rank never exceeds
     (3-torsion count) - 1, the inequality the asymptotic bound rests on.
     """
-    if scan is None:
-        scan = scan_family(a, x, jobs=jobs, class_data=class_data)
-    ok = True
-    for rec in scan.records:
-        rank = rec.three_rank
-        if 2 * rank > 3**rank - 1:
-            ok = False
+    report = scan.report
+    ok = all(2 * rec.three_rank <= 3**rec.three_rank - 1 for rec in scan.records)
     return AverageDimensionReport(
-        a=a,
-        x=x,
-        family_size=scan.report.family_size,
-        avg_selmer_dim=scan.report.avg_selmer_dim,
-        asymptotic_bound=average_dimension_bound(a),
+        a=report.a,
+        x=report.x,
+        family_size=report.family_size,
+        avg_selmer_dim=report.avg_selmer_dim,
+        asymptotic_bound=average_dimension_bound(report.a),
         per_sample_inequality_ok=ok,
     )

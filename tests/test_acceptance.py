@@ -172,8 +172,8 @@ def test_criterion_06_low_rank_density(big_scan):
 def test_criterion_07_average_dimension(big_scan):
     """Average Selmer dimension under its asymptotic bound, both branches."""
     result, _ = big_scan
-    rep_pos = average_dimension_report(1, 4 * 10**5, scan=result)
-    rep_neg = average_dimension_report(-35, 10**5)
+    rep_pos = average_dimension_report(result)
+    rep_neg = average_dimension_report(scan_family(-35, 10**5))
     ok = rep_pos.avg_selmer_dim == Fraction(503, 632)  # frozen
     ok = ok and rep_pos.avg_selmer_dim <= 1
     ok = ok and rep_pos.per_sample_inequality_ok

@@ -6,25 +6,31 @@ import os
 import pytest
 
 from twistrank import cache
+from twistrank.classgroup import summary_from_counts
+
+
+def entries(*rows):
+    """Class data from (delta, h, three_torsion) rows, as the cache holds it."""
+    return {delta: summary_from_counts(delta, h, t) for delta, h, t in rows}
 
 
 def test_save_load_round_trip(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    data = {-244: (6, 3), -4: (1, 1), 140: (4, 1)}
+    data = entries((-244, 6, 3), (-4, 1, 1), (140, 4, 1))
     cache.save(p, data)
     assert cache.load(p) == data
 
 
 def test_save_merges_with_existing_entries(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    cache.save(p, {-4: (1, 1)})
-    cache.save(p, {-52: (2, 1)})
-    assert cache.load(p) == {-4: (1, 1), -52: (2, 1)}
+    cache.save(p, entries((-4, 1, 1)))
+    cache.save(p, entries((-52, 2, 1)))
+    assert cache.load(p) == entries((-4, 1, 1), (-52, 2, 1))
 
 
 def test_save_bytes_are_sorted_and_stable(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    cache.save(p, {140: (4, 1), -244: (6, 3), -4: (1, 1)})
+    cache.save(p, entries((140, 4, 1), (-244, 6, 3), (-4, 1, 1)))
     text = open(p).read()
     assert text == (
         '{"delta": -244, "h": 6, "three_torsion": 3}\n'
@@ -35,7 +41,7 @@ def test_save_bytes_are_sorted_and_stable(tmp_path):
 
 def test_save_leaves_no_temp_files(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    cache.save(p, {-4: (1, 1)})
+    cache.save(p, entries((-4, 1, 1)))
     assert os.listdir(tmp_path) == ["c.ndjson"]
 
 
@@ -76,7 +82,7 @@ def test_duplicate_entries_must_agree(tmp_path):
     with open(p, "w") as fh:
         fh.write('{"delta": -4, "h": 1, "three_torsion": 1}\n')
         fh.write('{"delta": -4, "h": 1, "three_torsion": 1}\n')
-    assert cache.load(p) == {-4: (1, 1)}
+    assert cache.load(p) == entries((-4, 1, 1))
     with open(p, "a") as fh:
         fh.write('{"delta": -4, "h": 3, "three_torsion": 1}\n')
     with pytest.raises(cache.CacheCorruption, match="conflicts"):
@@ -85,13 +91,13 @@ def test_duplicate_entries_must_agree(tmp_path):
 
 def test_quarantine_repairs_and_preserves(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    cache.save(p, {-4: (1, 1), -52: (2, 1)})
+    cache.save(p, entries((-4, 1, 1), (-52, 2, 1)))
     with open(p, "a") as fh:
         fh.write("garbage\n")
         fh.write('{"delta": -23, "h": 3, "three_torsion": 2}\n')
     kept, quarantined = cache.quarantine(p)
     assert (kept, quarantined) == (2, 2)
-    assert cache.load(p) == {-4: (1, 1), -52: (2, 1)}
+    assert cache.load(p) == entries((-4, 1, 1), (-52, 2, 1))
     side = open(p + ".quarantined").read()
     assert "garbage" in side and "power of 3" in side
     # idempotent on a clean file
@@ -102,14 +108,14 @@ def test_blank_lines_ignored(tmp_path):
     p = str(tmp_path / "c.ndjson")
     with open(p, "w") as fh:
         fh.write('\n{"delta": -4, "h": 1, "three_torsion": 1}\n\n')
-    assert cache.load(p) == {-4: (1, 1)}
+    assert cache.load(p) == entries((-4, 1, 1))
 
 
 def test_save_rejects_conflicting_new_entry(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    cache.save(p, {-4: (1, 1)})
+    cache.save(p, entries((-4, 1, 1)))
     with pytest.raises(cache.CacheCorruption):
-        cache.save(p, {-4: (3, 3)})
+        cache.save(p, entries((-4, 3, 3)))
 
 
 def test_default_path_from_environment(monkeypatch):
@@ -121,7 +127,7 @@ def test_default_path_from_environment(monkeypatch):
 
 def test_entries_are_valid_json_lines(tmp_path):
     p = str(tmp_path / "c.ndjson")
-    cache.save(p, {-244: (6, 3)})
+    cache.save(p, entries((-244, 6, 3)))
     for line in open(p):
         obj = json.loads(line)
         assert list(obj) == ["delta", "h", "three_torsion"]

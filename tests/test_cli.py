@@ -11,7 +11,13 @@ import os
 import pytest
 
 from twistrank import cache
+from twistrank.classgroup import summary_from_counts
 from twistrank.cli import main
+
+
+def entries(*rows):
+    """Class data from (delta, h, three_torsion) rows, as the cache holds it."""
+    return {delta: summary_from_counts(delta, h, t) for delta, h, t in rows}
 
 
 def run(capsys, *argv):
@@ -109,15 +115,15 @@ def test_scan_deterministic_across_jobs_and_cache(capsys, tmp_path):
         assert code == 0
         outputs.append(out)
     assert len(set(outputs)) == 1
-    assert cache.load(cache_file) == {
-        -4: (1, 1),
-        -52: (2, 1),
-        -148: (2, 1),
-        -244: (6, 3),
-        -292: (4, 1),
-        -340: (4, 1),
-        -388: (4, 1),
-    }
+    assert cache.load(cache_file) == entries(
+        (-4, 1, 1),
+        (-52, 2, 1),
+        (-148, 2, 1),
+        (-244, 6, 3),
+        (-292, 4, 1),
+        (-340, 4, 1),
+        (-388, 4, 1),
+    )
 
 
 def test_scan_trace_and_report_files(capsys, tmp_path):
@@ -142,7 +148,7 @@ def test_scan_uses_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "scan", "1", "--max-x", "400")
     assert code == 0
     assert os.path.exists(cache_file)
-    assert cache.load(cache_file)[-244] == (6, 3)
+    assert cache.load(cache_file)[-244] == summary_from_counts(-244, 6, 3)
 
 
 def test_scan_rejects_corrupt_cache(capsys, tmp_path):
@@ -202,14 +208,14 @@ def test_verify_quick_passes(capsys):
 
 def test_verify_quarantines_corrupt_cache(capsys, tmp_path):
     cache_file = str(tmp_path / "c.ndjson")
-    cache.save(cache_file, {-4: (1, 1)})
+    cache.save(cache_file, entries((-4, 1, 1)))
     with open(cache_file, "a") as fh:
         fh.write("{bad\n")
     code, out, _ = run(capsys, "verify", "--level", "quick", "--cache", cache_file)
     assert code == 0
     assert "quarantined 1 corrupt line(s)" in out
     assert os.path.exists(cache_file + ".quarantined")
-    assert cache.load(cache_file) == {-4: (1, 1)}
+    assert cache.load(cache_file) == entries((-4, 1, 1))
 
 
 def test_internal_errors_exit_1(capsys, monkeypatch):

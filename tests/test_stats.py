@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistrank import stats
 from twistrank.discriminants import NEGATIVE, ProgressionFamily
 from twistrank.stats import (
     EmptyFamilyError,
@@ -184,6 +185,30 @@ def test_compute_class_data_parallel_agrees():
     assert compute_class_data(deltas, jobs=1) == compute_class_data(deltas, jobs=4)
 
 
+def test_compute_class_data_starts_no_more_workers_than_discriminants(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(stats.multiprocessing, "Pool", FakePool)
+    deltas = [-4 * d for d in scan_parameters(1, 2000)]
+    assert compute_class_data(deltas, jobs=10**6) == compute_class_data(deltas)
+    assert sizes == [len(deltas)] == [35]
+
+
 # ---------------------------------------------------------------------------
 # Correspondence and progression means
 
@@ -278,7 +303,8 @@ def test_rearrangement_rejects_bad_values():
 
 
 def test_average_dimension_report_negative_branch():
-    rep = average_dimension_report(-35, 10**5)
+    rep = average_dimension_report(scan_family(-35, 10**5))
+    assert (rep.a, rep.x) == (-35, 10**5)
     assert rep.family_size == 2
     assert rep.avg_selmer_dim == 1
     assert rep.asymptotic_bound == Fraction(4, 3)
@@ -288,7 +314,7 @@ def test_average_dimension_report_negative_branch():
 
 def test_average_dimension_report_reuses_scan():
     scan = scan_family(1, 2000)
-    rep = average_dimension_report(1, 2000, scan=scan)
+    rep = average_dimension_report(scan)
     assert rep.avg_selmer_dim == scan.report.avg_selmer_dim
     assert rep.asymptotic_bound == 1
     assert rep.per_sample_inequality_ok
