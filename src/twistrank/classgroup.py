@@ -3,15 +3,18 @@
 For delta < 0 the class group is realized by the unique reduced positive
 definite forms; for delta > 0 the narrow class group is realized by
 rho-cycles of reduced indefinite forms (the narrow and ordinary groups share
-their odd part, which is all the 3-rank machinery consumes).  Composition is
-Dirichlet's, 3-torsion is counted by cubing every class, and two independent
-oracles cross-check the enumeration: the exact finite character sum behind
-the analytic class number formula, and elementary divisors recovered from a
-brute-force composition table.
+their odd part, which is all the 3-rank machinery consumes).  Reduced forms
+are enumerated from the square roots of delta modulo 4a, built from the prime
+powers of each admissible a, in O~(sqrt|delta|) time and memory.  Composition
+is Dirichlet's, 3-torsion is counted inside the 3-Sylow subgroup, and two
+independent oracles cross-check the enumeration: the exact finite character
+sum behind the analytic class number formula, and elementary divisors
+recovered from a brute-force composition table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -237,42 +240,135 @@ def is_equivalent(f1: Form, f2: Form) -> bool:
 # ---------------------------------------------------------------------------
 # Reduced form enumeration
 
-def _reduced_forms_definite(n: int) -> list[Form]:
-    parity = n & 1
-    amax = isqrt(n // 3)
-    a = np.arange(1, amax + 1, dtype=np.int64)
-    bmin = np.where((a & 1) == parity, -a, 1 - a)
-    counts = (a - bmin) // 2 + 1
-    total = int(counts.sum())
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    a_flat = np.repeat(a, counts)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    b_flat = np.repeat(bmin, counts) + 2 * pos
-    num = b_flat * b_flat + n
-    den = 4 * a_flat
-    sel = num % den == 0
-    a_s, b_s, num_s = a_flat[sel], b_flat[sel], num[sel]
-    c_s = num_s // (4 * a_s)
-    keep = (c_s >= a_s) & ~((b_s < 0) & ((c_s == a_s) | (-b_s == a_s)))
-    keep &= np.gcd(np.gcd(a_s, b_s), c_s) == 1
-    return list(map(Form, a_s[keep].tolist(), b_s[keep].tolist(), c_s[keep].tolist()))
+
+_spf = np.zeros(0, dtype=np.int64)
+
+
+def _spf_table(limit: int) -> np.ndarray:
+    """Smallest-prime-factor table 0..limit, grown geometrically and kept for reuse."""
+    global _spf
+    if len(_spf) <= limit:
+        size = max(limit + 1, 2 * len(_spf), 10**4 + 1)
+        spf = np.zeros(size, dtype=np.int64)
+        for i in range(2, size):
+            if spf[i] == 0:
+                sl = spf[i::i]
+                sl[sl == 0] = i
+        _spf = spf
+    return _spf
+
+
+def _sqrt_mod_prime(x: int, p: int) -> int | None:
+    """A square root of x modulo the prime p, or None if there is none (Tonelli-Shanks)."""
+    x %= p
+    if p == 2 or x == 0:
+        return x
+    if p % 4 == 3:
+        r = pow(x, (p + 1) // 4, p)
+        return r if r * r % p == x else None
+    if pow(x, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(x, (q + 1) // 2, p), pow(x, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
+def _odd_prime_power_roots(delta: int, p: int, amax: int) -> list[list[int]]:
+    """Entry k - 1 lists the b mod p**k with b*b ≡ delta mod p**k, for p**k <= amax.
+
+    The list stops before the first power of p without a root.
+    """
+    r = _sqrt_mod_prime(delta, p)
+    if r is None:
+        return []
+    roots = [r, p - r] if r else [0]
+    out, q = [roots], p
+    while q * p <= amax:
+        # Test the p lifts of each root, which needs no case split on p | delta.
+        roots = [x for r in roots for x in range(r, q * p, q) if (x * x - delta) % (q * p) == 0]
+        if not roots:
+            break
+        out.append(roots)
+        q *= p
+    return out
+
+
+def _square_roots(delta: int, amax: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (a, roots) for each 1 <= a <= amax where b*b ≡ delta mod 4a is
+    solvable; roots lists those b mod 2a, each in [0, 2a).
+
+    The a are built depth-first from their prime powers, and the roots are
+    combined by CRT one prime power at a time, so an a without a root is
+    never visited.  The a come in no particular order.
+    """
+    spf = _spf_table(amax)
+    odd = (np.flatnonzero(spf[3 : amax + 1] == np.arange(3, amax + 1)) + 3).tolist()
+    split = [(p, powers) for p in odd if (powers := _odd_prime_power_roots(delta, p, amax))]
+    # a = 2**k: lift the b mod 2a with b*b ≡ delta mod 4a up from a = 1.
+    stack = []
+    a, roots = 1, [delta & 1]
+    while roots and a <= amax:
+        stack.append((a, 0, roots))
+        roots = [x for r in roots for x in (r, r + 2 * a) if (x * x - delta) % (8 * a) == 0]
+        a *= 2
+    while stack:
+        a, first, roots = stack.pop()
+        yield a, roots
+        m = 2 * a
+        for j in range(first, len(split)):
+            p, powers = split[j]
+            if a * p > amax:
+                break
+            q = p
+            for proots in powers:
+                if a * q > amax:
+                    break
+                inv = pow(m, -1, q)
+                combined = [r + m * ((s - r) * inv % q) for r in roots for s in proots]
+                stack.append((a * q, j + 1, combined))
+                q *= p
+
+
+def _reduced_forms_definite(delta: int) -> list[Form]:
+    out = []
+    for a, roots in _square_roots(delta, isqrt(-delta // 3)):
+        for r in roots:
+            b = r if r <= a else r - 2 * a
+            c = (b * b - delta) // (4 * a)
+            if c >= a and not (b < 0 and c == a) and gcd(a, b, c) == 1:
+                out.append(Form(a, b, c))
+    out.sort()
+    return out
 
 
 def _reduced_forms_indefinite(delta: int) -> list[Form]:
     s = isqrt(delta)
-    parity = delta & 1
     out = []
-    for b in range(2 - parity, s + 1, 2):
-        n = (delta - b * b) // 4
-        for d in range(1, isqrt(n) + 1):
-            if n % d:
-                continue
-            for aa in {d, n // d}:
-                t = 2 * aa
-                if (t + b) ** 2 > delta and (t <= b or (t - b) ** 2 < delta):
-                    if gcd(aa, b, n // aa) == 1:
-                        out.append(Form(aa, b, -(n // aa)))
-                        out.append(Form(-aa, b, n // aa))
+    for a, roots in _square_roots(delta, s):
+        # Reduced window |sqrt(delta) - 2a| < b <= s; as delta is not a
+        # square, lo is its least integer.
+        t = 2 * a
+        lo = s + 1 - t if t <= s else t - s
+        for r in roots:
+            for b in range(lo + (r - lo) % t, s + 1, t):
+                n = (delta - b * b) // (4 * a)
+                if gcd(a, b, n) == 1:
+                    out.append(Form(a, b, -n))
+                    out.append(Form(-a, b, n))
     out.sort()
     return out
 
@@ -287,7 +383,7 @@ def reduced_forms(delta: int) -> list[Form]:
     if abs(delta) > MAX_DISCRIMINANT:
         raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
     if delta < 0:
-        return _reduced_forms_definite(-delta)
+        return _reduced_forms_definite(delta)
     return _reduced_forms_indefinite(delta)
 
 
@@ -315,6 +411,18 @@ def _classes(
         return forms, index, index[_reduce_definite_raw(*principal_form(delta))]
     reps, index = _cycles_indefinite(forms, delta, s)
     return reps, index, index[_reduce_indefinite_raw(*principal_form(delta), delta, s)]
+
+
+def _power(t: tuple[int, int, int], e: int, delta: int, s: int) -> tuple[int, int, int]:
+    """Reduced e-th power of a reduced form, e >= 1, by square-and-multiply."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = t if acc is None else _mul(acc, t, delta, s)
+        e >>= 1
+        if not e:
+            return acc
+        t = _mul(t, t, delta, s)
 
 
 def _exact_three_rank(three_torsion: int) -> int:
@@ -351,15 +459,46 @@ def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> Cl
 
 
 def class_group_summary(delta: int) -> ClassGroupSummary:
-    """Class number and 3-torsion of the (narrow, if delta > 0) class group."""
+    """Class number and 3-torsion of the (narrow, if delta > 0) class group.
+
+    With h = 3**v * m and 3 not dividing m, the 3-torsion lies in the 3-Sylow
+    subgroup S = {x**m}.  If v = 0 it is trivial by Lagrange.  Otherwise S is
+    spanned by the g**m, g in class-index order, until |S| = 3**v, and the
+    3-torsion is counted inside S alone.
+    """
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     s = isqrt(delta) if delta > 0 else 0
     reps, index, identity = _classes(delta, s)
+    h = m = len(reps)
+    while m % 3 == 0:
+        m //= 3
+    if m == h:
+        return summary_from_counts(delta, h, 1)
+    size = h // m
+    sylow = [reps[identity]]
+    seen = {identity}
+    for g in reps:
+        y = _power(g, m, delta, s)
+        if index[y] in seen:
+            continue
+        # Adjoin y coset by coset: y**k * S is either S again or disjoint from it.
+        coset = sylow
+        while True:
+            first = _mul(coset[0], y, delta, s)
+            if index[first] in seen:
+                break
+            coset = [first] + [_mul(x, y, delta, s) for x in coset[1:]]
+            seen.update(index[x] for x in coset)
+            sylow.extend(coset)
+        if len(sylow) == size:
+            break
+    if len(sylow) != size:
+        raise ArithmeticError(f"3-Sylow span stalled at {len(sylow)} of {size} classes")
     torsion = sum(
-        1 for t in reps if index[_mul(_mul(t, t, delta, s), t, delta, s)] == identity
+        1 for x in sylow if index[_mul(_mul(x, x, delta, s), x, delta, s)] == identity
     )
-    return summary_from_counts(delta, len(reps), torsion)
+    return summary_from_counts(delta, h, torsion)
 
 
 def _cycles_indefinite(
@@ -389,23 +528,6 @@ def _cycles_indefinite(
 
 # ---------------------------------------------------------------------------
 # Independent oracles
-
-_spf = np.zeros(0, dtype=np.int64)
-
-
-def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table 0..limit, grown geometrically and kept for reuse."""
-    global _spf
-    if len(_spf) <= limit:
-        size = max(limit + 1, 2 * len(_spf), 10**4 + 1)
-        spf = np.zeros(size, dtype=np.int64)
-        for i in range(2, size):
-            if spf[i] == 0:
-                sl = spf[i::i]
-                sl[sl == 0] = i
-        _spf = spf
-    return _spf
-
 
 def analytic_class_number_oracle(delta: int) -> int:
     """Imaginary quadratic class number by Dirichlet's analytic formula.
@@ -448,7 +570,7 @@ def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
 
     Orders of all classes are computed by repeated composition and the
     elementary divisors recovered by order counting, independent of the
-    cubing shortcut.  Refuses groups larger than max_order.
+    3-Sylow count in class_group_summary.  Refuses groups larger than max_order.
     """
     s = isqrt(delta) if delta > 0 else 0
     reps, index, identity = _classes(delta, s)

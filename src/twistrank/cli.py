@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import cache as cache_mod
 from .arith import is_squarefree
 from .classgroup import (
+    ClassGroupSummary,
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
@@ -110,23 +113,27 @@ def cmd_progression(args: argparse.Namespace) -> int:
 # Verification suites
 
 
-def _verify_analytic(limit: int) -> tuple[bool, str]:
+def _verify_analytic(
+    limit: int, summary: Callable[[int], ClassGroupSummary]
+) -> tuple[bool, str]:
     checked = 0
     for delta in enumerate_progression(ProgressionFamily(limit, 0, 1, NEGATIVE)):
         if delta in (-3, -4):
             continue
-        h = class_group_summary(delta).class_number
+        h = summary(delta).class_number
         if h != analytic_class_number_oracle(delta):
             return False, f"mismatch at delta = {delta}"
         checked += 1
     return True, f"{checked} discriminants, form count = analytic class number"
 
 
-def _verify_structure(limit: int) -> tuple[bool, str]:
+def _verify_structure(
+    limit: int, summary: Callable[[int], ClassGroupSummary]
+) -> tuple[bool, str]:
     checked = 0
     for sign in (NEGATIVE, POSITIVE):
         for delta in enumerate_progression(ProgressionFamily(limit + 1, 0, 1, sign)):
-            s = class_group_summary(delta)
+            s = summary(delta)
             structure = brute_force_group_structure(delta)
             rank = sum(1 for n in structure if n % 3 == 0)
             if rank != s.three_rank:
@@ -187,9 +194,11 @@ def _verify_cache(path: str | None) -> tuple[bool, str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     full = args.level == "full"
+    # the two class-group suites share one summary per discriminant
+    summary = functools.cache(class_group_summary)
     suites = (
-        ("analytic class numbers", _verify_analytic, (10**4 if full else 2000,)),
-        ("group structures", _verify_structure, (2000,)),
+        ("analytic class numbers", _verify_analytic, (10**4 if full else 2000, summary)),
+        ("group structures", _verify_structure, (2000, summary)),
         ("twist correspondence", _verify_correspondence, (10**5 if full else 10**4,)),
         ("progression condition", _verify_condition, (2000,)),
         ("rearrangement bound", _verify_rearrangement, (1000,)),

@@ -20,8 +20,9 @@ from .arith import canonical_residue, factorize, is_squarefree, squarefree_flags
 NEGATIVE = "negative"
 POSITIVE = "positive"
 
-#: Largest |delta| the scan layers accept; keeps sieves and form enumeration
-#: inside comfortably exact int64 territory for the vectorized paths.
+#: Largest |delta| the scan layers accept.  A family's square-free sieve takes
+#: one byte per integer below its bound; one class group takes O~(sqrt|delta|)
+#: time and memory.
 MAX_DISCRIMINANT = 10**9
 
 

@@ -1,12 +1,14 @@
 """Tests for binary quadratic forms and class groups.
 
-Two independent oracles cross-check the form-counting route: a standalone
-triple-loop enumeration of reduced positive definite forms, and the exact
-finite character sum for the class number.  Group structure is checked
-against explicit multiplication tables.
+Independent oracles cross-check the form-counting route: standalone loop
+enumerations of reduced definite and indefinite forms, and the exact finite
+character sum for the class number.  The 3-Sylow torsion count is checked
+against cubing every class, and group structure against explicit
+multiplication tables.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -27,6 +29,7 @@ from twistrank.classgroup import (
     reduction_cycle,
     summary_from_counts,
 )
+from twistrank.classgroup import _classes, _mul, _reduced_forms_definite, _sqrt_mod_prime
 from twistrank.discriminants import is_fundamental
 
 
@@ -49,6 +52,45 @@ def naive_reduced_definite(delta: int) -> set:
             if math.gcd(math.gcd(a, b), c) == 1:
                 out.add((a, b, c))
     return out
+
+
+def naive_reduced_indefinite(delta: int) -> set:
+    """Double-loop enumeration of reduced primitive indefinite forms.
+
+    0 < b < sqrt(delta) and |sqrt(delta) - 2|a|| < b, over every |a| < sqrt(delta).
+    """
+    out = set()
+    root = math.isqrt(delta)
+    for b in range(1, root + 1):
+        for a in range(-root, root + 1):
+            if a == 0 or (b * b - delta) % (4 * a):
+                continue
+            c = (b * b - delta) // (4 * a)
+            # sqrt(delta) < 2|a| + b, and 2|a| - b < sqrt(delta)
+            if (2 * abs(a) + b) ** 2 <= delta:
+                continue
+            if 2 * abs(a) > b and (2 * abs(a) - b) ** 2 >= delta:
+                continue
+            if math.gcd(math.gcd(a, b), c) == 1:
+                out.add((a, b, c))
+    return out
+
+
+def cube_every_class_torsion(delta: int) -> int:
+    """3-torsion counted by cubing every class of the group."""
+    s = math.isqrt(delta) if delta > 0 else 0
+    reps, index, identity = _classes(delta, s)
+    return sum(
+        1 for t in reps if index[_mul(_mul(t, t, delta, s), t, delta, s)] == identity
+    )
+
+
+def all_discriminants(limit: int, sign: int) -> list:
+    """Every discriminant 0 < sign * delta < limit (non-square when positive)."""
+    return [
+        d for d in range(sign, sign * limit, sign)
+        if d % 4 in (0, 1) and (d < 0 or math.isqrt(d) ** 2 != d)
+    ]
 
 
 def negative_fundamentals(limit: int) -> list:
@@ -121,24 +163,44 @@ def test_reduced_forms_frozen_minus_23():
 
 
 def test_reduced_forms_definite_matches_triple_loop():
-    for delta in negative_fundamentals(1000):
+    # every discriminant, fundamental or not
+    for delta in all_discriminants(6000, -1):
         got = set(map(tuple, reduced_forms(delta)))
         assert got == naive_reduced_definite(delta), delta
 
 
-def test_reduced_forms_definite_vectorized_path_agrees():
-    # the raw enumerator, which tests primitivity itself, against the
-    # triple-loop oracle at |delta| above the small-delta sweep; -6039 =
-    # 9 * (-671) is not fundamental, and 30 of its 90 reduced forms are
-    # imprimitive
-    from twistrank.classgroup import _reduced_forms_definite
+def test_reduced_forms_indefinite_matches_double_loop():
+    for delta in all_discriminants(6000, 1):
+        got = set(map(tuple, reduced_forms(delta)))
+        assert got == naive_reduced_indefinite(delta), delta
 
+
+def test_reduced_forms_definite_raw_enumerator_agrees():
+    # the raw enumerator, which tests primitivity itself, against the
+    # triple-loop oracle; -6039 = 9 * (-671) is not fundamental, and 30 of
+    # its 90 reduced forms are imprimitive
     for delta in (-6004, -7403, -9587):
         assert is_fundamental(delta)
     for delta in (-6004, -7403, -9587, -6039):
-        raw = _reduced_forms_definite(-delta)
+        raw = _reduced_forms_definite(delta)
         assert raw == sorted(set(raw))
         assert set(raw) == naive_reduced_definite(delta), delta
+
+
+def test_sqrt_mod_prime_matches_brute_force():
+    for p in range(2, 1000):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        roots: dict = {}
+        for r in range(p):
+            roots.setdefault(r * r % p, set()).add(r)
+        for x in range(p):
+            expected = roots.get(x)
+            if expected is None:
+                assert _sqrt_mod_prime(x, p) is None, (x, p)
+            else:
+                assert _sqrt_mod_prime(x, p) in expected, (x, p)
+                assert _sqrt_mod_prime(x - 5 * p, p) in expected, (x, p)
 
 
 def test_reduced_forms_indefinite_basic_properties():
@@ -269,6 +331,37 @@ def test_summary_from_counts_validation():
         summary_from_counts(-23, 4, 3)  # torsion does not divide h
     with pytest.raises(ValueError):
         summary_from_counts(-23, 0, 1)
+
+
+def test_sylow_torsion_matches_cubing_every_class():
+    for delta in negative_fundamentals(10**4) + positive_fundamentals(5000):
+        torsion = class_group_summary(delta).three_torsion
+        assert torsion == cube_every_class_torsion(delta), delta
+
+
+@pytest.mark.parametrize("delta", [-3299, -3896, -4027, 32009, 42817])
+def test_three_rank_two_matches_brute_force(delta):
+    # -3299 is C3 x C9: its 3-Sylow subgroup (27) is larger than its
+    # 3-torsion (9)
+    s = class_group_summary(delta)
+    structure = brute_force_group_structure(delta)
+    assert (s.three_torsion, s.three_rank) == (9, 2)
+    assert sum(1 for n in structure if n % 3 == 0) == 2
+    assert math.prod(structure) == s.class_number
+
+
+@pytest.mark.parametrize("delta", [-999_999_995, 999_999_997])
+def test_class_group_summary_bounded_memory_at_limit(delta):
+    # the fundamental discriminants nearest MAX_DISCRIMINANT = 10**9
+    assert is_fundamental(delta)
+    tracemalloc.start()
+    try:
+        s = class_group_summary(delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.class_number % s.three_torsion == 0
+    assert peak < 64 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
