@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+import time
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -206,10 +207,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     failures = 0
     for name, fn, fn_args in suites:
+        start = time.perf_counter()
         ok, detail = fn(*fn_args)
+        elapsed = time.perf_counter() - start
         if not ok:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        # timings go to stderr, so stdout stays byte-identical from run to run
+        print(f"time {name}: {elapsed:.3f}s", file=sys.stderr)
     print(f"{len(suites) - failures}/{len(suites)} suites passed ({args.level})")
     return 0 if failures == 0 else 1
 

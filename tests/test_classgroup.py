@@ -10,8 +10,11 @@ multiplication tables.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from twistrank import classgroup
+from twistrank.arith import kronecker
 from twistrank.classgroup import (
     ClassGroupSummary,
     ExtraUnitsDiscriminant,
@@ -29,8 +32,15 @@ from twistrank.classgroup import (
     reduction_cycle,
     summary_from_counts,
 )
-from twistrank.classgroup import _classes, _mul, _reduced_forms_definite, _sqrt_mod_prime
-from twistrank.discriminants import is_fundamental
+from twistrank.classgroup import (
+    _classes,
+    _kronecker_table,
+    _mul,
+    _reduced_forms_definite,
+    _spf_table,
+    _sqrt_mod_prime,
+)
+from twistrank.discriminants import MAX_DISCRIMINANT, is_fundamental
 
 
 def naive_reduced_definite(delta: int) -> set:
@@ -203,6 +213,18 @@ def test_sqrt_mod_prime_matches_brute_force():
                 assert _sqrt_mod_prime(x - 5 * p, p) in expected, (x, p)
 
 
+def test_spf_table_matches_naive_loop(monkeypatch):
+    monkeypatch.setattr(classgroup, "_spf", np.zeros(0, dtype=np.int64))
+    first = _spf_table(100).copy()
+    grown = _spf_table(len(first))  # one geometric growth, to about 2 * 10**4
+    assert len(first) == 10**4 + 1 and len(grown) == 2 * len(first)
+    naive = [0, 0]
+    for t in range(2, len(grown)):
+        naive.append(next((p for p in range(2, math.isqrt(t) + 1) if t % p == 0), t))
+    assert grown.tolist() == naive
+    assert first.tolist() == naive[: len(first)]
+
+
 def test_reduced_forms_indefinite_basic_properties():
     for delta in positive_fundamentals(300):
         forms = reduced_forms(delta)
@@ -368,11 +390,27 @@ def test_class_group_summary_bounded_memory_at_limit(delta):
 # Analytic oracle
 
 
+def test_kronecker_table_matches_kronecker(monkeypatch):
+    # the table may ask kronecker only for chi(2); odd primes use Euler's criterion
+    asked = set()
+    monkeypatch.setattr(classgroup, "kronecker", lambda a, n: asked.add(n) or kronecker(a, n))
+    # odd delta, delta = 4 * (odd) and delta ≡ 0 mod 8 all occur below 2000
+    for delta in negative_fundamentals(2000):
+        chi = _kronecker_table(delta)
+        assert chi.tolist() == [kronecker(delta, t) for t in range(-delta)], delta
+    assert asked == {2}
+
+
 def test_analytic_oracle_agrees_with_form_count():
     for delta in negative_fundamentals(800):
         if delta in (-3, -4):
             continue
         assert analytic_class_number_oracle(delta) == len(reduced_forms(delta)), delta
+    # near -10**6 the character fill runs past the block [2**19, 2**20)
+    for delta in (-999_995, -999_988, -1_000_003, -1_000_024):
+        assert is_fundamental(delta)
+        h = class_group_summary(delta).class_number
+        assert analytic_class_number_oracle(delta) == h, delta
 
 
 def test_analytic_oracle_extra_units():
@@ -387,6 +425,10 @@ def test_analytic_oracle_rejects_bad_inputs():
         analytic_class_number_oracle(-12)  # not fundamental
     with pytest.raises(ValueError):
         analytic_class_number_oracle(5)  # positive
+    # fundamental, but past the limit: refused before any table is built
+    assert is_fundamental(-(MAX_DISCRIMINANT + 3))
+    with pytest.raises(ValueError, match="limit"):
+        analytic_class_number_oracle(-(MAX_DISCRIMINANT + 3))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ checks compare exact output strings across --jobs values and cache states.
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -197,13 +198,37 @@ def test_progression_positive_sign(capsys):
 # verify
 
 
-def test_verify_quick_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--level", "quick")
+VERIFY_QUICK_STDOUT = """\
+PASS analytic class numbers: 609 discriminants, form count = analytic class number
+PASS group structures: 1218 discriminants, 3-rank = brute-force group structure
+PASS twist correspondence: A in (1, 37, 61, -35) at X = 10000
+PASS progression condition: 301 coefficients with |A| < 2000
+PASS rearrangement bound: 1000 randomized samples
+PASS cache integrity: no cache configured, skipped
+6/6 suites passed (quick)
+"""
+
+
+def test_verify_quick_passes(capsys, monkeypatch):
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    code, out, err = run(capsys, "verify", "--level", "quick")
     assert code == 0
-    lines = [line for line in out.splitlines() if line]
+    assert out == VERIFY_QUICK_STDOUT
+    # one elapsed-time line per suite, in suite order, on stderr only
+    timed = [re.fullmatch(r"time ([a-z -]+): \d+\.\d{3}s", line) for line in err.splitlines()]
+    assert all(timed), err
+    suites = [line[len("PASS "):].split(":")[0] for line in out.splitlines()[:-1]]
+    assert [m.group(1) for m in timed] == suites
+
+
+def test_verify_full_passes(capsys, monkeypatch):
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    code, out, _ = run(capsys, "verify", "--level", "full")
+    assert code == 0
+    lines = out.splitlines()
     assert sum(1 for line in lines if line.startswith("PASS")) == 6
     assert not any(line.startswith("FAIL") for line in lines)
-    assert lines[-1] == "6/6 suites passed (quick)"
+    assert lines[-1] == "6/6 suites passed (full)"
 
 
 def test_verify_quarantines_corrupt_cache(capsys, tmp_path):
