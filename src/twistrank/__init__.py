@@ -13,11 +13,7 @@ from .classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
-    compose,
-    is_equivalent,
-    reduce_form,
     reduced_forms,
-    reduction_cycle,
 )
 from .discriminants import (
     ProgressionFamily,
@@ -29,9 +25,7 @@ from .selmer import (
     StollCase,
     TwistRecord,
     ValidationError,
-    cubic_twist_selmer_dimension,
     selmer_dimension,
-    twist_field_discriminant,
     twist_record,
 )
 from .stats import (
@@ -64,23 +58,17 @@ __all__ = [
     "brute_force_group_structure",
     "certified_density_bound",
     "class_group_summary",
-    "compose",
     "condition_star",
     "correspondence_check",
-    "cubic_twist_selmer_dimension",
     "density_constant",
     "enumerate_progression",
-    "is_equivalent",
     "is_fundamental",
     "low_rank_factor",
     "nh_mean",
     "rearrangement_check",
-    "reduce_form",
     "reduced_forms",
-    "reduction_cycle",
     "scan_family",
     "scan_parameters",
     "selmer_dimension",
-    "twist_field_discriminant",
     "twist_record",
 ]

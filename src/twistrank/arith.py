@@ -2,8 +2,8 @@
 
 Everything here works on arbitrary-precision Python integers: deterministic
 primality testing, factorization by trial division plus Pollard rho, the full
-Kronecker symbol, canonical residues, and square-free sieves.  These are the
-primitives the discriminant and class group layers are built on.
+Kronecker symbol and square-free sieves.  These are the primitives the
+discriminant and class group layers are built on.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ class Factorization:
         head = "-1" if self.sign < 0 else "1"
         return " * ".join([head] + parts) if parts else head
 
-    def prime_support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def factorize(n: int) -> Factorization:
     """Complete signed factorization of a nonzero integer.
@@ -148,16 +145,6 @@ def _product(factors: tuple[tuple[int, int], ...]) -> int:
     return out
 
 
-def squarefree_part(n: int) -> int:
-    """Square-free kernel of n, keeping the sign: product of primes with odd exponent."""
-    fac = factorize(n)
-    out = fac.sign
-    for p, e in fac.factors:
-        if e % 2 == 1:
-            out *= p
-    return out
-
-
 def is_squarefree(n: int) -> bool:
     """True when no prime square divides n (sign ignored, n != 0)."""
     if n == 0:
@@ -198,13 +185,6 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def canonical_residue(n: int, modulus: int) -> int:
-    """Representative of n mod modulus inside [0, modulus)."""
-    if modulus < 1:
-        raise ValueError("modulus must be a positive integer")
-    return n % modulus
 
 
 @lru_cache(maxsize=8)

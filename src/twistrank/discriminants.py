@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import gcd
 
-from .arith import canonical_residue, factorize, is_squarefree, squarefree_flags
+from .arith import factorize, is_squarefree, squarefree_flags
 
 NEGATIVE = "negative"
 POSITIVE = "positive"
@@ -63,9 +63,7 @@ class ProgressionFamily:
             raise ValueError("modulus_n must be a positive integer")
         if self.sign not in (NEGATIVE, POSITIVE):
             raise ValueError(f"sign must be {NEGATIVE!r} or {POSITIVE!r}")
-        object.__setattr__(
-            self, "residue_m", canonical_residue(self.residue_m, self.modulus_n)
-        )
+        object.__setattr__(self, "residue_m", self.residue_m % self.modulus_n)
 
     def membership(self, delta: int) -> bool:
         if delta == 0:
@@ -74,7 +72,7 @@ class ProgressionFamily:
             return False
         if self.sign == POSITIVE and not (0 < delta < self.bound_x):
             return False
-        if canonical_residue(delta, self.modulus_n) != self.residue_m:
+        if delta % self.modulus_n != self.residue_m:
             return False
         return is_fundamental(delta)
 

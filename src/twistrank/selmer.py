@@ -6,8 +6,7 @@ affine function of the 3-rank of one quadratic field: Q(sqrt(-A)) when
 -A ≡ 2, 8 mod 9, and Q(sqrt(3A)) when -A ≡ 5 mod 9, with parity decided by
 the sign of A.  The dimension bounds rank E(Q).  Quadratic twists by D
 replace A with A*D**3; D ≡ 1 mod 12 keeps every hypothesis intact and moves
-the field to Q(sqrt(-A*D)).  Cubic twists replace A with A*D**2 and leave
-the field, hence the dimension, unchanged.
+the field to Q(sqrt(-A*D)).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from math import gcd
 
 from .arith import (
     Factorization,
-    canonical_residue,
     factorize,
     is_perfect_cube,
     is_perfect_square,
@@ -65,7 +63,7 @@ def _classify_coefficient(a: int) -> tuple[StollCase, Factorization]:
     if a == 0:
         raise ValidationError("A must be nonzero")
     fac = _squarefree_factorization("A", a)
-    r = canonical_residue(a, 36)
+    r = a % 36
     if r in FAMILY_RESIDUES:
         return (StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG), fac
     if r == DIRECT_ONLY_RESIDUE:
@@ -80,67 +78,47 @@ def validate_coefficient(a: int) -> StollCase:
     return _classify_coefficient(a)[0]
 
 
-def _field_discriminant(
-    case: StollCase, fac_a: Factorization, fac_d: Factorization, d_exponent: int
-) -> int:
-    """Discriminant of the quadratic field attached to y**2 = x**3 - A*D**d_exponent.
+def _field_discriminant(case: StollCase, fac_a: Factorization, fac_d: Factorization) -> int:
+    """Discriminant of the quadratic field attached to y**2 = x**3 - A*D**3.
 
     A and D are square-free and coprime, so the square-free kernel of
-    -A * D**d_exponent must come out to -A * D (odd exponent) or -A (even
-    exponent); the identity is recomputed from prime exponents and asserted
-    rather than assumed.  The sqrt(3A) cases take -3 times the kernel.
+    -A * D**3 must come out to -A * D; the identity is recomputed from prime
+    exponents and asserted rather than assumed.  The sqrt(3A) cases take -3
+    times the kernel.
     """
     a, d = fac_a.value, fac_d.value
     exponents: dict[int, int] = {}
     for p, e in fac_a.factors:
         exponents[p] = exponents.get(p, 0) + e
     for p, e in fac_d.factors:
-        exponents[p] = exponents.get(p, 0) + e * d_exponent
+        exponents[p] = exponents.get(p, 0) + 3 * e
     kernel = -1 if a > 0 else 1
     for p, e in sorted(exponents.items()):
         if e % 2 == 1:
             kernel *= p
-    expected = -a * d if d_exponent % 2 == 1 else -a
-    if kernel != expected:
+    if kernel != -a * d:
         raise ArithmeticError(
-            f"square-free kernel of -({a})*({d})^{d_exponent} came out {kernel}, "
-            f"expected {expected}"
+            f"square-free kernel of -({a})*({d})^3 came out {kernel}, expected {-a * d}"
         )
     radicand = -3 * kernel if case.uses_sqrt_3a else kernel
-    return radicand if canonical_residue(radicand, 4) == 1 else 4 * radicand
+    return radicand if radicand % 4 == 1 else 4 * radicand
 
 
-def _certify_twist(a: int, d: int, modulus: int, d_exponent: int) -> tuple[StollCase, int]:
-    """Validate the twist y**2 = x**3 - A*D**d_exponent with D ≡ 1 mod modulus.
+def _certify_twist(a: int, d: int) -> tuple[StollCase, int]:
+    """Validate the quadratic twist y**2 = x**3 - A*D**3 with D ≡ 1 mod 12.
 
     Returns the case and the field discriminant; A and D are factored once
-    each.  Quadratic twists use (12, 3), cubic twists (9, 2).
+    each.
     """
     case, fac_a = _classify_coefficient(a)
     if d < 1:
         raise ValidationError("D must be a positive integer")
-    if canonical_residue(d, modulus) != 1:
-        raise ValidationError(f"D = {d} is not ≡ 1 mod {modulus}")
-    if d % 2 == 0:  # reachable for modulus 9 only: D ≡ 1 mod 12 is odd
-        raise ValidationError(f"D = {d} must be odd so that A*D^2 stays 1 mod 12")
+    if d % 12 != 1:
+        raise ValidationError(f"D = {d} is not ≡ 1 mod 12")
     fac_d = _squarefree_factorization("D", d)
     if gcd(a, d) != 1:
         raise ValidationError(f"D = {d} shares the factor {gcd(a, d)} with A = {a}")
-    return case, _field_discriminant(case, fac_a, fac_d, d_exponent)
-
-
-def validate_twist_pair(a: int, d: int) -> StollCase:
-    """Accept a quadratic twist parameter D for the coefficient A."""
-    return _certify_twist(a, d, 12, 3)[0]
-
-
-def twist_field_discriminant(a: int, d: int) -> int:
-    """Discriminant of the quadratic field attached to the twist E_D: y^2 = x^3 - A*D^3."""
-    return _certify_twist(a, d, 12, 3)[1]
-
-
-def _dimension_from_summary(case: StollCase, summary: ClassGroupSummary) -> int:
-    return case.dimension_parity + 2 * summary.three_rank
+    return case, _field_discriminant(case, fac_a, fac_d)
 
 
 def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None) -> int:
@@ -151,17 +129,6 @@ def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None
     expected discriminant.
     """
     return twist_record(a, d, summary=summary).selmer_dim
-
-
-def cubic_twist_selmer_dimension(a: int, d: int) -> int:
-    """Selmer dimension of the cubic twist y**2 = x**3 - A*D**2 for D ≡ 1 mod 9.
-
-    The field Q(sqrt(-A*D**2)) equals Q(sqrt(-A)), so the dimension matches
-    the untwisted curve's; the kernel normalization computes that collapse
-    honestly rather than assuming it.
-    """
-    case, delta = _certify_twist(a, d, 9, 2)
-    return _dimension_from_summary(case, class_group_summary(delta))
 
 
 def torsion_is_trivial(b: int) -> bool:
@@ -213,12 +180,12 @@ class TwistRecord:
 
 def twist_record(a: int, d: int, *, summary: ClassGroupSummary | None = None) -> TwistRecord:
     """Full certified record for the pair (A, D): dimension, rank bound, torsion flag."""
-    case, delta = _certify_twist(a, d, 12, 3)
+    case, delta = _certify_twist(a, d)
     if summary is None:
         summary = class_group_summary(delta)
     elif summary.delta != delta:
         raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
-    dim = _dimension_from_summary(case, summary)
+    dim = case.dimension_parity + 2 * summary.three_rank
     return TwistRecord(
         a=a,
         d=d,

@@ -10,7 +10,6 @@ import math
 import pytest
 
 from twistrank.arith import (
-    canonical_residue,
     count_squarefree,
     factorize,
     is_perfect_cube,
@@ -19,7 +18,6 @@ from twistrank.arith import (
     is_squarefree,
     kronecker,
     squarefree_flags,
-    squarefree_part,
     xgcd,
 )
 
@@ -111,22 +109,8 @@ def test_factorize_semiprime_beyond_trial_bound():
     assert f.factors == ((p, 1), (q, 1))
 
 
-def test_prime_support():
-    assert factorize(60).prime_support() == (2, 3, 5)
-    assert factorize(-35).prime_support() == (5, 7)
-
-
 # ---------------------------------------------------------------------------
 # Square-free machinery
-
-
-def test_squarefree_part_matches_naive():
-    for n in list(range(-400, 0)) + list(range(1, 400)):
-        part = squarefree_part(n)
-        assert naive_squarefree(part)
-        q = n // part
-        assert q > 0 and is_perfect_square(q)
-        assert part * q == n
 
 
 def test_is_squarefree_matches_naive():
@@ -220,11 +204,3 @@ def test_xgcd_bezout_identity():
             g, x, y = xgcd(a, b)
             assert g == math.gcd(a, b)
             assert a * x + b * y == g
-
-
-def test_canonical_residue():
-    assert canonical_residue(-35, 36) == 1
-    assert canonical_residue(-23, 36) == 13
-    assert canonical_residue(7, 4) == 3
-    with pytest.raises(ValueError):
-        canonical_residue(5, 0)

@@ -23,20 +23,19 @@ from twistrank.classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
-    compose,
-    is_equivalent,
-    is_reduced,
     principal_form,
-    reduce_form,
     reduced_forms,
-    reduction_cycle,
     summary_from_counts,
 )
 from twistrank.classgroup import (
     _classes,
+    _is_reduced_indefinite,
     _kronecker_table,
     _mul,
+    _reduce_definite_raw,
+    _reduce_indefinite_raw,
     _reduced_forms_definite,
+    _rho_raw,
     _spf_table,
     _sqrt_mod_prime,
 )
@@ -116,52 +115,66 @@ def positive_fundamentals(limit: int) -> list:
 
 
 def test_reduce_frozen_example():
-    assert reduce_form(Form(6, 2, 1)) == Form(1, 0, 5)
+    assert _reduce_definite_raw(6, 2, 1) == (1, 0, 5)
+
+
+def forms_around_reduced(delta: int):
+    """Primitive forms (a, b, c) of the discriminant with 0 < |a| < 12, |b| <= 15."""
+    for a in [*range(1, 12), *range(-11, 0)]:
+        for b in range(-15, 16):
+            if (b * b - delta) % (4 * a):
+                continue
+            c = (b * b - delta) // (4 * a)
+            if math.gcd(a, b, c) == 1:
+                yield a, b, c
 
 
 def test_reduce_definite_lands_in_oracle_set():
     for delta in negative_fundamentals(250):
         oracle = naive_reduced_definite(delta)
         # a chunk of non-reduced forms equivalent to reduced ones
-        for a in range(1, 12):
-            for b in range(-15, 16):
-                if (b * b - delta) % (4 * a):
-                    continue
-                c = (b * b - delta) // (4 * a)
-                f = Form(a, b, c)
-                if f.content() != 1:
-                    continue
-                r = reduce_form(f)
-                assert tuple(r) in oracle, (delta, f)
-                assert r.discriminant() == delta
-                assert is_reduced(r)
-                assert is_equivalent(f, r)
+        for a, b, c in forms_around_reduced(delta):
+            if a > 0:
+                assert _reduce_definite_raw(a, b, c) in oracle, (delta, a, b, c)
+
+
+def test_reduce_indefinite_lands_in_oracle_set():
+    for delta in positive_fundamentals(250):
+        oracle = naive_reduced_indefinite(delta)
+        s = math.isqrt(delta)
+        for f in forms_around_reduced(delta):
+            assert _reduce_indefinite_raw(*f, delta, s) in oracle, (delta, f)
 
 
 def test_reduce_form_is_idempotent():
     for delta in (-23, -52, -244, 229, 316):
+        s = math.isqrt(delta) if delta > 0 else 0
         for f in reduced_forms(delta):
-            assert reduce_form(f) == f or delta > 0
-            assert is_reduced(f)
-
-
-def test_reduce_rejects_negative_definite():
-    with pytest.raises(ValueError):
-        reduce_form(Form(-1, 0, 1))
+            if delta < 0:
+                assert _reduce_definite_raw(*f) == f
+            else:
+                assert _reduce_indefinite_raw(*f, delta, s) == f
+                assert _is_reduced_indefinite(f.a, f.b, s, delta)
 
 
 def test_reduction_cycle_frozen_example():
-    cycle = reduction_cycle(Form(1, 1, -1))
-    assert set(map(tuple, cycle)) == {(-1, 1, 1), (1, 1, -1)}
+    # the narrow class group of Q(sqrt 5) is trivial: one rho-cycle
+    reps, index, identity = _classes(5, 2)
+    assert index[(1, 1, -1)] == index[(-1, 1, 1)] == identity
+    assert reps == [(-1, 1, 1)]
 
 
 def test_reduction_cycle_closure_and_membership():
     for delta in (12, 40, 136, 229):
-        for f in reduced_forms(delta):
-            cycle = reduction_cycle(f)
-            assert tuple(f) in set(map(tuple, cycle))
-            for g in cycle:
-                assert is_reduced(g) and g.discriminant() == delta
+        s = math.isqrt(delta)
+        reps, index, _ = _classes(delta, s)
+        forms = reduced_forms(delta)
+        assert set(index) == set(forms)
+        assert sorted(index[r] for r in reps) == list(range(len(reps)))
+        for f in forms:
+            a, b, c = g = _rho_raw(*f, delta, s)
+            assert _is_reduced_indefinite(a, b, s, delta) and b * b - 4 * a * c == delta
+            assert index[g] == index[f]
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +242,10 @@ def test_reduced_forms_indefinite_basic_properties():
     for delta in positive_fundamentals(300):
         forms = reduced_forms(delta)
         assert forms == sorted(forms)
+        s = math.isqrt(delta)
         for f in forms:
-            assert is_reduced(f)
-            assert f.discriminant() == delta
+            assert _is_reduced_indefinite(f.a, f.b, s, delta)
+            assert f.b * f.b - 4 * f.a * f.c == delta
             assert f.a * f.c < 0
         # reduced indefinite forms come in (a, b, c) / (-a, b, -c) pairs
         present = set(map(tuple, forms))
@@ -247,64 +261,63 @@ def test_reduced_forms_non_fundamental_keeps_primitive_classes():
     assert reduced_forms(20) == [Form(-1, 4, 1), Form(1, 4, -1)]
 
 
-def test_reduce_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        reduce_form(Form(2, 2, 2))
-
-
 # ---------------------------------------------------------------------------
 # Composition
 
 
 def test_compose_frozen_examples():
-    t = Form(2, 1, 3)
-    sq = compose(t, t)
-    assert is_equivalent(sq, Form(2, -1, 3))
-    assert is_equivalent(compose(sq, t), principal_form(-23))
+    t = (2, 1, 3)
+    sq = _mul(t, t, -23, 0)
+    assert sq == (2, -1, 3)
+    assert _mul(sq, t, -23, 0) == principal_form(-23)
+
+
+def inverse(f, delta: int, s: int):
+    """The reduced form of (a, -b, c), the inverse class of (a, b, c)."""
+    a, b, c = f
+    if delta < 0:
+        return _reduce_definite_raw(a, -b, c)
+    return _reduce_indefinite_raw(a, -b, c, delta, s)
+
+
+def assert_group_laws(delta: int) -> None:
+    """Identity, commutativity, associativity and inverses on class indices."""
+    s = math.isqrt(delta) if delta > 0 else 0
+    reps, index, identity = _classes(delta, s)
+    forms = reduced_forms(delta)
+    e = reps[identity]
+    for f in forms:
+        assert index[_mul(f, e, delta, s)] == index[f]
+        assert index[_mul(f, inverse(f, delta, s), delta, s)] == identity
+    for f in forms[:8]:
+        for g in forms[:8]:
+            fg = _mul(f, g, delta, s)
+            assert index[fg] == index[_mul(g, f, delta, s)]
+            for h in forms[:8]:
+                lhs = _mul(fg, h, delta, s)
+                rhs = _mul(f, _mul(g, h, delta, s), delta, s)
+                assert index[lhs] == index[rhs], (delta, f, g, h)
 
 
 def test_compose_group_laws_definite():
     for delta in (-23, -47, -71, -244, -479):
-        forms = reduced_forms(delta)
-        e = reduce_form(principal_form(delta))
-        for f in forms:
-            assert reduce_form(compose(f, e)) == reduce_form(Form(*f))
-        for f in forms[:6]:
-            for g in forms[:6]:
-                assert reduce_form(compose(f, g)) == reduce_form(compose(g, f))
-                for h in forms[:4]:
-                    lhs = compose(compose(f, g), h)
-                    rhs = compose(f, compose(g, h))
-                    assert reduce_form(lhs) == reduce_form(rhs)
-        # inverse: (a, -b, c) composes to the identity
-        for a, b, c in map(tuple, forms):
-            assert reduce_form(compose(Form(a, b, c), Form(a, -b, c))) == e
+        assert_group_laws(delta)
 
 
 def test_compose_group_laws_indefinite():
     for delta in (40, 136, 229, 316):
-        forms = reduced_forms(delta)
-        e = principal_form(delta)
-        for f in forms[:8]:
-            assert is_equivalent(compose(f, e), f)
-            for g in forms[:8]:
-                assert is_equivalent(compose(f, g), compose(g, f))
-        for a, b, c in map(tuple, forms[:8]):
-            assert is_equivalent(compose(Form(a, b, c), Form(a, -b, c)), e)
-
-
-def test_compose_rejects_mismatched_discriminants():
-    with pytest.raises(ValueError):
-        compose(Form(1, 1, 6), Form(1, 0, 1))
+        assert_group_laws(delta)
 
 
 def test_is_equivalent_partitions_reduced_forms():
-    # distinct reduced definite forms are inequivalent
+    # distinct reduced definite forms are inequivalent: f * g**-1 is not
+    # the identity
     forms = reduced_forms(-479)
+    _, index, identity = _classes(-479, 0)
+    assert sorted(index[f] for f in forms) == list(range(25))
     for i, f in enumerate(forms):
         for g in forms[i + 1 :]:
-            assert not is_equivalent(f, g)
-        assert is_equivalent(f, f)
+            assert index[_mul(f, inverse(g, -479, 0), -479, 0)] != identity
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +442,16 @@ def test_analytic_oracle_rejects_bad_inputs():
     assert is_fundamental(-(MAX_DISCRIMINANT + 3))
     with pytest.raises(ValueError, match="limit"):
         analytic_class_number_oracle(-(MAX_DISCRIMINANT + 3))
+
+
+def test_analytic_oracle_refuses_above_ten_million():
+    # the first fundamental discriminant past -10**7, refused before the
+    # smallest-prime-factor table is grown to |delta|
+    assert is_fundamental(-10_000_003)
+    size = len(classgroup._spf)
+    with pytest.raises(ValueError, match="limit 10000000"):
+        analytic_class_number_oracle(-10_000_003)
+    assert len(classgroup._spf) == size
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,17 @@ brute-force group structure of the twist's field discriminant.
 
 import pytest
 
+from twistrank import selmer
 from twistrank.classgroup import brute_force_group_structure, class_group_summary
 from twistrank.selmer import (
     StollCase,
     TwistRecord,
     ValidationError,
-    cubic_twist_selmer_dimension,
+    _certify_twist,
     selmer_dimension,
     torsion_is_trivial,
-    twist_field_discriminant,
     twist_record,
     validate_coefficient,
-    validate_twist_pair,
 )
 
 
@@ -64,21 +63,31 @@ def test_validate_coefficient_rejection_messages():
         validate_coefficient(2)
 
 
+@pytest.fixture
+def no_class_groups(monkeypatch):
+    """Fail any class group computation: a rejected pair must not reach one."""
+
+    def refuse(delta):
+        raise AssertionError(f"class group of {delta} computed for a rejected pair")
+
+    monkeypatch.setattr(selmer, "class_group_summary", refuse)
+
+
 @pytest.mark.parametrize(
     "a,d", [(1, 2), (1, 4), (1, 12), (1, 49), (1, 0), (1, -11), (13, 26), (-35, 25)]
 )
-def test_validate_twist_pair_rejections(a, d):
+def test_validate_twist_pair_rejections(a, d, no_class_groups):
     with pytest.raises(ValidationError):
-        validate_twist_pair(a, d)
+        twist_record(a, d)
 
 
-def test_validate_twist_pair_rejection_messages():
+def test_validate_twist_pair_rejection_messages(no_class_groups):
     with pytest.raises(ValidationError, match="square-free"):
-        validate_twist_pair(1, 25)
+        twist_record(1, 25)
     with pytest.raises(ValidationError, match="mod 12"):
-        validate_twist_pair(1, 5)
+        twist_record(1, 5)
     with pytest.raises(ValidationError, match="factor"):
-        validate_twist_pair(13, 13)  # 13 ≡ 1 mod 12 but shares the factor 13
+        twist_record(13, 13)  # 13 ≡ 1 mod 12 but shares the factor 13
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +107,7 @@ def test_validate_twist_pair_rejection_messages():
     ],
 )
 def test_twist_field_discriminant_frozen(a, d, delta):
-    assert twist_field_discriminant(a, d) == delta
+    assert _certify_twist(a, d)[1] == delta
 
 
 def test_twist_field_discriminant_is_fundamental():
@@ -107,10 +116,10 @@ def test_twist_field_discriminant_is_fundamental():
     for a in (1, 37, 61, -35, 13, -23):
         for d in (1, 13, 37, 49 + 12, 73):
             try:
-                validate_twist_pair(a, d)
+                _, delta = _certify_twist(a, d)
             except ValidationError:
                 continue
-            assert is_fundamental(twist_field_discriminant(a, d)), (a, d)
+            assert is_fundamental(delta), (a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +147,7 @@ def test_selmer_dimension_against_structure_oracle():
     pairs += [(37, 1), (61, 1), (-35, 1), (13, 1), (-23, 1), (-11, 1), (-11, 13)]
     for a, d in pairs:
         case = validate_coefficient(a)
-        delta = twist_field_discriminant(a, d)
+        delta = _certify_twist(a, d)[1]
         rank = sum(1 for n in brute_force_group_structure(delta) if n % 3 == 0)
         assert selmer_dimension(a, d) == case.dimension_parity + 2 * rank, (a, d)
 
@@ -154,28 +163,6 @@ def test_dimension_parity_matches_case():
     for a in (1, 37, -35, -11, 13, -23):
         d = selmer_dimension(a, 1)
         assert d % 2 == validate_coefficient(a).dimension_parity % 2
-
-
-# ---------------------------------------------------------------------------
-# Cubic twists
-
-
-def test_cubic_twist_dimension_invariant_in_d():
-    for a in (1, 37, -35, 13, -23):
-        base = selmer_dimension(a, 1)
-        for d in (19, 73, 109, 127):
-            assert cubic_twist_selmer_dimension(a, d) == base, (a, d)
-
-
-def test_cubic_twist_validation():
-    with pytest.raises(ValidationError, match="mod 9"):
-        cubic_twist_selmer_dimension(1, 2)  # not 1 mod 9
-    with pytest.raises(ValidationError, match="odd"):
-        cubic_twist_selmer_dimension(1, 10)  # even
-    with pytest.raises(ValidationError, match="square-free"):
-        cubic_twist_selmer_dimension(1, 325)  # 5^2 * 13 is not square-free
-    with pytest.raises(ValidationError, match="factor"):
-        cubic_twist_selmer_dimension(13, 91)  # shares the factor 13
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +217,7 @@ def test_twist_record_negative_branch():
 
 def test_twist_record_with_summary_matches_direct():
     for a, d in ((1, 61), (37, 13), (-35, 1)):
-        delta = twist_field_discriminant(a, d)
+        delta = _certify_twist(a, d)[1]
         summary = class_group_summary(delta)
         rec = twist_record(a, d, summary=summary)
         assert rec == twist_record(a, d)
