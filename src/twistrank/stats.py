@@ -19,7 +19,13 @@ from fractions import Fraction
 
 from .arith import count_squarefree, factorize, squarefree_flags
 from .cache import ClassData
-from .classgroup import class_group_summary
+from .classgroup import (
+    ClassGroupSummary,
+    _definite_class_numbers,
+    _definite_summary,
+    _sweep_pays,
+    class_group_summary,
+)
 from .discriminants import (
     NEGATIVE,
     POSITIVE,
@@ -103,21 +109,34 @@ def scan_parameters(a: int, x: int) -> list[int]:
     return [d for d in range(1, d_max + 1, 12 * abs(a)) if flags[d]]
 
 
+def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
+    """Summary of one discriminant, from its class number when the sweep gave one."""
+    delta, h = task
+    return class_group_summary(delta) if h is None else _definite_summary(delta, h)
+
+
 def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
     """Class-group summary for each discriminant, optionally in parallel.
 
+    When one sweep over their window is cheaper than enumerating each alone,
+    the negative discriminants take their class numbers from that sweep.
     The result does not depend on jobs; partitioning only affects wall time,
     and no more workers start than there are discriminants.
     """
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
     todo = sorted(set(deltas))
+    negative = [d for d in todo if d < 0]
+    swept = {}
+    if _sweep_pays(negative):
+        swept = dict(zip(negative, _definite_class_numbers(negative)))
+    tasks = [(d, swept.get(d)) for d in todo]
     if jobs == 1 or len(todo) < 8:
-        return dict(zip(todo, map(class_group_summary, todo)))
+        return dict(zip(todo, map(_summary, tasks)))
     jobs = min(jobs, len(todo))
     chunk = max(1, len(todo) // (jobs * 8))
     with multiprocessing.Pool(jobs) as pool:
-        return dict(zip(todo, pool.map(class_group_summary, todo, chunksize=chunk)))
+        return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))
 
 
 def _complete(

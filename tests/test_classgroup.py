@@ -29,17 +29,22 @@ from twistrank.classgroup import (
 )
 from twistrank.classgroup import (
     _classes,
+    _definite_class_numbers,
+    _definite_summary,
     _is_reduced_indefinite,
     _kronecker_table,
     _mul,
+    _prime_forms,
     _reduce_definite_raw,
     _reduce_indefinite_raw,
     _reduced_forms_definite,
     _rho_raw,
     _spf_table,
     _sqrt_mod_prime,
+    _sweep_window,
 )
 from twistrank.discriminants import MAX_DISCRIMINANT, is_fundamental
+from twistrank.stats import scan_parameters
 
 
 def naive_reduced_definite(delta: int) -> set:
@@ -262,6 +267,37 @@ def test_reduced_forms_non_fundamental_keeps_primitive_classes():
 
 
 # ---------------------------------------------------------------------------
+# Class numbers in one sweep
+
+
+def test_sweep_matches_enumeration_on_every_fundamental():
+    # odd and even |delta| mix, so the window modulus is 1
+    deltas = negative_fundamentals(2 * 10**4 - 1)
+    assert _sweep_window([-d for d in deltas])[1] == 1
+    assert _definite_class_numbers(deltas) == [len(reduced_forms(d)) for d in deltas]
+
+
+def test_sweep_matches_enumeration_on_twist_families():
+    family = [-4 * d for d in scan_parameters(1, 2 * 10**5)]
+    upper = [d for d in family if d < -18 * 10**4]
+    for deltas in (
+        family,
+        upper,
+        [-4 * 37 * d for d in scan_parameters(37, 2 * 10**5)],
+        [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
+    ):
+        assert _sweep_window([-d for d in deltas])[1] > 1
+        assert _definite_class_numbers(deltas) == [len(reduced_forms(d)) for d in deltas]
+
+
+def test_sweep_rejects_non_fundamental():
+    with pytest.raises(ValueError, match="^-12 is not a fundamental discriminant$"):
+        _definite_class_numbers([-3, -4, -12, -23])
+    with pytest.raises(ValueError, match="exceeds the scan limit"):
+        _definite_class_numbers([-4, -(MAX_DISCRIMINANT + 3)])
+
+
+# ---------------------------------------------------------------------------
 # Composition
 
 
@@ -383,6 +419,27 @@ def test_three_rank_two_matches_brute_force(delta):
     assert (s.three_torsion, s.three_rank) == (9, 2)
     assert sum(1 for n in structure if n % 3 == 0) == 2
     assert math.prod(structure) == s.class_number
+
+
+def test_prime_forms_are_reduced_prime_forms():
+    for delta in negative_fundamentals(3000):
+        forms = list(_prime_forms(delta))
+        for a, b, c in forms:
+            assert b * b - 4 * a * c == delta
+            assert _reduce_definite_raw(a, b, c) == (a, b, c)
+        # a prime p <= sqrt(|delta|/3) yields a form exactly when (delta/p) != -1
+        primes = [p for p in range(2, math.isqrt(-delta // 3) + 1) if _spf_table(p)[p] == p]
+        assert len(forms) == sum(1 for p in primes if kronecker(delta, p) != -1), delta
+
+
+def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
+    # h(-3299) = 27: the 3-Sylow subgroup is the whole group
+    assert class_group_summary(-3299).class_number == 27
+    monkeypatch.setattr(classgroup, "_prime_forms", lambda delta: iter(()))
+    with pytest.raises(ArithmeticError, match="stalled"):
+        class_group_summary(-3299)
+    with pytest.raises(ArithmeticError, match="stalled"):
+        _definite_summary(-3299, 27)
 
 
 @pytest.mark.parametrize("delta", [-999_999_995, 999_999_997])

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from twistrank import stats
-from twistrank.discriminants import NEGATIVE, ProgressionFamily
+from twistrank.classgroup import class_group_summary
+from twistrank.discriminants import NEGATIVE, ProgressionFamily, is_fundamental
 from twistrank.stats import (
     EmptyFamilyError,
     average_dimension_bound,
@@ -207,6 +208,50 @@ def test_compute_class_data_starts_no_more_workers_than_discriminants(monkeypatc
     deltas = [-4 * d for d in scan_parameters(1, 2000)]
     assert compute_class_data(deltas, jobs=10**6) == compute_class_data(deltas)
     assert sizes == [len(deltas)] == [35]
+
+
+def test_compute_class_data_matches_per_delta_summaries():
+    family = [-4 * d for d in scan_parameters(1, 2 * 10**5)]
+    every = [d for d in range(-3, -2 * 10**4, -1) if is_fundamental(d)]
+    for deltas in (
+        every,
+        family,
+        [d for d in family if d < -18 * 10**4],
+        [-4 * 37 * d for d in scan_parameters(37, 2 * 10**5)],
+        [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
+        [-3299, 229, -23, 316, -4, 5],
+    ):
+        assert compute_class_data(deltas) == {d: class_group_summary(d) for d in deltas}
+
+
+def test_compute_class_data_sweeps_a_family(monkeypatch):
+    deltas = [-4 * d for d in scan_parameters(1, 10**5)]
+    expected = compute_class_data(deltas)
+    assert compute_class_data(deltas, jobs=2) == expected
+
+    def no_enumeration(delta):
+        raise AssertionError(f"class_group_summary({delta}) called on the sweep path")
+
+    monkeypatch.setattr(stats, "class_group_summary", no_enumeration)
+    assert compute_class_data(deltas) == expected
+
+
+def test_compute_class_data_far_apart_pair_skips_the_sweep(monkeypatch):
+    deltas = [-4 * 13, -4 * 999_961]
+    assert all(map(is_fundamental, deltas))
+
+    def no_sweep(deltas):
+        raise AssertionError("a sweep over two far-apart discriminants")
+
+    monkeypatch.setattr(stats, "_definite_class_numbers", no_sweep)
+    assert compute_class_data(deltas) == {d: class_group_summary(d) for d in deltas}
+
+
+def test_compute_class_data_rejects_non_fundamental_on_the_sweep_path():
+    deltas = [-4 * d for d in scan_parameters(1, 10**5)] + [-12]
+    assert stats._sweep_pays(sorted(deltas))
+    with pytest.raises(ValueError, match="^-12 is not a fundamental discriminant$"):
+        compute_class_data(deltas)
 
 
 # ---------------------------------------------------------------------------
