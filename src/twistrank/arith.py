@@ -97,7 +97,9 @@ def factorize(n: int) -> Factorization:
     """Complete signed factorization of a nonzero integer.
 
     Trial division up to 10**6, then deterministic Miller-Rabin plus Pollard
-    rho on whatever survives, so results are exact and reproducible.
+    rho on whatever survives, so results are exact and reproducible.  A
+    cofactor below the square of the next trial divisor is prime already, so
+    it skips the primality test.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -118,7 +120,11 @@ def factorize(n: int) -> Factorization:
             _account(i)
             m //= i
         i += 2
-    if m > 1:
+    if i * i > m:
+        # no prime below i divides m < i*i, so m is 1 or prime
+        if m > 1:
+            _account(m)
+    else:
         stack = [m]
         while stack:
             v = stack.pop()

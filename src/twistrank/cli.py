@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
+import math
 import os
 import random
 import sys
 import time
-from collections.abc import Callable
 from fractions import Fraction
 
 from . import cache as cache_mod
 from .arith import is_squarefree
 from .classgroup import (
-    ClassGroupSummary,
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
@@ -34,7 +32,13 @@ from .discriminants import (
     enumerate_progression,
 )
 from .selmer import twist_record
-from .stats import correspondence_check, family_progression, rearrangement_check, scan_family
+from .stats import (
+    compute_class_data,
+    correspondence_check,
+    family_progression,
+    rearrangement_check,
+    scan_family,
+)
 
 CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
 
@@ -114,33 +118,33 @@ def cmd_progression(args: argparse.Namespace) -> int:
 # Verification suites
 
 
-def _verify_analytic(
-    limit: int, summary: Callable[[int], ClassGroupSummary]
-) -> tuple[bool, str]:
-    checked = 0
-    for delta in enumerate_progression(ProgressionFamily(limit, 0, 1, NEGATIVE)):
-        if delta in (-3, -4):
-            continue
-        h = summary(delta).class_number
-        if h != analytic_class_number_oracle(delta):
+def _verify_analytic(limit: int) -> tuple[bool, str]:
+    deltas = [
+        d for d in enumerate_progression(ProgressionFamily(limit, 0, 1, NEGATIVE))
+        if d not in (-3, -4)
+    ]
+    data = compute_class_data(deltas)
+    for delta in deltas:
+        if data[delta].class_number != analytic_class_number_oracle(delta):
             return False, f"mismatch at delta = {delta}"
-        checked += 1
-    return True, f"{checked} discriminants, form count = analytic class number"
+    return True, f"{len(deltas)} discriminants, form count = analytic class number"
 
 
-def _verify_structure(
-    limit: int, summary: Callable[[int], ClassGroupSummary]
-) -> tuple[bool, str]:
-    checked = 0
-    for sign in (NEGATIVE, POSITIVE):
-        for delta in enumerate_progression(ProgressionFamily(limit + 1, 0, 1, sign)):
-            s = summary(delta)
-            structure = brute_force_group_structure(delta)
-            rank = sum(1 for n in structure if n % 3 == 0)
-            if rank != s.three_rank:
-                return False, f"3-rank mismatch at delta = {delta}"
-            checked += 1
-    return True, f"{checked} discriminants, 3-rank = brute-force group structure"
+def _verify_structure(limit: int) -> tuple[bool, str]:
+    deltas = [
+        d
+        for sign in (NEGATIVE, POSITIVE)
+        for d in enumerate_progression(ProgressionFamily(limit + 1, 0, 1, sign))
+    ]
+    data = compute_class_data(deltas)
+    for delta in deltas:
+        s = data[delta]
+        structure = brute_force_group_structure(delta)
+        if math.prod(structure) != s.class_number:
+            return False, f"class number mismatch at delta = {delta}"
+        if sum(1 for n in structure if n % 3 == 0) != s.three_rank:
+            return False, f"3-rank mismatch at delta = {delta}"
+    return True, f"{len(deltas)} discriminants, 3-rank = brute-force group structure"
 
 
 def _verify_correspondence(x: int) -> tuple[bool, str]:
@@ -195,11 +199,9 @@ def _verify_cache(path: str | None) -> tuple[bool, str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     full = args.level == "full"
-    # the two class-group suites share one summary per discriminant
-    summary = functools.cache(class_group_summary)
     suites = (
-        ("analytic class numbers", _verify_analytic, (10**4 if full else 2000, summary)),
-        ("group structures", _verify_structure, (2000, summary)),
+        ("analytic class numbers", _verify_analytic, (10**4 if full else 2000,)),
+        ("group structures", _verify_structure, (2000,)),
         ("twist correspondence", _verify_correspondence, (10**5 if full else 10**4,)),
         ("progression condition", _verify_condition, (2000,)),
         ("rearrangement bound", _verify_rearrangement, (1000,)),

@@ -139,17 +139,6 @@ def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
         return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))
 
 
-def _complete(
-    deltas: list[int], class_data: ClassData | None, jobs: int
-) -> tuple[ClassData, ClassData]:
-    """Class data for exactly these discriminants, and the part of it newly
-    computed: entries of class_data are reused, the rest computed."""
-    supplied = class_data or {}
-    fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
-    data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
-    return data, fresh
-
-
 @dataclass(frozen=True)
 class FamilyReport:
     """Aggregated scan output with exact rational statistics."""
@@ -222,7 +211,9 @@ def scan_family(
             f"no twist parameters below X/(4|A|) = {x}/{4 * abs(a)}; raise X"
         )
     deltas = [-4 * a * d for d in params]
-    data, fresh = _complete(deltas, class_data, jobs)
+    supplied = class_data or {}
+    fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
+    data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
     records = [
         twist_record(a, d, summary=data[delta]) for d, delta in zip(params, deltas)
     ]
@@ -265,9 +256,7 @@ def scan_family(
 # Progression means and the correspondence
 
 
-def nh_mean(
-    family: ProgressionFamily, *, jobs: int = 1, class_data: ClassData | None = None
-) -> Fraction:
+def nh_mean(family: ProgressionFamily, *, jobs: int = 1) -> Fraction:
     """Exact mean of the 3-torsion count over a progression family.
 
     Warns when the congruence condition on (m, N) fails, since the mean-value
@@ -283,7 +272,7 @@ def nh_mean(
     deltas = enumerate_progression(family)
     if not deltas:
         raise EmptyFamilyError("the progression family is empty below the bound")
-    data, _ = _complete(deltas, class_data, jobs)
+    data = compute_class_data(deltas, jobs=jobs)
     return Fraction(sum(s.three_torsion for s in data.values()), len(deltas))
 
 

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from twistrank import arith
 from twistrank.arith import (
     count_squarefree,
     factorize,
@@ -103,10 +104,32 @@ def test_factorize_matches_naive_oracle():
         assert prod == n
 
 
-def test_factorize_semiprime_beyond_trial_bound():
+def test_factorize_semiprime_beyond_trial_bound(monkeypatch):
+    rho_calls = []
+    real_rho = arith._pollard_rho
+
+    def spy(n):
+        rho_calls.append(n)
+        return real_rho(n)
+
+    monkeypatch.setattr(arith, "_pollard_rho", spy)
     p, q = 1000003, 1000033
     f = factorize(p * q)
     assert f.factors == ((p, 1), (q, 1))
+    assert rho_calls == [p * q]
+
+
+def test_factorize_trial_division_proves_the_cofactor_prime(monkeypatch):
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) after trial division proved it")
+
+    monkeypatch.setattr(arith, "is_prime", no_primality_test)
+    # both prime and below 1_000_001**2, the square of the first odd number
+    # past the trial bound, so trial division alone proves them prime
+    for n in (999_999_999_989, 10**12 + 39):
+        assert factorize(n).factors == ((n, 1),)
+        assert factorize(-2 * 3 * n).factors == ((2, 1), (3, 1), (n, 1))
+    assert factorize(2**4 * 3 * 7**2).factors == ((2, 4), (3, 1), (7, 2))
 
 
 # ---------------------------------------------------------------------------

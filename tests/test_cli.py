@@ -231,6 +231,43 @@ def test_verify_full_passes(capsys, monkeypatch):
     assert lines[-1] == "6/6 suites passed (full)"
 
 
+def test_verify_checks_the_class_numbers_scans_use(capsys, monkeypatch):
+    from twistrank import stats
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    sweep = stats._definite_class_numbers
+
+    def off_by_one(deltas):
+        # h(-1987) = 7: 8 is prime to 3, so the 3-torsion count still runs
+        return [h + (d == -1987) for d, h in zip(deltas, sweep(deltas))]
+
+    monkeypatch.setattr(stats, "_definite_class_numbers", off_by_one)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "FAIL analytic class numbers: mismatch at delta = -1987\n" in out
+    assert "FAIL group structures: class number mismatch at delta = -1987\n" in out
+
+
+def test_verify_checks_the_3_torsion_scans_use(capsys, monkeypatch):
+    from twistrank import stats
+    from twistrank.classgroup import ClassGroupSummary
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    summary = stats._definite_summary
+
+    def trivial_torsion_at_minus_23(delta, h):
+        # h(-23) = 3 and its 3-torsion is 3, not 1
+        if delta == -23:
+            return ClassGroupSummary(delta, h, 1, 0)
+        return summary(delta, h)
+
+    monkeypatch.setattr(stats, "_definite_summary", trivial_torsion_at_minus_23)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "PASS analytic class numbers" in out
+    assert "FAIL group structures: 3-rank mismatch at delta = -23\n" in out
+
+
 def test_verify_quarantines_corrupt_cache(capsys, tmp_path):
     cache_file = str(tmp_path / "c.ndjson")
     cache.save(cache_file, entries((-4, 1, 1)))

@@ -13,7 +13,11 @@ from fractions import Fraction
 import pytest
 
 from twistrank import stats
-from twistrank.classgroup import class_group_summary
+from twistrank.classgroup import (
+    analytic_class_number_oracle,
+    brute_force_group_structure,
+    class_group_summary,
+)
 from twistrank.discriminants import NEGATIVE, ProgressionFamily, is_fundamental
 from twistrank.stats import (
     EmptyFamilyError,
@@ -245,6 +249,23 @@ def test_compute_class_data_far_apart_pair_skips_the_sweep(monkeypatch):
 
     monkeypatch.setattr(stats, "_definite_class_numbers", no_sweep)
     assert compute_class_data(deltas) == {d: class_group_summary(d) for d in deltas}
+
+
+def test_compute_class_data_matches_the_oracles_at_the_scanned_scale():
+    deltas = [-4 * d for d in scan_parameters(1, 4 * 10**5)]
+    data = compute_class_data(deltas)
+    sample = [d for d in deltas[::250] if d != -4]
+    assert len(sample) == 30
+    for delta in sample:
+        assert data[delta].class_number == analytic_class_number_oracle(delta), delta
+    # 9 | h, h <= 200: 3-rank 2 (the first six) and cyclic 3-Sylow of order >= 27
+    for delta in (
+        -9748, -100036, -171604, -208084, -333364, -395092,
+        -12724, -56404, -391444, -394948, -399028, -399268,
+    ):
+        structure = brute_force_group_structure(delta)
+        assert math.prod(structure) == data[delta].class_number, delta
+        assert sum(n % 3 == 0 for n in structure) == data[delta].three_rank, delta
 
 
 def test_compute_class_data_rejects_non_fundamental_on_the_sweep_path():
