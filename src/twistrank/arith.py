@@ -215,7 +215,7 @@ def count_squarefree(x: int) -> int:
     """Number of square-free integers n with 0 < n < x."""
     if x <= 1:
         return 0
-    return sum(squarefree_flags(x - 1))
+    return squarefree_flags(x - 1).count(1)
 
 
 def is_perfect_square(n: int) -> bool:

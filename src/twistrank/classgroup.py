@@ -21,12 +21,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize, kronecker, squarefree_flags, xgcd
 from .discriminants import MAX_DISCRIMINANT, _is_fundamental, is_fundamental
+
+# numpy is imported inside the functions that build arrays, so that importing
+# the package, or a scan that computes no class group, never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Form(NamedTuple):
@@ -167,12 +170,14 @@ def _compose_raw(
 # Reduced form enumeration
 
 
-_spf = np.zeros(0, dtype=np.int64)
+_spf = ()  # the table _spf_table last built
 
 
 def _spf_table(limit: int) -> np.ndarray:
     """Smallest-prime-factor table 0..limit, grown geometrically and kept for reuse."""
     global _spf
+    import numpy as np
+
     if len(_spf) <= limit:
         size = max(limit + 1, 2 * len(_spf), 10**4 + 1)
         spf = np.zeros(size, dtype=np.int64)
@@ -244,6 +249,8 @@ def _square_roots(delta: int, amax: int) -> Iterator[tuple[int, list[int]]]:
     combined by CRT one prime power at a time, so an a without a root is
     never visited.  The a come in no particular order.
     """
+    import numpy as np
+
     spf = _spf_table(amax)
     odd = (np.flatnonzero(spf[3 : amax + 1] == np.arange(3, amax + 1)) + 3).tolist()
     split = [(p, powers) for p in odd if (powers := _odd_prime_power_roots(delta, p, amax))]
@@ -368,6 +375,8 @@ def _definite_class_numbers(deltas: list[int]) -> list[int]:
     with n <= MAX_DISCRIMINANT no int64 intermediate reaches 2**60 (the
     largest is a product of two residues mod M < 10**9).
     """
+    import numpy as np
+
     ns = [-d for d in deltas]
     if max(ns) > MAX_DISCRIMINANT:
         raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
@@ -612,6 +621,8 @@ def _kronecker_table(delta: int) -> np.ndarray:
     in earlier blocks, and a prime t reads its own entry times chi(1) = 1.
     Needs |delta| <= MAX_DISCRIMINANT, so that p**2 fits in int64.
     """
+    import numpy as np
+
     n = abs(delta)
     spf = _spf_table(n)[:n]
     t = np.arange(n, dtype=np.int64)
@@ -656,6 +667,8 @@ def analytic_class_number_oracle(delta: int) -> int:
     about 0.8 s.  So |delta| > 10**7 is refused with ValueError before any
     table is built; at MAX_DISCRIMINANT the call would ask for about 36 GB.
     """
+    import numpy as np
+
     if delta >= 0:
         raise ValueError("the analytic oracle handles negative discriminants only")
     if -delta > _ORACLE_LIMIT:

@@ -183,7 +183,15 @@ def twist_record(a: int, d: int, *, summary: ClassGroupSummary | None = None) ->
     case, delta = _certify_twist(a, d)
     if summary is None:
         summary = class_group_summary(delta)
-    elif summary.delta != delta:
+    return _record(case, a, d, delta, summary)
+
+
+def _record(
+    case: StollCase, a: int, d: int, delta: int, summary: ClassGroupSummary
+) -> TwistRecord:
+    """The record of a twist already certified to be in `case` with field
+    discriminant delta; the one builder behind twist_record and the scans."""
+    if summary.delta != delta:
         raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
     dim = case.dimension_parity + 2 * summary.three_rank
     return TwistRecord(

@@ -33,7 +33,7 @@ from .discriminants import (
     condition_star,
     enumerate_progression,
 )
-from .selmer import StollCase, TwistRecord, twist_record, validate_coefficient
+from .selmer import StollCase, TwistRecord, _record, validate_coefficient
 
 
 class EmptyFamilyError(ValueError):
@@ -205,6 +205,7 @@ def scan_family(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    case = _family_case(a)
     params = scan_parameters(a, x)
     if not params:
         raise EmptyFamilyError(
@@ -214,9 +215,9 @@ def scan_family(
     supplied = class_data or {}
     fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
     data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
-    records = [
-        twist_record(a, d, summary=data[delta]) for d, delta in zip(params, deltas)
-    ]
+    # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1;
+    # with A ≡ 1 mod 4 then -AD ≡ 3 mod 4, so delta = -4AD, as _certify_twist finds.
+    records = [_record(case, a, d, delta, data[delta]) for d, delta in zip(params, deltas)]
     n = len(records)
     d_max = (x - 1) // (4 * abs(a))
     squarefree_count = count_squarefree(d_max + 1)

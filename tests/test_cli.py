@@ -8,9 +8,13 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistrank
 from twistrank import cache
 from twistrank.classgroup import summary_from_counts
 from twistrank.cli import main
@@ -174,6 +178,41 @@ def test_scan_empty_family_exit_code(capsys):
     code, _, err = run(capsys, "scan", "1", "--max-x", "4")
     assert code == 2
     assert "raise X" in err
+
+
+# Runs main(argv) in a fresh interpreter; the last line of stderr says whether
+# numpy was loaded after the imports and after main, and gives main's exit code.
+NUMPY_PROBE = """
+import sys
+import twistrank, twistrank.cli
+imported = "numpy" in sys.modules
+code = twistrank.cli.main(sys.argv[1:])
+sys.stderr.write(f"{imported} {'numpy' in sys.modules} {code}")
+"""
+
+
+def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
+    # pytest itself has loaded numpy, so each check needs its own interpreter.
+    env = dict(os.environ)
+    env.pop("TWISTRANK_CACHE", None)
+    package_root = str(Path(twistrank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
+    )
+    argv = ["scan", "1", "--max-x", "40000", "--cache", str(tmp_path / "c.ndjson")]
+
+    def probe():
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, env=env,
+            cwd=tmp_path,
+        )
+        return proc.stdout, proc.stderr.decode().splitlines()[-1]
+
+    cold, cold_numpy = probe()
+    assert cold_numpy == "False True 0"  # the sweep computed the class numbers
+    warm, warm_numpy = probe()
+    assert warm_numpy == "False False 0"  # every class number came from the cache
+    assert warm == cold
 
 
 # ---------------------------------------------------------------------------

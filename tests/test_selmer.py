@@ -90,6 +90,20 @@ def test_validate_twist_pair_rejection_messages(no_class_groups):
         twist_record(13, 13)  # 13 ≡ 1 mod 12 but shares the factor 13
 
 
+def test_twist_record_keeps_its_rejection_messages(no_class_groups):
+    for a, d, message in [
+        (1, 25, "D = 25 is not square-free"),
+        (-35, 169, "D = 169 is not square-free"),
+        (1, 5, "D = 5 is not ≡ 1 mod 12"),
+        (-35, 0, "D must be a positive integer"),
+        (13, 13, "D = 13 shares the factor 13 with A = 13"),
+        (-35, 85, "D = 85 shares the factor 5 with A = -35"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            twist_record(a, d)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Field discriminants
 

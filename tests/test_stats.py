@@ -12,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from twistrank import stats
+from twistrank import selmer, stats
+from twistrank.arith import factorize
 from twistrank.classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
 )
 from twistrank.discriminants import NEGATIVE, ProgressionFamily, is_fundamental
+from twistrank.selmer import _certify_twist, twist_record
 from twistrank.stats import (
     EmptyFamilyError,
     average_dimension_bound,
@@ -183,6 +185,52 @@ def test_scan_family_negative_branch():
 def test_scan_family_empty():
     with pytest.raises(EmptyFamilyError):
         scan_family(1, 4)
+
+
+@pytest.mark.parametrize("a,x", [(1, 400_000), (-35, 10**7)])
+def test_scan_family_records_equal_certified_records(a, x):
+    # scan_family builds each record without factoring D; twist_record
+    # certifies the pair from scratch, and _certify_twist's case and delta are
+    # the ones the scan trusted.
+    res = scan_family(a, x)
+    assert len(res.records) == res.report.family_size > 100
+    for rec in res.records:
+        assert (rec.case, rec.field_discriminant) == _certify_twist(a, rec.d)
+        assert rec == twist_record(a, rec.d, summary=res.class_data[rec.field_discriminant])
+
+
+def test_scan_family_factors_no_twist_parameter(monkeypatch):
+    calls = []
+
+    def count(n):
+        calls.append(n)
+        return factorize(n)
+
+    def refuse(name, n):
+        if name == "D":
+            raise AssertionError(f"the scan factored D = {n}")
+        return squarefree_factorization(name, n)
+
+    squarefree_factorization = selmer._squarefree_factorization
+    monkeypatch.setattr(selmer, "_squarefree_factorization", refuse)
+    monkeypatch.setattr(selmer, "factorize", count)
+    r = scan_family(1, 40_000).report
+    assert r.family_size == 754
+    assert r.squarefree_count == 6083
+    assert r.h3_mean == Fraction(655, 377)
+    assert r.avg_selmer_dim == Fraction(270, 377)
+    assert r.certified_proportion_per_k == {
+        0: Fraction(488, 6083), 1: Fraction(750, 6083), 2: Fraction(754, 6083)
+    }
+    assert r.certified_proportion_within_family == {
+        0: Fraction(244, 377), 1: Fraction(375, 377), 2: 1
+    }
+    assert r.theoretical["certified_density_bound"] == Fraction(1, 16)
+    # the scan factors A alone, as often for 754 twists as for 7
+    factored = list(calls)
+    calls.clear()
+    scan_family(1, 400)
+    assert calls == factored and set(factored) == {1}
 
 
 def test_compute_class_data_parallel_agrees():
