@@ -1,82 +1,20 @@
 """Exact integer arithmetic kernel.
 
-Everything here works on arbitrary-precision Python integers: deterministic
-primality testing, factorization by trial division plus Pollard rho, the full
-Kronecker symbol and square-free sieves.  These are the primitives the
-discriminant and class group layers are built on.
+Everything here works on arbitrary-precision Python integers: factorization
+by trial division up to 10**6, the full Kronecker symbol and square-free
+sieves.  These are the primitives the discriminant and class group layers are
+built on.  Every number those layers factor is at most about
+MAX_DISCRIMINANT = 10**9, far inside what trial division alone proves; a
+number it cannot finish is refused rather than handed to a slower method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 TRIAL_DIVISION_BOUND = 10**6
-
-# Deterministic Miller-Rabin witness set, proved sufficient for n < 3.3 * 10**24
-# (so in particular for every n < 2**64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 2**64)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho: a nontrivial factor of an odd composite n.
-
-    The polynomial constant is swept deterministically, so repeated runs
-    factor the same n the same way.
-    """
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            y = ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = gcd(abs(x - y), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"pollard rho failed on {n}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +34,11 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Complete signed factorization of a nonzero integer.
 
-    Trial division up to 10**6, then deterministic Miller-Rabin plus Pollard
-    rho on whatever survives, so results are exact and reproducible.  A
-    cofactor below the square of the next trial divisor is prime already, so
-    it skips the primality test.
+    Trial division by 2, 3, 5 and the odd numbers up to 10**6.  A cofactor
+    left below the square of the next trial divisor is 1 or a prime, so the
+    result is exact whenever the part of n free of primes up to 10**6 is
+    below 10**12, in particular for every |n| < 10**12.  Any other n raises
+    ValueError naming the bound.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -120,25 +59,14 @@ def factorize(n: int) -> Factorization:
             _account(i)
             m //= i
         i += 2
-    if i * i > m:
-        # no prime below i divides m < i*i, so m is 1 or prime
-        if m > 1:
-            _account(m)
-    else:
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if v == 1:
-                continue
-            if is_prime(v):
-                _account(v)
-                continue
-            root = isqrt(v)
-            if root * root == v:
-                stack.extend((root, root))
-                continue
-            d = _pollard_rho(v)
-            stack.extend((d, v // d))
+    if i * i <= m:
+        raise ValueError(
+            f"{n} has a cofactor {m} with no prime factor up to the trial "
+            f"division bound {TRIAL_DIVISION_BOUND}"
+        )
+    # no prime below i divides m < i*i, so m is 1 or prime
+    if m > 1:
+        _account(m)
     factors = tuple(sorted(powers.items()))
     assert sign * _product(factors) == n
     return Factorization(value=n, sign=sign, factors=factors)

@@ -24,7 +24,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize, kronecker, squarefree_flags, xgcd
-from .discriminants import MAX_DISCRIMINANT, _is_fundamental, is_fundamental
+from .discriminants import _is_fundamental, check_scan_limit, is_fundamental
 
 # numpy is imported inside the functions that build arrays, so that importing
 # the package, or a scan that computes no class group, never loads it.
@@ -316,8 +316,7 @@ def reduced_forms(delta: int) -> list[Form]:
     every form is primitive), so the count is always the form class number.
     """
     _check_discriminant(delta)
-    if abs(delta) > MAX_DISCRIMINANT:
-        raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
+    check_scan_limit("|delta|", abs(delta))
     if delta < 0:
         return _reduced_forms_definite(delta)
     return _reduced_forms_indefinite(delta)
@@ -378,8 +377,7 @@ def _definite_class_numbers(deltas: list[int]) -> list[int]:
     import numpy as np
 
     ns = [-d for d in deltas]
-    if max(ns) > MAX_DISCRIMINANT:
-        raise ValueError(f"|delta| exceeds the scan limit {MAX_DISCRIMINANT}")
+    check_scan_limit("|delta|", max(ns))
     # _is_fundamental asks about n itself when n is odd and about n/4 when not.
     flags = squarefree_flags(max(n if n % 2 else n // 4 for n in ns))
 
@@ -568,6 +566,7 @@ def class_group_summary(delta: int) -> ClassGroupSummary:
     spanned from prime forms (_prime_forms); for delta > 0 it is spanned from
     the rho-cycle representatives, in class-index order.
     """
+    check_scan_limit("|delta|", abs(delta))
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     if delta < 0:

@@ -26,6 +26,12 @@ POSITIVE = "positive"
 MAX_DISCRIMINANT = 10**9
 
 
+def check_scan_limit(name: str, value: int) -> None:
+    """Refuse a bound or |delta| above MAX_DISCRIMINANT before any work on it."""
+    if value > MAX_DISCRIMINANT:
+        raise ValueError(f"{name} exceeds the scan limit {MAX_DISCRIMINANT}")
+
+
 def is_fundamental(delta: int) -> bool:
     """True when delta is the discriminant of a quadratic field."""
     return _is_fundamental(delta, is_squarefree)
@@ -80,8 +86,7 @@ class ProgressionFamily:
 def enumerate_progression(family: ProgressionFamily) -> list[int]:
     """All members of the family, sorted by absolute value (ascending)."""
     x, m, n = family.bound_x, family.residue_m, family.modulus_n
-    if x > MAX_DISCRIMINANT:
-        raise ValueError(f"bound_x exceeds the scan limit {MAX_DISCRIMINANT}")
+    check_scan_limit("bound_x", x)
     flags = squarefree_flags(x)
 
     def squarefree(v: int) -> bool:

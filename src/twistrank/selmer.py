@@ -22,6 +22,7 @@ from .arith import (
     is_perfect_square,
 )
 from .classgroup import ClassGroupSummary, class_group_summary
+from .discriminants import check_scan_limit
 
 
 class ValidationError(ValueError):
@@ -108,13 +109,15 @@ def _certify_twist(a: int, d: int) -> tuple[StollCase, int]:
     """Validate the quadratic twist y**2 = x**3 - A*D**3 with D ≡ 1 mod 12.
 
     Returns the case and the field discriminant; A and D are factored once
-    each.
+    each.  A pair whose |delta|, 4|A|D or 12|A|D in the sqrt(3A) cases, is
+    past the scan limit is refused before D is factored.
     """
     case, fac_a = _classify_coefficient(a)
     if d < 1:
         raise ValidationError("D must be a positive integer")
     if d % 12 != 1:
         raise ValidationError(f"D = {d} is not ≡ 1 mod 12")
+    check_scan_limit("|delta|", (12 if case.uses_sqrt_3a else 4) * abs(a) * d)
     fac_d = _squarefree_factorization("D", d)
     if gcd(a, d) != 1:
         raise ValidationError(f"D = {d} shares the factor {gcd(a, d)} with A = {a}")

@@ -30,6 +30,7 @@ from .discriminants import (
     NEGATIVE,
     POSITIVE,
     ProgressionFamily,
+    check_scan_limit,
     condition_star,
     enumerate_progression,
 )
@@ -102,6 +103,7 @@ def scan_parameters(a: int, x: int) -> list[int]:
     _family_case(a)
     if x < 1:
         raise ValueError("X must be a positive integer")
+    check_scan_limit("X", x)
     d_max = (x - 1) // (4 * abs(a))
     if d_max < 1:
         return []

@@ -15,7 +15,6 @@ from twistrank.arith import (
     factorize,
     is_perfect_cube,
     is_perfect_square,
-    is_prime,
     is_squarefree,
     kronecker,
     squarefree_flags,
@@ -55,27 +54,7 @@ def euler_legendre(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Primality and factorization
-
-
-def test_is_prime_matches_trial_division_below_10000():
-    for n in range(-3, 10000):
-        assert is_prime(n) == naive_is_prime(n), n
-
-
-@pytest.mark.parametrize(
-    "n,expected",
-    [
-        (2**61 - 1, True),  # Mersenne prime
-        (2**61 + 1, False),
-        (561, False),  # Carmichael number
-        (1000000007, True),
-        (10**18 + 9, True),
-        (10**18 + 7, False),
-    ],
-)
-def test_is_prime_large_known_values(n, expected):
-    assert is_prime(n) is expected
+# Factorization
 
 
 def test_factorize_frozen_examples():
@@ -99,31 +78,19 @@ def test_factorize_matches_naive_oracle():
         assert f.sign == (1 if n > 0 else -1)
         prod = f.sign
         for p, e in f.factors:
-            assert is_prime(p)
+            assert naive_is_prime(p)
             prod *= p**e
         assert prod == n
 
 
-def test_factorize_semiprime_beyond_trial_bound(monkeypatch):
-    rho_calls = []
-    real_rho = arith._pollard_rho
-
-    def spy(n):
-        rho_calls.append(n)
-        return real_rho(n)
-
-    monkeypatch.setattr(arith, "_pollard_rho", spy)
-    p, q = 1000003, 1000033
-    f = factorize(p * q)
-    assert f.factors == ((p, 1), (q, 1))
-    assert rho_calls == [p * q]
+def test_factorize_semiprime_beyond_trial_bound():
+    # neither factor is found by trial division to 10**6, and the product is
+    # past 1_000_001**2, so nothing is left that trial division can prove
+    with pytest.raises(ValueError, match=f"trial division bound {arith.TRIAL_DIVISION_BOUND}$"):
+        factorize(1_000_003 * 1_000_033)
 
 
-def test_factorize_trial_division_proves_the_cofactor_prime(monkeypatch):
-    def no_primality_test(n):
-        raise AssertionError(f"is_prime({n}) after trial division proved it")
-
-    monkeypatch.setattr(arith, "is_prime", no_primality_test)
+def test_factorize_trial_division_proves_the_cofactor_prime():
     # both prime and below 1_000_001**2, the square of the first odd number
     # past the trial bound, so trial division alone proves them prime
     for n in (999_999_999_989, 10**12 + 39):

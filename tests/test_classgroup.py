@@ -394,6 +394,21 @@ def test_class_group_summary_rejects_non_fundamental():
         class_group_summary(10)
 
 
+def test_class_group_summary_refuses_past_the_scan_limit_before_any_work(monkeypatch):
+    def no_fundamentality_test(delta):
+        raise AssertionError(f"is_fundamental({delta}) past the scan limit")
+
+    monkeypatch.setattr(classgroup, "is_fundamental", no_fundamentality_test)
+    # the first is (10**18 + 3) * (3 * 10**18 + 37), which trial division cannot factor
+    for delta in (
+        -3000000000000000046000000000000000111,
+        -(MAX_DISCRIMINANT + 3),
+        MAX_DISCRIMINANT + 5,
+    ):
+        with pytest.raises(ValueError, match=r"^\|delta\| exceeds the scan limit 1000000000$"):
+            class_group_summary(delta)
+
+
 def test_summary_from_counts_validation():
     assert summary_from_counts(-244, 6, 3).three_rank == 1
     with pytest.raises(ArithmeticError):

@@ -180,6 +180,18 @@ def test_scan_empty_family_exit_code(capsys):
     assert "raise X" in err
 
 
+def test_out_of_scope_inputs_exit_2(capsys):
+    # each is refused by its size alone, before any factoring or sieving
+    for argv in (
+        ("classgroup", "-3000000000000000046000000000000000111"),
+        ("twist", "1", "3000000000000000064000000000000000333"),
+        ("scan", "1", "--max-x", "10000000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "exceeds the scan limit 1000000000" in err, argv
+
+
 # Runs main(argv) in a fresh interpreter; the last line of stderr says whether
 # numpy was loaded after the imports and after main, and gives main's exit code.
 NUMPY_PROBE = """

@@ -104,6 +104,29 @@ def test_twist_record_keeps_its_rejection_messages(no_class_groups):
         assert str(err.value) == message
 
 
+def test_twist_record_refuses_past_the_scan_limit_before_factoring_d(
+    monkeypatch, no_class_groups
+):
+    real_factorize = selmer.factorize
+    pairs = [
+        (1, 3000000000000000064000000000000000333),
+        (1, 250000009),  # |delta| = 4D = 1000000036, though D is not square-free
+        (13, 6410257),  # the sqrt(3A) case: |delta| = 12|A|D = 1000000092
+    ]
+
+    def factor_a_only(n):
+        if any(n == d for _, d in pairs):
+            raise AssertionError(f"D = {n} factored past the scan limit")
+        return real_factorize(n)
+
+    monkeypatch.setattr(selmer, "factorize", factor_a_only)
+    for a, d in pairs:
+        with pytest.raises(ValueError, match=r"^\|delta\| exceeds the scan limit 1000000000$"):
+            twist_record(a, d)
+    # the largest family twist of A = 1 inside the limit still certifies
+    assert _certify_twist(1, 249999997)[1] == -999999988
+
+
 # ---------------------------------------------------------------------------
 # Field discriminants
 

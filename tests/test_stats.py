@@ -149,6 +149,17 @@ def test_scan_parameters_rejects_direct_case():
         scan_parameters(13, 1000)
 
 
+def test_scan_refuses_past_the_scan_limit_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"squarefree_flags({limit}) past the scan limit")
+
+    monkeypatch.setattr(stats, "squarefree_flags", no_sieve)
+    with pytest.raises(ValueError, match="^X exceeds the scan limit 1000000000$"):
+        scan_family(1, 10**10)
+    with pytest.raises(ValueError, match="^X exceeds the scan limit 1000000000$"):
+        correspondence_check(-35, 10**9 + 1)
+
+
 def test_scan_family_frozen_small():
     res = scan_family(1, 400)
     r = res.report
