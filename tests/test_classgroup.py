@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from twistrank import classgroup
-from twistrank.arith import kronecker
+from twistrank.arith import factorize, kronecker
 from twistrank.classgroup import (
     ClassGroupSummary,
     ExtraUnitsDiscriminant,
@@ -475,15 +475,24 @@ def test_class_group_summary_bounded_memory_at_limit(delta):
 # Analytic oracle
 
 
-def test_kronecker_table_matches_kronecker(monkeypatch):
-    # the table may ask kronecker only for chi(2); odd primes use Euler's criterion
-    asked = set()
-    monkeypatch.setattr(classgroup, "kronecker", lambda a, n: asked.add(n) or kronecker(a, n))
+def test_kronecker_table_matches_kronecker():
+    # the table is built from Legendre tables, never from the kronecker it is checked against
+    assert "kronecker" not in vars(classgroup)
     # odd delta, delta = 4 * (odd) and delta ≡ 0 mod 8 all occur below 2000
     for delta in negative_fundamentals(2000):
         chi = _kronecker_table(delta)
         assert chi.tolist() == [kronecker(delta, t) for t in range(-delta)], delta
-    assert asked == {2}
+
+
+def test_kronecker_table_near_a_million_for_each_two_part():
+    for delta, two_part in ((-999_995, 1), (-999_988, -4), (-1_000_024, 8), (-1_000_040, -8)):
+        assert is_fundamental(delta)
+        odd = math.prod(q if q % 4 == 1 else -q for q, _ in factorize(-delta).factors if q > 2)
+        assert delta // odd == two_part, delta
+        chi = _kronecker_table(delta)
+        assert len(chi) == -delta
+        for t in [*range(0, -delta, 101), -delta - 1]:
+            assert chi[t] == kronecker(delta, t), (delta, t)
 
 
 def test_analytic_oracle_agrees_with_form_count():
@@ -516,10 +525,24 @@ def test_analytic_oracle_rejects_bad_inputs():
         analytic_class_number_oracle(-(MAX_DISCRIMINANT + 3))
 
 
-def test_analytic_oracle_refuses_above_ten_million():
-    # the first fundamental discriminant past -10**7, refused before the
-    # smallest-prime-factor table is grown to |delta|
+def test_analytic_oracle_stays_off_the_shared_spf_table(monkeypatch):
+    # the form enumeration reads _spf; the oracle must not, or a fault in
+    # that table could hit both sides of the comparison
+    monkeypatch.setattr(classgroup, "_spf", ())
+    h = analytic_class_number_oracle(-999_995)
+    assert len(classgroup._spf) == 0
+    assert h == class_group_summary(-999_995).class_number
+
+
+def test_analytic_oracle_refuses_above_ten_million(monkeypatch):
+    # the first fundamental discriminant past -10**7, refused before any
+    # character table or smallest-prime-factor table is built
     assert is_fundamental(-10_000_003)
+
+    def no_table(delta):
+        raise AssertionError("a character table past the oracle's limit")
+
+    monkeypatch.setattr(classgroup, "_kronecker_table", no_table)
     size = len(classgroup._spf)
     with pytest.raises(ValueError, match="limit 10000000"):
         analytic_class_number_oracle(-10_000_003)
