@@ -25,11 +25,6 @@ class Factorization:
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __str__(self) -> str:
-        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
-        head = "-1" if self.sign < 0 else "1"
-        return " * ".join([head] + parts) if parts else head
-
 
 def factorize(n: int) -> Factorization:
     """Complete signed factorization of a nonzero integer.

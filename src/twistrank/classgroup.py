@@ -5,9 +5,9 @@ definite forms; for delta > 0 the narrow class group is realized by
 rho-cycles of reduced indefinite forms (the narrow and ordinary groups share
 their odd part, which is all the 3-rank machinery consumes).  Reduced forms
 are enumerated from the square roots of delta modulo 4a, built from the prime
-powers of each admissible a, in O~(sqrt|delta|) time and memory.  The class
-numbers of many negative discriminants can instead come from one numpy sweep
-over the reduced forms of their whole window, which builds no form.
+powers of each admissible a (one fixed prime list), in O~(sqrt|delta|) time
+and memory.  The class numbers of many negative discriminants can instead come
+from one numpy sweep over the reduced forms of their window, building no form.
 Composition is Dirichlet's, and 3-torsion is counted inside the 3-Sylow
 subgroup, spanned from prime forms when delta < 0 and from the rho-cycle
 representatives when delta > 0.  Two independent oracles cross-check the
@@ -19,16 +19,18 @@ from a brute-force composition table.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize, squarefree_flags, xgcd
-from .discriminants import _is_fundamental, check_scan_limit, is_fundamental
+from .discriminants import MAX_DISCRIMINANT, _is_fundamental, check_scan_limit, is_fundamental
 
-# numpy is imported inside the functions that build arrays, so that importing
-# the package, or a scan that computes no class group, never loads it.
+# numpy is imported only inside the class-number sweep and the analytic oracle:
+# single class groups, twists and scans of real families never load it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -171,26 +173,16 @@ def _compose_raw(
 # Reduced form enumeration
 
 
-_spf = ()  # the table _spf_table last built
-
-
-def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table 0..limit, grown geometrically and kept for reuse."""
-    global _spf
-    import numpy as np
-
-    if len(_spf) <= limit:
-        size = max(limit + 1, 2 * len(_spf), 10**4 + 1)
-        spf = np.zeros(size, dtype=np.int64)
-        for i in range(2, isqrt(size - 1) + 1):
-            if spf[i] == 0:
-                sl = spf[i * i :: i]
-                sl[sl == 0] = i
-        # The entries still unmarked are 0, 1 and the primes.
-        primes = np.flatnonzero(spf == 0)[2:]
-        spf[primes] = primes
-        _spf = spf
-    return _spf
+@cache
+def _primes() -> tuple[int, ...]:
+    """The primes up to isqrt(MAX_DISCRIMINANT); each reader refuses a larger |delta| first."""
+    n = isqrt(MAX_DISCRIMINANT)
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return tuple(p for p in range(n + 1) if sieve[p])
 
 
 def _sqrt_mod_prime(x: int, p: int) -> int | None:
@@ -250,10 +242,8 @@ def _square_roots(delta: int, amax: int) -> Iterator[tuple[int, list[int]]]:
     combined by CRT one prime power at a time, so an a without a root is
     never visited.  The a come in no particular order.
     """
-    import numpy as np
-
-    spf = _spf_table(amax)
-    odd = (np.flatnonzero(spf[3 : amax + 1] == np.arange(3, amax + 1)) + 3).tolist()
+    primes = _primes()
+    odd = primes[1 : bisect_right(primes, amax)]
     split = [(p, powers) for p in odd if (powers := _odd_prime_power_roots(delta, p, amax))]
     # a = 2**k: lift the b mod 2a with b*b ≡ delta mod 4a up from a = 1.
     stack = []
@@ -502,11 +492,11 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
     with a <= sqrt(|delta|/3), and that form is a product of prime forms and
     their inverses for the p dividing a.
     """
+    check_scan_limit("|delta|", -delta)
     amax = isqrt(-delta // 3)
-    spf = _spf_table(amax)
-    for p in range(2, amax + 1):
-        if spf[p] != p:
-            continue
+    for p in _primes():
+        if p > amax:
+            break
         if p == 2:
             b = next((b for b in range(4) if (b * b - delta) % 8 == 0), None)
         else:
@@ -609,6 +599,10 @@ def _cycles_indefinite(
 # Largest |delta| the analytic oracle accepts; its memory grows linearly in |delta|.
 _ORACLE_LIMIT = 10**7
 
+# The oracle squares k and sums t * chi(t) this many at a time, so no int64
+# array of length |delta| is built; each partial sum stays below 2**43.
+_BLOCK = 2**18
+
 
 # chi_d2 over one period |d2| for the 2-part d2 of a fundamental discriminant.
 _CHI_2_PART = {
@@ -629,7 +623,7 @@ def _kronecker_table(delta: int) -> np.ndarray:
     in-place multiply per prime applies its Legendre table, built by marking
     the squares mod q, to every row.  Of the form enumeration's machinery
     only factorize (trial division) is shared; neither arith.kronecker nor
-    the smallest-prime-factor table is used.
+    the prime list (_primes) is used.  chi is int8, one byte per t.
     """
     import numpy as np
 
@@ -640,18 +634,19 @@ def _kronecker_table(delta: int) -> np.ndarray:
         if q == 2:
             continue
         odd *= q if q % 4 == 1 else -q
-        squares = np.arange(1, (q + 1) // 2, dtype=np.int64)
-        squares *= squares
-        squares %= q
         legendre = np.full(q, -1, dtype=np.int8)
         legendre[0] = 0
-        legendre[squares] = 1
+        for start in range(1, (q + 1) // 2, _BLOCK):
+            k = np.arange(start, min(start + _BLOCK, (q + 1) // 2), dtype=np.int64)
+            k *= k
+            k %= q
+            legendre[k] = 1
         rows = chi.reshape(-1, q)
         rows *= legendre
     d2 = delta // odd
     rows = chi.reshape(-1, abs(d2))
     rows *= np.array(_CHI_2_PART[d2], dtype=np.int8)
-    return chi.astype(np.int64)
+    return chi
 
 
 def analytic_class_number_oracle(delta: int) -> int:
@@ -667,13 +662,13 @@ def analytic_class_number_oracle(delta: int) -> int:
     loop.  The sum covers exactly one character period and is checked for
     exact integrality; anything else fails loudly.
 
-    Time and memory are O(|delta|): about 16 bytes per unit of |delta| at
-    the peak, for chi and t as int64, and no table outlives the call.
-    Measured with tracemalloc (numpy loaded, 2-CPU Xeon, Python 3.11,
-    numpy 2.4): delta = -999,995 peaks at 15.3 MiB in about 0.015 s;
-    delta = -9,999,995 peaks at 153 MiB in about 0.1 s.  |delta| > 10**7 is
-    refused with ValueError before any table is built; at MAX_DISCRIMINANT
-    the call would ask for about 16 GB.
+    Time is O(|delta|); memory is one byte per unit of |delta| for the int8
+    chi plus one per unit of the largest prime q | delta for its Legendre
+    table, and no table outlives the call.  Measured with tracemalloc (numpy
+    loaded, 2-CPU Xeon, Python 3.11, numpy 2.4): delta = -999,995 peaks at
+    5.0 MiB in about 0.015 s, -9,999,995 (q = 1,999,999) at 13.5 MiB in
+    0.06 s, and the prime -9,999,991 at 23.1 MiB in 0.11 s.  |delta| > 10**7
+    is refused with ValueError before any table is built.
     """
     import numpy as np
 
@@ -687,7 +682,10 @@ def analytic_class_number_oracle(delta: int) -> int:
         raise ExtraUnitsDiscriminant(delta)
     n = -delta
     chi = _kronecker_table(delta)
-    total = int(np.dot(np.arange(n, dtype=np.int64), chi))
+    total = 0
+    for start in range(0, n, _BLOCK):
+        block = chi[start : start + _BLOCK]
+        total += int(np.dot(np.arange(start, start + len(block), dtype=np.int64), block))
     if total % n:
         raise InconclusiveOracle(
             f"character sum {total} for delta = {delta} is not divisible by {n}"

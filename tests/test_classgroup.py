@@ -10,7 +10,6 @@ multiplication tables.
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from twistrank import classgroup
@@ -35,11 +34,11 @@ from twistrank.classgroup import (
     _kronecker_table,
     _mul,
     _prime_forms,
+    _primes,
     _reduce_definite_raw,
     _reduce_indefinite_raw,
     _reduced_forms_definite,
     _rho_raw,
-    _spf_table,
     _sqrt_mod_prime,
     _sweep_window,
 )
@@ -231,16 +230,12 @@ def test_sqrt_mod_prime_matches_brute_force():
                 assert _sqrt_mod_prime(x - 5 * p, p) in expected, (x, p)
 
 
-def test_spf_table_matches_naive_loop(monkeypatch):
-    monkeypatch.setattr(classgroup, "_spf", np.zeros(0, dtype=np.int64))
-    first = _spf_table(100).copy()
-    grown = _spf_table(len(first))  # one geometric growth, to about 2 * 10**4
-    assert len(first) == 10**4 + 1 and len(grown) == 2 * len(first)
-    naive = [0, 0]
-    for t in range(2, len(grown)):
-        naive.append(next((p for p in range(2, math.isqrt(t) + 1) if t % p == 0), t))
-    assert grown.tolist() == naive
-    assert first.tolist() == naive[: len(first)]
+def test_prime_list_matches_naive_loop():
+    # every admitted |delta| <= 10**9 asks only for primes <= isqrt(10**9) = 31,622
+    end = math.isqrt(MAX_DISCRIMINANT)
+    naive = [t for t in range(2, end + 1) if all(t % p for p in range(2, math.isqrt(t) + 1))]
+    assert list(_primes()) == naive
+    assert len(naive) == 3401 and naive[-1] == 31_607
 
 
 def test_reduced_forms_indefinite_basic_properties():
@@ -443,8 +438,11 @@ def test_prime_forms_are_reduced_prime_forms():
             assert b * b - 4 * a * c == delta
             assert _reduce_definite_raw(a, b, c) == (a, b, c)
         # a prime p <= sqrt(|delta|/3) yields a form exactly when (delta/p) != -1
-        primes = [p for p in range(2, math.isqrt(-delta // 3) + 1) if _spf_table(p)[p] == p]
+        primes = [p for p in _primes() if p <= math.isqrt(-delta // 3)]
         assert len(forms) == sum(1 for p in primes if kronecker(delta, p) != -1), delta
+    # past the prime list's end the generator refuses instead of stopping short
+    with pytest.raises(ValueError, match="exceeds the scan limit"):
+        next(_prime_forms(-(MAX_DISCRIMINANT + 3)))
 
 
 def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
@@ -500,11 +498,20 @@ def test_analytic_oracle_agrees_with_form_count():
         if delta in (-3, -4):
             continue
         assert analytic_class_number_oracle(delta) == len(reduced_forms(delta)), delta
-    # near -10**6 the character fill runs past the block [2**19, 2**20)
+    # near -10**6 the character sum runs over four blocks of 2**18
     for delta in (-999_995, -999_988, -1_000_003, -1_000_024):
         assert is_fundamental(delta)
         h = class_group_summary(delta).class_number
         assert analytic_class_number_oracle(delta) == h, delta
+    # int8 chi and a blocked sum: int64 copies of t and chi alone would take 153 MiB
+    h = class_group_summary(-9_999_995).class_number
+    tracemalloc.start()
+    try:
+        assert analytic_class_number_oracle(-9_999_995) == h == 936
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_analytic_oracle_extra_units():
@@ -525,28 +532,30 @@ def test_analytic_oracle_rejects_bad_inputs():
         analytic_class_number_oracle(-(MAX_DISCRIMINANT + 3))
 
 
-def test_analytic_oracle_stays_off_the_shared_spf_table(monkeypatch):
-    # the form enumeration reads _spf; the oracle must not, or a fault in
-    # that table could hit both sides of the comparison
-    monkeypatch.setattr(classgroup, "_spf", ())
-    h = analytic_class_number_oracle(-999_995)
-    assert len(classgroup._spf) == 0
-    assert h == class_group_summary(-999_995).class_number
+def no_prime_list():
+    raise AssertionError("the prime list of the form enumeration was read")
+
+
+def test_analytic_oracle_stays_off_the_prime_list(monkeypatch):
+    # the form enumeration reads _primes; the oracle must not, or a fault in
+    # that list could hit both sides of the comparison
+    h = class_group_summary(-999_995).class_number
+    monkeypatch.setattr(classgroup, "_primes", no_prime_list)
+    assert analytic_class_number_oracle(-999_995) == h
 
 
 def test_analytic_oracle_refuses_above_ten_million(monkeypatch):
     # the first fundamental discriminant past -10**7, refused before any
-    # character table or smallest-prime-factor table is built
+    # character table is built or the prime list is read
     assert is_fundamental(-10_000_003)
 
     def no_table(delta):
         raise AssertionError("a character table past the oracle's limit")
 
     monkeypatch.setattr(classgroup, "_kronecker_table", no_table)
-    size = len(classgroup._spf)
+    monkeypatch.setattr(classgroup, "_primes", no_prime_list)
     with pytest.raises(ValueError, match="limit 10000000"):
         analytic_class_number_oracle(-10_000_003)
-    assert len(classgroup._spf) == size
 
 
 # ---------------------------------------------------------------------------

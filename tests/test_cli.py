@@ -211,18 +211,26 @@ def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
-    argv = ["scan", "1", "--max-x", "40000", "--cache", str(tmp_path / "c.ndjson")]
 
-    def probe():
+    def probe(*argv):
         proc = subprocess.run(
             [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, env=env,
             cwd=tmp_path,
         )
         return proc.stdout, proc.stderr.decode().splitlines()[-1]
 
-    cold, cold_numpy = probe()
+    # forms are enumerated in pure Python: only the sweep and the oracle load numpy
+    for argv in (
+        ["classgroup", "229"],
+        ["classgroup", "-23"],
+        ["twist", "1", "13"],
+        ["scan", "-35", "--max-x", "20000"],
+    ):
+        assert probe(*argv)[1] == "False False 0", argv
+    argv = ["scan", "1", "--max-x", "40000", "--cache", str(tmp_path / "c.ndjson")]
+    cold, cold_numpy = probe(*argv)
     assert cold_numpy == "False True 0"  # the sweep computed the class numbers
-    warm, warm_numpy = probe()
+    warm, warm_numpy = probe(*argv)
     assert warm_numpy == "False False 0"  # every class number came from the cache
     assert warm == cold
 
