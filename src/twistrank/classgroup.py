@@ -8,13 +8,15 @@ are enumerated from the square roots of delta modulo 4a, built from the prime
 powers of each admissible a (one fixed prime list), in O~(sqrt|delta|) time
 and memory.  The class numbers of many negative discriminants can instead come
 from one numpy sweep over the reduced forms of their window, building no form.
-Composition is Dirichlet's, and 3-torsion is counted inside the 3-Sylow
-subgroup, spanned from prime forms when delta < 0 and from the rho-cycle
-representatives when delta > 0.  Two independent oracles cross-check the
-enumeration: the exact finite character sum behind the analytic class number
-formula, its character built from the prime discriminants of delta rather
-than from any table the enumeration shares, and elementary divisors recovered
-from a brute-force composition table.
+For delta > 0, class_group_summary enumerates no form: it spans the narrow
+class group from prime forms, entering each new class by walking its
+rho-cycle.  Composition is Dirichlet's, and 3-torsion is counted inside the
+3-Sylow subgroup, spanned from prime forms.  Two independent oracles
+cross-check the class numbers: the exact finite character sum behind the
+analytic class number formula, its character built from the prime
+discriminants of delta rather than from any table the enumeration shares,
+and elementary divisors recovered from a brute-force composition table over
+every reduced form.
 """
 
 from __future__ import annotations
@@ -120,10 +122,11 @@ def _is_reduced_indefinite(a: int, b: int, s: int, delta: int) -> bool:
 
 
 def _rho_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, int]:
-    t = 2 * abs(c)
-    if abs(c) > s:
+    n = abs(c)
+    t = 2 * n
+    if n > s:
         r = (-b) % t
-        if r > abs(c):
+        if r > n:
             r -= t
     else:
         r = s - (s + b) % t
@@ -441,6 +444,25 @@ def _power(t: tuple[int, int, int], e: int, delta: int, s: int) -> tuple[int, in
         t = _mul(t, t, delta, s)
 
 
+def _adjoin(group: list, seen: set, y, delta: int, s: int, key) -> bool:
+    """Extend the subgroup listed in group by the class of y; say whether it grew.
+
+    seen holds key(x) for every x in group, and both grow in place.  y is
+    adjoined coset by coset: y**k * group is either group itself or disjoint
+    from every coset before it, so the first element of each coset decides.
+    """
+    if key(y) in seen:
+        return False
+    coset = group
+    while True:
+        first = _mul(coset[0], y, delta, s)
+        if key(first) in seen:
+            return True
+        coset = [first] + [_mul(x, y, delta, s) for x in coset[1:]]
+        seen.update(map(key, coset))
+        group.extend(coset)
+
+
 def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> int:
     """Number of classes x with x**3 = 1 in a class group of order h.
 
@@ -464,18 +486,7 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     sylow = [one]
     seen = {key(one)}
     for g in generators:
-        y = _power(g, m, delta, s)
-        if key(y) in seen:
-            continue
-        # Adjoin y coset by coset: y**k * S is either S again or disjoint from it.
-        coset = sylow
-        while True:
-            first = _mul(coset[0], y, delta, s)
-            if key(first) in seen:
-                break
-            coset = [first] + [_mul(x, y, delta, s) for x in coset[1:]]
-            seen.update(map(key, coset))
-            sylow.extend(coset)
+        _adjoin(sylow, seen, _power(g, m, delta, s), delta, s, key)
         if len(sylow) == size:
             break
     if len(sylow) != size:
@@ -485,15 +496,25 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
 
 
 def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
-    """Reduced prime forms (p, b, (b*b - delta)/4p) of a negative delta, for
-    the primes p <= sqrt(|delta|/3) with (delta/p) != -1, in increasing order.
+    """Reduced prime forms (p, b, (b*b - delta)/4p), for the primes p <= amax
+    with (delta/p) != -1, in increasing order of p.
 
-    They generate the class group: every class has a reduced form (a, b, c)
-    with a <= sqrt(|delta|/3), and that form is a product of prime forms and
-    their inverses for the p dividing a.
+    amax is isqrt(|delta|/3) when delta < 0 and isqrt(delta) when delta > 0.
+    The forms generate the (narrow) class group: every class has a reduced
+    form (a, b, c) with 0 < a <= amax, and that form is a product of prime
+    forms and their inverses for the p dividing a (for delta > 0, see
+    _indefinite_summary).
     """
-    check_scan_limit("|delta|", -delta)
-    amax = isqrt(-delta // 3)
+    check_scan_limit("|delta|", abs(delta))
+    if delta < 0:
+        amax = isqrt(-delta // 3)
+        reduce = _reduce_definite_raw
+    else:
+        amax = s = isqrt(delta)
+
+        def reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+            return _reduce_indefinite_raw(a, b, c, delta, s)
+
     for p in _primes():
         if p > amax:
             break
@@ -503,7 +524,7 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
             r = _sqrt_mod_prime(delta, p)
             b = None if r is None else r if (r - delta) % 2 == 0 else p - r
         if b is not None:
-            yield _reduce_definite_raw(p, b, (b * b - delta) // (4 * p))
+            yield reduce(p, b, (b * b - delta) // (4 * p))
 
 
 def _definite_summary(delta: int, h: int) -> ClassGroupSummary:
@@ -514,6 +535,57 @@ def _definite_summary(delta: int, h: int) -> ClassGroupSummary:
     one = principal_form(delta)
     torsion = _sylow_three_torsion(delta, 0, h, _prime_forms(delta), one, lambda f: f)
     return summary_from_counts(delta, h, torsion)
+
+
+class _RhoIndex(dict):
+    """Narrow class index of the reduced indefinite forms of one delta > 0.
+
+    Looking up a form not entered yet walks its rho-cycle and enters every
+    form of the cycle under the next class number, so index[f] names the
+    class of any reduced form f.
+    """
+
+    def __init__(self, delta: int, s: int):
+        super().__init__()
+        self.delta, self.s, self.size = delta, s, 0
+
+    def __missing__(self, f: tuple[int, int, int]) -> int:
+        cid, delta, s = self.size, self.delta, self.s
+        g = f
+        while g not in self:
+            self[g] = cid
+            g = _rho_raw(*g, delta, s)
+        if g != f:
+            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
+        self.size += 1
+        return cid
+
+
+# Why the prime forms span the narrow class group when delta > 0: rho maps a
+# reduced (a, b, c), which has a*c < 0, to one led by c, so the signs of a
+# alternate along a rho-cycle and every narrow class holds a reduced form
+# with 0 < a < sqrt(delta).  Its ideal [a, (-b + sqrt(delta))/2] has norm a
+# and factors into prime ideals over the primes p | a, each split or
+# ramified since b*b ≡ delta mod 4a.  The class of a prime ideal of norm p is
+# that of the prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
+# p <= isqrt(delta).  So the classes of the prime forms from _prime_forms
+# generate the group, and adjoining them all to the principal class lists it.
+
+
+def _indefinite_summary(delta: int) -> ClassGroupSummary:
+    """Summary of a positive fundamental discriminant: its narrow class group
+    is spanned from prime forms, and the prime forms that enlarged it span
+    its 3-Sylow subgroup in turn."""
+    s = isqrt(delta)
+    index = _RhoIndex(delta, s)
+    one = _reduce_indefinite_raw(*principal_form(delta), delta, s)
+    group, seen = [one], {index[one]}
+    gens = []
+    for g in _prime_forms(delta):
+        if _adjoin(group, seen, g, delta, s, index.__getitem__):
+            gens.append(g)
+    torsion = _sylow_three_torsion(delta, s, len(group), gens, one, index.__getitem__)
+    return summary_from_counts(delta, len(group), torsion)
 
 
 def _exact_three_rank(three_torsion: int) -> int:
@@ -552,45 +624,33 @@ def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> Cl
 def class_group_summary(delta: int) -> ClassGroupSummary:
     """Class number and 3-torsion of the (narrow, if delta > 0) class group.
 
-    The 3-torsion is counted inside the 3-Sylow subgroup (_sylow_three_torsion).
-    For delta < 0, h is the number of reduced forms and the subgroup is
-    spanned from prime forms (_prime_forms); for delta > 0 it is spanned from
-    the rho-cycle representatives, in class-index order.
+    The 3-torsion is counted inside the 3-Sylow subgroup (_sylow_three_torsion),
+    spanned from prime forms (_prime_forms).  For delta < 0, h is the number
+    of reduced forms; for delta > 0 the whole narrow group is spanned from the
+    prime forms first (_indefinite_summary), so no form is enumerated.
     """
     check_scan_limit("|delta|", abs(delta))
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     if delta < 0:
         return _definite_summary(delta, len(reduced_forms(delta)))
-    s = isqrt(delta)
-    reps, index, identity = _classes(delta, s)
-    torsion = _sylow_three_torsion(delta, s, len(reps), reps, reps[identity], index.__getitem__)
-    return summary_from_counts(delta, len(reps), torsion)
+    return _indefinite_summary(delta)
 
 
 def _cycles_indefinite(
     forms: list[Form], delta: int, s: int
 ) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:
-    """Partition the reduced forms into rho-cycles; every form lands in exactly one.
+    """Partition the sorted reduced forms into rho-cycles; every form lands in exactly one.
 
     Returns the least form of each cycle and the cycle index of every form.
     """
-    index: dict[tuple[int, int, int], int] = {}
-    leads: list[tuple[int, int, int]] = []
+    index = _RhoIndex(delta, s)
+    leads = []
     for f in forms:
-        if f in index:
-            continue
-        cid = len(leads)
-        cyc = []
-        g = f
-        while g not in index:
-            index[g] = cid
-            cyc.append(g)
-            g = _rho_raw(*g, delta, s)
-        if g != f:
-            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
-        leads.append(min(cyc))
-    return leads, index
+        # forms is sorted, so the first form met of each cycle is its least
+        if index[f] == len(leads):
+            leads.append(f)
+    return leads, dict(index)
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +759,12 @@ def analytic_class_number_oracle(delta: int) -> int:
 def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
     """Invariant factors [d1, d2, ...] (d1 | d2 | ...) from the full composition table.
 
-    Orders of all classes are computed by repeated composition and the
-    elementary divisors recovered by order counting, independent of the
-    3-Sylow count in class_group_summary.  Refuses groups larger than max_order.
+    The classes come from enumerating every reduced form (_classes; their
+    rho-cycles when delta > 0), independent of the prime-form span that
+    class_group_summary uses for delta > 0 and of its 3-Sylow count.  Orders
+    of all classes are computed by repeated composition and the elementary
+    divisors recovered by order counting.  Refuses groups larger than
+    max_order.
     """
     s = isqrt(delta) if delta > 0 else 0
     reps, index, identity = _classes(delta, s)

@@ -39,11 +39,12 @@ from twistrank.classgroup import (
     _reduce_indefinite_raw,
     _reduced_forms_definite,
     _rho_raw,
+    _RhoIndex,
     _sqrt_mod_prime,
     _sweep_window,
 )
 from twistrank.discriminants import MAX_DISCRIMINANT, is_fundamental
-from twistrank.stats import scan_parameters
+from twistrank.stats import scan_family, scan_parameters
 
 
 def naive_reduced_definite(delta: int) -> set:
@@ -89,13 +90,15 @@ def naive_reduced_indefinite(delta: int) -> set:
     return out
 
 
-def cube_every_class_torsion(delta: int) -> int:
-    """3-torsion counted by cubing every class of the group."""
+def cube_every_class(delta: int) -> tuple[int, int]:
+    """(h, 3-torsion) from every reduced form: h counts the classes (rho-cycles
+    when delta > 0), and the 3-torsion is counted by cubing each of them."""
     s = math.isqrt(delta) if delta > 0 else 0
     reps, index, identity = _classes(delta, s)
-    return sum(
+    torsion = sum(
         1 for t in reps if index[_mul(_mul(t, t, delta, s), t, delta, s)] == identity
     )
+    return len(reps), torsion
 
 
 def all_discriminants(limit: int, sign: int) -> list:
@@ -415,9 +418,35 @@ def test_summary_from_counts_validation():
 
 
 def test_sylow_torsion_matches_cubing_every_class():
-    for delta in negative_fundamentals(10**4) + positive_fundamentals(5000):
+    # positive delta: test_narrow_span_matches_every_reduced_form
+    for delta in negative_fundamentals(10**4):
         torsion = class_group_summary(delta).three_torsion
-        assert torsion == cube_every_class_torsion(delta), delta
+        assert torsion == cube_every_class(delta)[1], delta
+
+
+def test_narrow_span_matches_every_reduced_form():
+    # every positive fundamental delta <= 10**4, and the 15 real fields of the
+    # A = -35 family at X = 10**6 (delta = 140 D, up to 999,740)
+    family = [140 * d for d in scan_parameters(-35, 10**6)]
+    assert len(family) == 15
+    for delta in positive_fundamentals(10**4) + family:
+        s = class_group_summary(delta)
+        assert (s.class_number, s.three_torsion) == cube_every_class(delta), delta
+
+
+def test_real_class_groups_enumerate_no_form(monkeypatch):
+    expected = {229: (3, 3), 999_999_997: (8, 1)}
+    scan = scan_family(-35, 10**6)
+
+    def no_enumeration(*args):
+        raise AssertionError("a real class group enumerated its reduced forms")
+
+    monkeypatch.setattr(classgroup, "reduced_forms", no_enumeration)
+    monkeypatch.setattr(classgroup, "_cycles_indefinite", no_enumeration)
+    for delta, (h, torsion) in expected.items():
+        s = class_group_summary(delta)
+        assert (s.class_number, s.three_torsion) == (h, torsion), delta
+    assert scan_family(-35, 10**6) == scan
 
 
 @pytest.mark.parametrize("delta", [-3299, -3896, -4027, 32009, 42817])
@@ -432,17 +461,24 @@ def test_three_rank_two_matches_brute_force(delta):
 
 
 def test_prime_forms_are_reduced_prime_forms():
-    for delta in negative_fundamentals(3000):
+    for delta in negative_fundamentals(3000) + positive_fundamentals(1000):
         forms = list(_prime_forms(delta))
+        s = math.isqrt(delta) if delta > 0 else 0
         for a, b, c in forms:
             assert b * b - 4 * a * c == delta
-            assert _reduce_definite_raw(a, b, c) == (a, b, c)
-        # a prime p <= sqrt(|delta|/3) yields a form exactly when (delta/p) != -1
-        primes = [p for p in _primes() if p <= math.isqrt(-delta // 3)]
+            if delta < 0:
+                assert _reduce_definite_raw(a, b, c) == (a, b, c)
+            else:
+                assert _is_reduced_indefinite(a, b, s, delta), (delta, a, b, c)
+        # a prime p <= sqrt(|delta|/3), or p <= sqrt(delta) when delta > 0,
+        # yields a form exactly when (delta/p) != -1
+        amax = s or math.isqrt(-delta // 3)
+        primes = [p for p in _primes() if p <= amax]
         assert len(forms) == sum(1 for p in primes if kronecker(delta, p) != -1), delta
     # past the prime list's end the generator refuses instead of stopping short
-    with pytest.raises(ValueError, match="exceeds the scan limit"):
-        next(_prime_forms(-(MAX_DISCRIMINANT + 3)))
+    for delta in (-(MAX_DISCRIMINANT + 3), MAX_DISCRIMINANT + 5):
+        with pytest.raises(ValueError, match="exceeds the scan limit"):
+            next(_prime_forms(delta))
 
 
 def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
@@ -453,6 +489,16 @@ def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
         class_group_summary(-3299)
     with pytest.raises(ArithmeticError, match="stalled"):
         _definite_summary(-3299, 27)
+
+
+def test_rho_index_refuses_a_walk_that_does_not_close():
+    delta, s = 229, 15
+    one = (1, 15, -1)
+    index = _RhoIndex(delta, s)
+    # as if the rho-neighbour (-1, 15, 1) of the principal form were in another class
+    index[_rho_raw(*one, delta, s)] = 1
+    with pytest.raises(ArithmeticError, match="did not close"):
+        index[one]
 
 
 @pytest.mark.parametrize("delta", [-999_999_995, 999_999_997])

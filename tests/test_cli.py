@@ -327,6 +327,47 @@ def test_verify_checks_the_3_torsion_scans_use(capsys, monkeypatch):
     assert "FAIL group structures: 3-rank mismatch at delta = -23\n" in out
 
 
+def test_verify_enumerates_each_structure_discriminant_once(monkeypatch):
+    from twistrank import classgroup
+    from twistrank.cli import _verify_structure
+
+    calls = []
+    enumerate_forms = classgroup.reduced_forms
+
+    def counted(delta):
+        calls.append(delta)
+        return enumerate_forms(delta)
+
+    monkeypatch.setattr(classgroup, "reduced_forms", counted)
+    assert _verify_structure(2000) == (
+        True, "1218 discriminants, 3-rank = brute-force group structure"
+    )
+    # only the brute-force oracle enumerates: the class data of the 607
+    # positive delta come from the prime-form span, the 611 negative from the sweep
+    assert len(calls) == len(set(calls)) == 1218
+
+
+def test_verify_catches_an_incomplete_real_span(capsys, monkeypatch):
+    from twistrank import classgroup
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    prime_forms = classgroup._prime_forms
+
+    def without_least_prime(delta):
+        # a real class group spanned without its least prime form
+        forms = prime_forms(delta)
+        if delta > 0:
+            next(forms, None)
+        return forms
+
+    monkeypatch.setattr(classgroup, "_prime_forms", without_least_prime)
+    code, out, _ = run(capsys, "verify", "--level", "full")
+    assert code == 1
+    assert "PASS analytic class numbers" in out
+    assert "FAIL group structures: class number mismatch at delta = 21\n" in out
+    assert out.endswith("5/6 suites passed (full)\n")
+
+
 def test_verify_quarantines_corrupt_cache(capsys, tmp_path):
     cache_file = str(tmp_path / "c.ndjson")
     cache.save(cache_file, entries((-4, 1, 1)))
