@@ -11,12 +11,14 @@ from one numpy sweep over the reduced forms of their window, building no form.
 For delta > 0, class_group_summary enumerates no form: it spans the narrow
 class group from prime forms, entering each new class by walking its
 rho-cycle.  Composition is Dirichlet's, and 3-torsion is counted inside the
-3-Sylow subgroup, spanned from prime forms.  Two independent oracles
-cross-check the class numbers: the exact finite character sum behind the
-analytic class number formula, its character built from the prime
-discriminants of delta rather than from any table the enumeration shares,
-and elementary divisors recovered from a brute-force composition table over
-every reduced form.
+3-Sylow subgroup S, spanned from prime forms, as |S| / |S**3|: S**3 is
+spanned by the cubes of the generators of S, so no class is cubed one by
+one.  Two independent oracles cross-check the class numbers: the exact
+finite character sum behind the analytic class number formula, its
+character built from the prime discriminants of delta rather than from any
+table the enumeration shares, and elementary divisors recovered from the
+orders of the classes of every reduced form, found by walking the powers of
+each cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -469,11 +471,11 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     With h = 3**v * m and 3 not dividing m, the 3-torsion lies in the 3-Sylow
     subgroup S, the image of x -> x**m.  If v = 0 it is trivial by Lagrange,
     and if v = 1 then S has prime order, so S = C3 is all 3-torsion.
-    Otherwise S is spanned by the g**m for g drawn from reduced forms that
-    generate the group, until |S| = 3**v, and the 3-torsion is counted inside
-    S alone.  one is the identity's reduced form, and key(f) names the class
-    of a reduced form f.  Raises ArithmeticError if the generators run out
-    first.
+    Otherwise S is spanned by the y = g**m for g drawn from reduced forms that
+    generate the group, until |S| = 3**v, and the 3-torsion is counted as
+    |S| / |S**3|, with S**3 spanned by the cubes of the y that enlarged S.
+    one is the identity's reduced form, and key(f) names the class of a
+    reduced form f.  Raises ArithmeticError if the generators run out first.
     """
     m = h
     while m % 3 == 0:
@@ -485,14 +487,23 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
         return 3
     sylow = [one]
     seen = {key(one)}
+    spanning = []
     for g in generators:
-        _adjoin(sylow, seen, _power(g, m, delta, s), delta, s, key)
+        y = _power(g, m, delta, s)
+        if _adjoin(sylow, seen, y, delta, s, key):
+            spanning.append(y)
         if len(sylow) == size:
             break
     if len(sylow) != size:
         raise ArithmeticError(f"3-Sylow span stalled at {len(sylow)} of {size} classes")
-    identity = key(one)
-    return sum(1 for x in sylow if key(_mul(_mul(x, x, delta, s), x, delta, s)) == identity)
+    # x -> x**3 is an endomorphism of the finite abelian group S, with kernel
+    # S[3] and image S**3, so |S[3]| = |S| / |S**3|.  The y in spanning
+    # generate S, so their cubes generate S**3.
+    cubes = [one]
+    seen = {key(one)}
+    for y in spanning:
+        _adjoin(cubes, seen, _power(y, 3, delta, s), delta, s, key)
+    return size // len(cubes)
 
 
 def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
@@ -757,29 +768,34 @@ def analytic_class_number_oracle(delta: int) -> int:
 
 
 def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
-    """Invariant factors [d1, d2, ...] (d1 | d2 | ...) from the full composition table.
+    """Invariant factors [d1, d2, ...] (d1 | d2 | ...) from the orders of all classes.
 
     The classes come from enumerating every reduced form (_classes; their
     rho-cycles when delta > 0), independent of the prime-form span that
     class_group_summary uses for delta > 0 and of its 3-Sylow count.  Orders
-    of all classes are computed by repeated composition and the elementary
-    divisors recovered by order counting.  Refuses groups larger than
-    max_order.
+    are found by cyclic walks: from each class x whose order is still
+    unknown, the powers x, x**2, ... are composed until the walk reaches the
+    identity at x**n, so n = ord(x), and every class on the walk takes its
+    order n / gcd(n, k) at once as x**k.  The elementary divisors are then
+    recovered by order counting.  Refuses groups larger than max_order.
     """
     s = isqrt(delta) if delta > 0 else 0
     reps, index, identity = _classes(delta, s)
     h = len(reps)
     if h > max_order:
         raise ValueError(f"class number {h} exceeds the brute-force guard {max_order}")
-    orders = []
+    orders = [0] * h
     for i in range(h):
-        acc, order = i, 1
-        while acc != identity:
-            acc = index[_mul(reps[acc], reps[i], delta, s)]
-            order += 1
-            if order > h:
+        if orders[i]:
+            continue
+        walk = [i]  # walk[k - 1] is the class of reps[i]**k
+        while walk[-1] != identity:
+            walk.append(index[_mul(reps[walk[-1]], reps[i], delta, s)])
+            if len(walk) > h:
                 raise ArithmeticError("element order exceeded the group size")
-        orders.append(order)
+        n = len(walk)
+        for k, j in enumerate(walk, 1):
+            orders[j] = n // gcd(n, k)
     for order in orders:
         if h % order:
             raise ArithmeticError(f"order {order} does not divide h = {h}")

@@ -114,6 +114,7 @@ def scan_parameters(a: int, x: int) -> list[int]:
 def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
     """Summary of one discriminant, from its class number when the sweep gave one."""
     delta, h = task
+    # class_group_summary's fundamentality re-check (~10 us) is the only guard for delta > 0.
     return class_group_summary(delta) if h is None else _definite_summary(delta, h)
 
 

@@ -30,6 +30,7 @@ from twistrank.classgroup import (
     _classes,
     _definite_class_numbers,
     _definite_summary,
+    _invariant_factors,
     _is_reduced_indefinite,
     _kronecker_table,
     _mul,
@@ -449,6 +450,26 @@ def test_real_class_groups_enumerate_no_form(monkeypatch):
     assert scan_family(-35, 10**6) == scan
 
 
+@pytest.mark.parametrize(
+    "delta,structure",
+    [
+        (-983, [27]),
+        (-3671, [81]),
+        (-3299, [3, 9]),
+        (1129, [9]),
+        (8761, [27]),
+        (32009, [3, 3]),
+    ],
+)
+def test_sylow_torsion_through_cubed_span(delta, structure):
+    # 3-Sylow subgroups larger than their 3-torsion, or of rank 2: the
+    # 3-torsion is |S| / |S**3|, not |S|
+    s = class_group_summary(delta)
+    assert brute_force_group_structure(delta) == structure
+    assert (s.class_number, s.three_torsion) == cube_every_class(delta)
+    assert s.three_torsion == 3 ** len(structure)
+
+
 @pytest.mark.parametrize("delta", [-3299, -3896, -4027, 32009, 42817])
 def test_three_rank_two_matches_brute_force(delta):
     # -3299 is C3 x C9: its 3-Sylow subgroup (27) is larger than its
@@ -641,6 +662,32 @@ def test_brute_force_structure_invariants():
         for i in range(len(structure) - 1):
             assert structure[i + 1] % structure[i] == 0
         assert sum(1 for n in structure if n % 3 == 0) == s.three_rank
+
+
+def orders_by_repeated_composition(delta: int) -> tuple[list[int], int]:
+    """(order of every class, h), each order found by composing up from that class alone."""
+    s = math.isqrt(delta) if delta > 0 else 0
+    reps, index, identity = _classes(delta, s)
+    orders = []
+    for i in range(len(reps)):
+        acc, order = i, 1
+        while acc != identity:
+            acc = index[_mul(reps[acc], reps[i], delta, s)]
+            order += 1
+        orders.append(order)
+    return orders, len(reps)
+
+
+def test_brute_force_walks_match_per_class_orders():
+    for delta in negative_fundamentals(2000) + positive_fundamentals(2000):
+        orders, h = orders_by_repeated_composition(delta)
+        assert brute_force_group_structure(delta) == _invariant_factors(orders, h), delta
+
+
+def test_brute_force_refuses_a_walk_that_never_closes(monkeypatch):
+    monkeypatch.setattr(classgroup, "_mul", lambda t1, t2, delta, s: t1)
+    with pytest.raises(ArithmeticError, match="element order exceeded the group size"):
+        brute_force_group_structure(-23)
 
 
 def test_brute_force_structure_guard():
