@@ -31,7 +31,6 @@ from .selmer import (
 from .stats import (
     FamilyReport,
     average_dimension_bound,
-    average_dimension_report,
     certified_density_bound,
     correspondence_check,
     density_constant,
@@ -54,7 +53,6 @@ __all__ = [
     "ValidationError",
     "analytic_class_number_oracle",
     "average_dimension_bound",
-    "average_dimension_report",
     "brute_force_group_structure",
     "certified_density_bound",
     "class_group_summary",

@@ -141,6 +141,18 @@ def count_squarefree(x: int) -> int:
     return squarefree_flags(x - 1).count(1)
 
 
+def exact_log(n: int, p: int) -> int | None:
+    """The e with n == p**e for an integer p >= 2, or None for any other n
+    (n <= 0 included, so no division loop runs forever on 0)."""
+    if n < 1:
+        return None
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e if n == 1 else None
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False

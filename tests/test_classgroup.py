@@ -7,6 +7,7 @@ against cubing every class, and group structure against explicit
 multiplication tables.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -29,7 +30,6 @@ from twistrank.classgroup import (
 from twistrank.classgroup import (
     _classes,
     _definite_class_numbers,
-    _definite_summary,
     _invariant_factors,
     _is_reduced_indefinite,
     _kronecker_table,
@@ -41,6 +41,7 @@ from twistrank.classgroup import (
     _reduced_forms_definite,
     _rho_raw,
     _RhoIndex,
+    _span_summary,
     _sqrt_mod_prime,
     _sweep_window,
 )
@@ -443,7 +444,6 @@ def test_real_class_groups_enumerate_no_form(monkeypatch):
         raise AssertionError("a real class group enumerated its reduced forms")
 
     monkeypatch.setattr(classgroup, "reduced_forms", no_enumeration)
-    monkeypatch.setattr(classgroup, "_cycles_indefinite", no_enumeration)
     for delta, (h, torsion) in expected.items():
         s = class_group_summary(delta)
         assert (s.class_number, s.three_torsion) == (h, torsion), delta
@@ -509,7 +509,7 @@ def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     with pytest.raises(ArithmeticError, match="stalled"):
         class_group_summary(-3299)
     with pytest.raises(ArithmeticError, match="stalled"):
-        _definite_summary(-3299, 27)
+        _span_summary(-3299, 27)
 
 
 def test_rho_index_refuses_a_walk_that_does_not_close():
@@ -682,6 +682,30 @@ def test_brute_force_walks_match_per_class_orders():
     for delta in negative_fundamentals(2000) + positive_fundamentals(2000):
         orders, h = orders_by_repeated_composition(delta)
         assert brute_force_group_structure(delta) == _invariant_factors(orders, h), delta
+
+
+def orders_of_product(factors: list[int]) -> list[int]:
+    """The order of every element of Z/d1 x ... x Z/dk: the lcm of the orders
+    d / gcd(d, x) of its coordinates x."""
+    return [
+        math.lcm(*(d // math.gcd(d, x) for d, x in zip(factors, element)))
+        for element in itertools.product(*map(range, factors))
+    ]
+
+
+@pytest.mark.parametrize("factors", [[2, 6, 12], [3, 3, 3], [2, 4, 8, 8], [5, 25], [4, 36]])
+def test_invariant_factors_of_known_groups(factors):
+    assert _invariant_factors(orders_of_product(factors), math.prod(factors)) == factors
+
+
+def test_invariant_factors_refuses_orders_of_no_group():
+    # no order divides 3, so the 3-torsion count is 0, not a power of 3
+    with pytest.raises(ArithmeticError, match="not a p-power"):
+        _invariant_factors([9] * 9, 9)
+    # 3 orders for h = 9: their 3- and 9-torsion counts 1 and 3 alone would
+    # read as C9, but the 9-torsion of a group of order 9 has 9 elements
+    with pytest.raises(ArithmeticError, match="not the Sylow size"):
+        _invariant_factors([1, 9, 9], 9)
 
 
 def test_brute_force_refuses_a_walk_that_never_closes(monkeypatch):

@@ -312,7 +312,7 @@ def test_verify_checks_the_3_torsion_scans_use(capsys, monkeypatch):
     from twistrank.classgroup import ClassGroupSummary
 
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
-    summary = stats._definite_summary
+    summary = stats._span_summary
 
     def trivial_torsion_at_minus_23(delta, h):
         # h(-23) = 3 and its 3-torsion is 3, not 1
@@ -320,7 +320,7 @@ def test_verify_checks_the_3_torsion_scans_use(capsys, monkeypatch):
             return ClassGroupSummary(delta, h, 1, 0)
         return summary(delta, h)
 
-    monkeypatch.setattr(stats, "_definite_summary", trivial_torsion_at_minus_23)
+    monkeypatch.setattr(stats, "_span_summary", trivial_torsion_at_minus_23)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "PASS analytic class numbers" in out

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "ValidationError",
     "analytic_class_number_oracle",
     "average_dimension_bound",
-    "average_dimension_report",
     "brute_force_group_structure",
     "certified_density_bound",
     "class_group_summary",
@@ -36,7 +35,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_the_audited_list():
-    assert len(PUBLIC_NAMES) == 26
+    assert len(PUBLIC_NAMES) == 25
     assert sorted(twistrank.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(twistrank, name).__module__.startswith("twistrank."), name

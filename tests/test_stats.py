@@ -24,7 +24,6 @@ from twistrank.selmer import _certify_twist, twist_record
 from twistrank.stats import (
     EmptyFamilyError,
     average_dimension_bound,
-    average_dimension_report,
     certified_density_bound,
     compute_class_data,
     correspondence_check,
@@ -421,25 +420,24 @@ def test_rearrangement_rejects_bad_values():
         rearrangement_check([1, 2], 2, 0)
     with pytest.raises(ValueError):
         rearrangement_check([1, -3], 2, 0)
+    with pytest.raises(ValueError):
+        rearrangement_check([1, 0], 2, 0)
 
 
 # ---------------------------------------------------------------------------
-# Average-dimension report
+# Average Selmer dimension in the family report
 
 
 def test_average_dimension_report_negative_branch():
-    rep = average_dimension_report(scan_family(-35, 10**5))
+    rep = scan_family(-35, 10**5).report
     assert (rep.a, rep.x) == (-35, 10**5)
     assert rep.family_size == 2
     assert rep.avg_selmer_dim == 1
-    assert rep.asymptotic_bound == Fraction(4, 3)
-    assert rep.avg_selmer_dim <= rep.asymptotic_bound
-    assert rep.per_sample_inequality_ok
+    assert rep.theoretical["average_dimension_bound"] == Fraction(4, 3)
+    assert rep.avg_selmer_dim <= rep.theoretical["average_dimension_bound"]
 
 
-def test_average_dimension_report_reuses_scan():
-    scan = scan_family(1, 2000)
-    rep = average_dimension_report(scan)
-    assert rep.avg_selmer_dim == scan.report.avg_selmer_dim
-    assert rep.asymptotic_bound == 1
-    assert rep.per_sample_inequality_ok
+def test_average_dimension_report_positive_branch():
+    rep = scan_family(1, 2000).report
+    assert rep.theoretical["average_dimension_bound"] == 1
+    assert rep.avg_selmer_dim <= 1
