@@ -13,8 +13,9 @@ Composition is Dirichlet's.  One routine (_span_summary) serves both signs:
 forms, as |S| / |S**3|, where S**3 is spanned by the cubes of the generators
 of S, so no class is cubed one by one.  When delta > 0 its class number is
 not known beforehand, so the routine first spans the whole narrow class
-group from the prime forms, entering each new class by walking its
-rho-cycle, and enumerates no form.  Two independent oracles cross-check the
+group from the prime forms of norm p <= sqrt(delta)/2 and the negated
+principal form, entering each new class by walking its rho-cycle, and
+enumerates no form.  Two independent oracles cross-check the
 class numbers: the exact finite character sum behind the analytic class
 number formula, its character built from the prime discriminants of delta
 rather than from any table the enumeration shares, and elementary divisors
@@ -505,17 +506,21 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
 
 def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
     """Reduced prime forms (p, b, (b*b - delta)/4p), for the primes p <= amax
-    with (delta/p) != -1, in increasing order of p.
+    with (delta/p) != -1, in increasing order of p; when delta > 0 they are
+    followed by the reduced negated principal form (-1, b, (delta - b*b)/4).
 
-    amax is isqrt(|delta|/3) when delta < 0 and isqrt(delta) when delta > 0.
+    amax is isqrt(|delta|/3) when delta < 0 and isqrt(delta/4) when delta > 0.
     The forms generate the (narrow) class group: every class has a reduced
-    form (a, b, c) with 0 < a <= amax, and that form is a product of prime
-    forms and their inverses for the p dividing a (for delta > 0, see the
-    comment above _span_summary).
+    form (a, b, c) with 0 < |a| <= amax, and that form is a product of prime
+    forms and their inverses for the p dividing |a|, times the negated
+    principal form when a < 0 (for delta > 0, see the comment above
+    _span_summary).  When delta > 0, 2p <= s = isqrt(delta), so the window
+    s + 1 - 2p <= b <= s holds exactly one b of each class mod 2p, and the
+    form with that b is reduced as built.
     """
     check_scan_limit("|delta|", abs(delta))
     s = isqrt(delta) if delta > 0 else 0
-    amax = s or isqrt(-delta // 3)
+    amax = isqrt(delta // 4) if delta > 0 else isqrt(-delta // 3)
     for p in _primes():
         if p > amax:
             break
@@ -524,8 +529,17 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
         else:
             r = _sqrt_mod_prime(delta, p)
             b = None if r is None else r if (r - delta) % 2 == 0 else p - r
-        if b is not None:
-            yield _reduce_raw(p, b, (b * b - delta) // (4 * p), delta, s)
+        if b is None:
+            continue
+        if delta < 0:
+            yield _reduce_definite_raw(p, b, (b * b - delta) // (4 * p))
+        else:
+            lo = s + 1 - 2 * p
+            b = lo + (b - lo) % (2 * p)
+            yield p, b, (b * b - delta) // (4 * p)
+    if delta > 0:
+        b = s - (s - delta) % 2
+        yield -1, b, (delta - b * b) // 4
 
 
 class _RhoIndex(dict):
@@ -546,24 +560,33 @@ class _RhoIndex(dict):
         if delta < 0:
             self[f] = cid
         else:
+            # A reduced form (a, b, c) has |c| <= s, as c leads its reduced
+            # rho-neighbour and every reduced form has |a| < sqrt(delta), so
+            # each step is _rho_raw's branch for |c| <= s.
             g = f
             while g not in self:
                 self[g] = cid
-                g = _rho_raw(*g, delta, s)
+                _, b, c = g
+                r = s - (s + b) % (2 * abs(c))
+                g = c, r, (r * r - delta) // (4 * c)
             if g != f:
                 raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
         self.size += 1
         return cid
 
 
-# Why the prime forms span the narrow class group when delta > 0: rho maps a
-# reduced (a, b, c), which has a*c < 0, to one led by c, so the signs of a
-# alternate along a rho-cycle and every narrow class holds a reduced form
-# with 0 < a < sqrt(delta).  Its ideal [a, (-b + sqrt(delta))/2] has norm a
-# and factors into prime ideals over the primes p | a, each split or
-# ramified since b*b ≡ delta mod 4a.  The class of a prime ideal of norm p is
-# that of the prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
-# p <= isqrt(delta).  So the classes of the prime forms from _prime_forms
+# Why the prime forms span the narrow class group when delta > 0.  A reduced
+# (a, b, c) has 0 < b < sqrt(delta), so 4|a*c| = delta - b*b < delta and
+# min(|a|, |c|) < sqrt(delta)/2.  rho maps it to a reduced form led by c, so
+# every rho-cycle, and with it every narrow class, holds a reduced form
+# (a, b, c) with |a| < sqrt(delta)/2, that is |a| <= isqrt(delta/4).  If
+# a < 0, the narrow class of (a, b, c) is that of (-a, b, -c) times the class
+# of the negated principal form, the last form _prime_forms yields.  With
+# a > 0, the ideal [a, (-b + sqrt(delta))/2] of (a, b, c) has norm a and
+# factors into prime ideals over the primes p | a, each split or ramified
+# since b*b ≡ delta mod 4a.  The class of a prime ideal of norm p is that of
+# the prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
+# p <= a <= isqrt(delta/4).  So the classes of the forms from _prime_forms
 # generate the group, and adjoining them all to the principal class lists it.
 
 

@@ -491,15 +491,67 @@ def test_prime_forms_are_reduced_prime_forms():
                 assert _reduce_definite_raw(a, b, c) == (a, b, c)
             else:
                 assert _is_reduced_indefinite(a, b, s, delta), (delta, a, b, c)
-        # a prime p <= sqrt(|delta|/3), or p <= sqrt(delta) when delta > 0,
-        # yields a form exactly when (delta/p) != -1
-        amax = s or math.isqrt(-delta // 3)
-        primes = [p for p in _primes() if p <= amax]
-        assert len(forms) == sum(1 for p in primes if kronecker(delta, p) != -1), delta
+        if delta > 0:
+            # the last form is the reduced negated principal form, built in
+            # the window s - 2 < b <= s like every prime form
+            a, b, c = forms.pop()
+            assert a == -1 and s - 2 < b <= s, (delta, a, b, c)
+            for a, b, c in forms:
+                assert s - 2 * a < b <= s, (delta, a, b, c)
+        # a prime p <= sqrt(|delta|/3), or p <= sqrt(delta)/2 when delta > 0,
+        # yields a form exactly when (delta/p) != -1; when delta > 0 the form
+        # is led by p
+        amax = math.isqrt(delta // 4) if delta > 0 else math.isqrt(-delta // 3)
+        primes = [p for p in _primes() if p <= amax and kronecker(delta, p) != -1]
+        assert len(forms) == len(primes), delta
+        if delta > 0:
+            assert [f[0] for f in forms] == primes, delta
     # past the prime list's end the generator refuses instead of stopping short
     for delta in (-(MAX_DISCRIMINANT + 3), MAX_DISCRIMINANT + 5):
         with pytest.raises(ValueError, match="exceeds the scan limit"):
             next(_prime_forms(delta))
+
+
+def test_negated_principal_form_reaches_the_classes_no_prime_form_does(monkeypatch):
+    def class_count(delta):
+        return len(_classes(delta, math.isqrt(delta))[0])
+
+    full = {delta: class_count(delta) for delta in positive_fundamentals(3000)}
+    prime_forms = classgroup._prime_forms
+
+    def without_last_form(delta):
+        return iter(list(prime_forms(delta))[:-1])
+
+    monkeypatch.setattr(classgroup, "_prime_forms", without_last_form)
+    # Delta = 12 has no prime p <= isqrt(3) = 1, yet narrow h = 2
+    assert class_group_summary(12).class_number == 1
+    needs = [d for d in full if class_group_summary(d).class_number < full[d]]
+    assert len(needs) == 27
+    assert needs[:8] == [12, 21, 28, 56, 69, 77, 92, 165]
+    monkeypatch.undo()
+    assert full[12] == 2
+    for delta in needs:
+        assert class_group_summary(delta).class_number == full[delta], delta
+
+
+def test_rho_index_matches_the_rho_walk():
+    # the inlined rho step of _RhoIndex against iterating _rho_raw
+    for delta in positive_fundamentals(5000):
+        s = math.isqrt(delta)
+        index = _RhoIndex(delta, s)
+        walked, cycles = set(), 0
+        for f in reduced_forms(delta):
+            if f in walked:
+                continue
+            cycle, g = [f], _rho_raw(*f, delta, s)
+            while g != f:
+                cycle.append(g)
+                g = _rho_raw(*g, delta, s)
+            assert {index[g] for g in cycle} == {index[f]}, (delta, f)
+            walked.update(cycle)
+            cycles += 1
+        # one class per cycle, and every reduced form in one
+        assert index.size == cycles and set(index) == walked, delta
 
 
 def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):

@@ -364,7 +364,7 @@ def test_verify_catches_an_incomplete_real_span(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 1
     assert "PASS analytic class numbers" in out
-    assert "FAIL group structures: class number mismatch at delta = 21\n" in out
+    assert "FAIL group structures: class number mismatch at delta = 12\n" in out
     assert out.endswith("5/6 suites passed (full)\n")
 
 
