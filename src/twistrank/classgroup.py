@@ -159,16 +159,6 @@ def _reduce_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, i
 # Composition
 
 
-def _positive_leading_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, int]:
-    if a > 0:
-        return a, b, c
-    a, b, c = _reduce_indefinite_raw(a, b, c, delta, s)
-    if a < 0:
-        # Reduced indefinite forms have a*c < 0, so the rho-neighbor leads with c > 0.
-        a, b, c = _rho_raw(a, b, c, delta, s)
-    return a, b, c
-
-
 def _compose_raw(
     a1: int, b1: int, c1: int, a2: int, b2: int, c2: int, delta: int
 ) -> tuple[int, int, int]:
@@ -425,11 +415,10 @@ def _mul(
     t1: tuple[int, int, int], t2: tuple[int, int, int], delta: int, s: int
 ) -> tuple[int, int, int]:
     """Reduced product of two reduced forms; s = isqrt(delta) when delta > 0."""
-    if delta < 0:
-        return _reduce_definite_raw(*_compose_raw(*t1, *t2, delta))
-    t1 = _positive_leading_raw(*t1, delta, s)
-    t2 = _positive_leading_raw(*t2, delta, s)
-    return _reduce_indefinite_raw(*_compose_raw(*t1, *t2, delta), delta, s)
+    # Dirichlet's united-form identity holds whatever the signs of a1 and a2,
+    # and proper equivalence is narrow equivalence, so forms led by a < 0
+    # compose as they are.
+    return _reduce_raw(*_compose_raw(*t1, *t2, delta), delta, s)
 
 
 def _power(t: tuple[int, int, int], e: int, delta: int, s: int) -> tuple[int, int, int]:

@@ -115,10 +115,11 @@ def condition_star(m: int, n: int) -> ConditionCheck:
 
     Requires for every odd prime p dividing gcd(m, N) that p**2 | N and
     p**2 does not divide m; and when N is even, that either 4 | N with
-    m ≡ 1 mod 4, or 16 | N with m ≡ 8 or 12 mod 16.
+    m ≡ 1 mod 4, or 16 | N with m ≡ 8 or 12 mod 16.  m is a residue mod N,
+    so any integer m is accepted, 0 included.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and N must be positive integers")
+    if n < 1:
+        raise ValueError("N must be a positive integer")
     g = gcd(m, n)
     for p, _ in factorize(g).factors:
         if p == 2:

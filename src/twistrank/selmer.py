@@ -6,7 +6,8 @@ affine function of the 3-rank of one quadratic field: Q(sqrt(-A)) when
 -A ≡ 2, 8 mod 9, and Q(sqrt(3A)) when -A ≡ 5 mod 9, with parity decided by
 the sign of A.  The dimension bounds rank E(Q).  Quadratic twists by D
 replace A with A*D**3; D ≡ 1 mod 12 keeps every hypothesis intact and moves
-the field to Q(sqrt(-A*D)).
+the field to Q(sqrt(-A*D)), or to Q(sqrt(3A*D)) in the sqrt(3A) cases; its
+discriminant is D * Delta(A, 1) (_base_discriminant).
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .arith import (
-    Factorization,
-    factorize,
-    is_perfect_cube,
-    is_perfect_square,
-)
+from .arith import factorize, is_perfect_cube, is_perfect_square
 from .classgroup import ClassGroupSummary, class_group_summary
 from .discriminants import check_scan_limit
 
@@ -52,76 +48,57 @@ FAMILY_RESIDUES = (1, 25)
 DIRECT_ONLY_RESIDUE = 13
 
 
-def _squarefree_factorization(name: str, n: int) -> Factorization:
-    """Factorization of n, rejecting n when some prime divides it twice."""
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac.factors):
+def _check_squarefree(name: str, n: int) -> None:
+    """Refuse n when some prime divides it twice."""
+    if any(e > 1 for _, e in factorize(n).factors):
         raise ValidationError(f"{name} = {n} is not square-free")
-    return fac
 
 
-def _classify_coefficient(a: int) -> tuple[StollCase, Factorization]:
+def validate_coefficient(a: int) -> StollCase:
+    """Classify a Mordell coefficient, rejecting anything outside the formula."""
     if a == 0:
         raise ValidationError("A must be nonzero")
-    fac = _squarefree_factorization("A", a)
+    _check_squarefree("A", a)
     r = a % 36
     if r in FAMILY_RESIDUES:
-        return (StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG), fac
+        return StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG
     if r == DIRECT_ONLY_RESIDUE:
-        return (StollCase.NEG5_A_POS if a > 0 else StollCase.NEG5_A_NEG), fac
+        return StollCase.NEG5_A_POS if a > 0 else StollCase.NEG5_A_NEG
     raise ValidationError(
         f"A = {a} has A mod 36 = {r}; need 1 or 25 (family cases) or 13 (direct case)"
     )
 
 
-def validate_coefficient(a: int) -> StollCase:
-    """Classify a Mordell coefficient, rejecting anything outside the formula."""
-    return _classify_coefficient(a)[0]
+def _base_discriminant(case: StollCase, a: int) -> int:
+    """Delta(A, 1), the discriminant of Q(sqrt(r)) for r = -A, or 3A in the
+    sqrt(3A) cases; every twist's field discriminant is D * Delta(A, 1).
 
-
-def _field_discriminant(case: StollCase, fac_a: Factorization, fac_d: Factorization) -> int:
-    """Discriminant of the quadratic field attached to y**2 = x**3 - A*D**3.
-
-    A and D are square-free and coprime, so the square-free kernel of
-    -A * D**3 must come out to -A * D; the identity is recomputed from prime
-    exponents and asserted rather than assumed.  The sqrt(3A) cases take -3
-    times the kernel.
+    For square-free D ≡ 1 mod 12 coprime to A, r*D is square-free, as
+    gcd(D, 3A) = 1, and r*D ≡ r mod 4, so Delta(A, D) takes the branch r or
+    4r that r takes: Delta(A, D) = D * Delta(A, 1).
     """
-    a, d = fac_a.value, fac_d.value
-    exponents: dict[int, int] = {}
-    for p, e in fac_a.factors:
-        exponents[p] = exponents.get(p, 0) + e
-    for p, e in fac_d.factors:
-        exponents[p] = exponents.get(p, 0) + 3 * e
-    kernel = -1 if a > 0 else 1
-    for p, e in sorted(exponents.items()):
-        if e % 2 == 1:
-            kernel *= p
-    if kernel != -a * d:
-        raise ArithmeticError(
-            f"square-free kernel of -({a})*({d})^3 came out {kernel}, expected {-a * d}"
-        )
-    radicand = -3 * kernel if case.uses_sqrt_3a else kernel
-    return radicand if radicand % 4 == 1 else 4 * radicand
+    r = 3 * a if case.uses_sqrt_3a else -a
+    return r if r % 4 == 1 else 4 * r
 
 
 def _certify_twist(a: int, d: int) -> tuple[StollCase, int]:
     """Validate the quadratic twist y**2 = x**3 - A*D**3 with D ≡ 1 mod 12.
 
-    Returns the case and the field discriminant; A and D are factored once
-    each.  A pair whose |delta|, 4|A|D or 12|A|D in the sqrt(3A) cases, is
-    past the scan limit is refused before D is factored.
+    Returns the case and the field discriminant D * Delta(A, 1); A and D are
+    factored once each.  A pair whose |delta| is past the scan limit is
+    refused before D is factored.
     """
-    case, fac_a = _classify_coefficient(a)
+    case = validate_coefficient(a)
     if d < 1:
         raise ValidationError("D must be a positive integer")
     if d % 12 != 1:
         raise ValidationError(f"D = {d} is not ≡ 1 mod 12")
-    check_scan_limit("|delta|", (12 if case.uses_sqrt_3a else 4) * abs(a) * d)
-    fac_d = _squarefree_factorization("D", d)
+    delta = d * _base_discriminant(case, a)
+    check_scan_limit("|delta|", abs(delta))
+    _check_squarefree("D", d)
     if gcd(a, d) != 1:
         raise ValidationError(f"D = {d} shares the factor {gcd(a, d)} with A = {a}")
-    return case, _field_discriminant(case, fac_a, fac_d)
+    return case, delta
 
 
 def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None) -> int:

@@ -6,8 +6,9 @@ constant (1/8) * prod_{p | A} p/((p-1)(p+1)), their product (a certified
 asymptotic lower bound for the density of twists with rank <= 2k), and the
 asymptotic average-dimension bounds 1 (A > 0) and 4/3 (A < 0).  The
 empirical side scans a twist family, aggregates 3-ranks into certified
-proportions and averages, and checks the correspondence D -> -4*A*D against
-the progression family it is in bijection with.
+proportions and averages, and checks the correspondence D -> D*Delta(A, 1)
+(selmer._base_discriminant) against the progression family it is in
+bijection with.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .discriminants import (
     condition_star,
     enumerate_progression,
 )
-from .selmer import StollCase, TwistRecord, _record, validate_coefficient
+from .selmer import StollCase, TwistRecord, _base_discriminant, _record, validate_coefficient
 
 
 class EmptyFamilyError(ValueError):
@@ -98,13 +99,13 @@ def average_dimension_bound(a: int) -> Fraction:
 
 def scan_parameters(a: int, x: int) -> list[int]:
     """Twist parameters D for the family at bound X: square-free D ≡ 1 mod 12|A|
-    with 0 < D < X/(4|A|); equivalently the D with -4*A*D in the progression
-    family the correspondence maps onto."""
-    _family_case(a)
+    with 0 < D < X/|Delta(A, 1)|; equivalently the D with D*Delta(A, 1) in the
+    progression family the correspondence maps onto."""
+    base = _base_discriminant(_family_case(a), a)
     if x < 1:
         raise ValueError("X must be a positive integer")
     check_scan_limit("X", x)
-    d_max = (x - 1) // (4 * abs(a))
+    d_max = (x - 1) // abs(base)
     if d_max < 1:
         return []
     flags = squarefree_flags(d_max)
@@ -209,21 +210,23 @@ def scan_family(
     if k < 0:
         raise ValueError("k must be nonnegative")
     case = _family_case(a)
+    base = _base_discriminant(case, a)
     params = scan_parameters(a, x)
     if not params:
+        # |Delta(A, 1)| = 4|A| in the family cases
         raise EmptyFamilyError(
-            f"no twist parameters below X/(4|A|) = {x}/{4 * abs(a)}; raise X"
+            f"no twist parameters below X/(4|A|) = {x}/{abs(base)}; raise X"
         )
-    deltas = [-4 * a * d for d in params]
+    deltas = [d * base for d in params]
     supplied = class_data or {}
     fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
     data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
-    # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1;
-    # with A ≡ 1 mod 4 then -AD ≡ 3 mod 4, so delta = -4AD, as _certify_twist finds.
+    # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1,
+    # so delta = D * Delta(A, 1) by _base_discriminant's rule, as _certify_twist finds.
     records = [_record(case, a, d, delta, data[delta]) for d, delta in zip(params, deltas)]
     n = len(records)
-    d_max = (x - 1) // (4 * abs(a))
-    squarefree_count = count_squarefree(d_max + 1)
+    # the square-free D with D * |Delta(A, 1)| < X
+    squarefree_count = count_squarefree(-(-x // abs(base)))
     ranks = [rec.three_rank for rec in records]
     h3_mean = Fraction(sum(3**r for r in ranks), n)
     avg_dim = Fraction(sum(rec.selmer_dim for rec in records), n)
@@ -281,19 +284,20 @@ def nh_mean(family: ProgressionFamily, *, jobs: int = 1) -> Fraction:
 
 
 def family_progression(a: int, x: int) -> ProgressionFamily:
-    """The progression family of discriminants ≡ m mod 48*A**2 below X that the
-    twists of A map onto, where m = 48*A**2 - 4*A for A > 0 and m = -4*A for
-    A < 0; the discriminants are negative exactly when A > 0."""
-    m = 48 * a * a - 4 * a if a > 0 else -4 * a
-    return ProgressionFamily(x, m, 48 * a * a, NEGATIVE if a > 0 else POSITIVE)
+    """The progression family below X that the twists of A map onto: the
+    discriminants ≡ Delta(A, 1) mod 12*|A*Delta(A, 1)|, of the sign of
+    Delta(A, 1), as D ≡ 1 mod 12|A| maps to D*Delta(A, 1).  For A ≡ 1, 25
+    mod 36 that is -4*A mod 48*A**2; refuses an A outside the formula."""
+    base = _base_discriminant(validate_coefficient(a), a)
+    return ProgressionFamily(x, base, 12 * abs(a * base), NEGATIVE if base < 0 else POSITIVE)
 
 
 def correspondence_check(a: int, x: int) -> bool:
-    """Verify D -> -4*A*D maps the twist parameters bijectively onto the
-    family_progression(A, X)."""
-    _family_case(a)
+    """Verify D -> D*Delta(A, 1) maps the twist parameters bijectively onto
+    the family_progression(A, X)."""
+    base = _base_discriminant(_family_case(a), a)
     params = scan_parameters(a, x)
-    image = {-4 * a * d for d in params}
+    image = {d * base for d in params}
     if len(image) != len(params):
         return False
     return image == set(enumerate_progression(family_progression(a, x)))

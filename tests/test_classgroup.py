@@ -29,6 +29,7 @@ from twistrank.classgroup import (
 )
 from twistrank.classgroup import (
     _classes,
+    _compose_raw,
     _definite_class_numbers,
     _invariant_factors,
     _is_reduced_indefinite,
@@ -343,6 +344,28 @@ def test_compose_group_laws_definite():
 def test_compose_group_laws_indefinite():
     for delta in (40, 136, 229, 316):
         assert_group_laws(delta)
+
+
+def test_compose_negative_leading_forms_directly():
+    # The oracle moves each a < 0 form one rho step to its neighbour, which
+    # leads with c > 0 (a reduced indefinite form has a*c < 0), and composes
+    # forms with positive leading coefficients only.
+    def positive_leading(f, delta, s):
+        return f if f[0] > 0 else _rho_raw(*f, delta, s)
+
+    for delta in range(5, 2001):
+        if not is_fundamental(delta):
+            continue
+        s = math.isqrt(delta)
+        _, index, _ = _classes(delta, s)
+        forms = reduced_forms(delta)
+        negative = [f for f in forms if f[0] < 0][:8]
+        positive = [f for f in forms if f[0] > 0][:8]
+        for f in negative:
+            for g in negative + positive:
+                pf, pg = positive_leading(f, delta, s), positive_leading(g, delta, s)
+                want = _reduce_indefinite_raw(*_compose_raw(*pf, *pg, delta), delta, s)
+                assert index[_mul(f, g, delta, s)] == index[want], (delta, f, g)
 
 
 def test_is_equivalent_partitions_reduced_forms():

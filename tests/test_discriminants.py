@@ -163,6 +163,13 @@ def test_condition_odd_modulus_without_shared_primes():
     assert condition_star(2, 5)
 
 
+def test_condition_takes_m_as_a_residue():
+    # ProgressionFamily stores the residue 0 for any m ≡ 0 mod N
+    assert condition_star(0, 1)
+    check = condition_star(0, 4)
+    assert not check and "N is even" in check.failing_clause
+
+
 def test_condition_validation():
     with pytest.raises(ValueError):
         condition_star(1, 0)

@@ -5,6 +5,8 @@ parity term from the residue case plus twice the 3-rank obtained from the
 brute-force group structure of the twist's field discriminant.
 """
 
+import math
+
 import pytest
 
 from twistrank import selmer
@@ -145,6 +147,46 @@ def test_twist_record_refuses_past_the_scan_limit_before_factoring_d(
 )
 def test_twist_field_discriminant_frozen(a, d, delta):
     assert _certify_twist(a, d)[1] == delta
+
+
+def squarefree_kernel(n: int) -> int:
+    """n with each square factor divided out, its sign kept (trial division)."""
+    kernel, m, p = (1 if n > 0 else -1), abs(n), 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        kernel *= p ** (e % 2)
+        p += 1
+    return kernel * m
+
+
+def kernel_discriminant(a: int, d: int) -> int | None:
+    """Field discriminant of the twist from the square-free kernel of its
+    radicand, -A*D**3, or 3A*D**3 when -A ≡ 5 mod 9; None for a pair the
+    formula refuses (D not square-free, or gcd(A, D) > 1)."""
+    if squarefree_kernel(d) != d or math.gcd(a, d) > 1:
+        return None
+    radicand = 3 * a * d**3 if -a % 9 == 5 else -a * d**3
+    kernel = squarefree_kernel(radicand)
+    return kernel if kernel % 4 == 1 else 4 * kernel
+
+
+def test_twist_field_discriminant_against_kernel_oracle():
+    coefficients = [
+        a for a in range(-299, 300)
+        if a % 36 in (1, 13, 25) and squarefree_kernel(a) == a
+    ]
+    assert {validate_coefficient(a) for a in coefficients} == set(StollCase)
+    for a in coefficients:
+        for d in range(1, 1000, 12):
+            want = kernel_discriminant(a, d)
+            if want is None:
+                with pytest.raises(ValidationError):
+                    _certify_twist(a, d)
+            else:
+                assert _certify_twist(a, d) == (validate_coefficient(a), want), (a, d)
 
 
 def test_twist_field_discriminant_is_fundamental():

@@ -13,14 +13,20 @@ from fractions import Fraction
 import pytest
 
 from twistrank import selmer, stats
-from twistrank.arith import factorize
+from twistrank.arith import factorize, is_squarefree
 from twistrank.classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
 )
-from twistrank.discriminants import NEGATIVE, ProgressionFamily, is_fundamental
-from twistrank.selmer import _certify_twist, twist_record
+from twistrank.discriminants import (
+    NEGATIVE,
+    POSITIVE,
+    ProgressionFamily,
+    enumerate_progression,
+    is_fundamental,
+)
+from twistrank.selmer import ValidationError, _certify_twist, twist_record
 from twistrank.stats import (
     EmptyFamilyError,
     average_dimension_bound,
@@ -28,6 +34,7 @@ from twistrank.stats import (
     compute_class_data,
     correspondence_check,
     density_constant,
+    family_progression,
     low_rank_factor,
     nh_mean,
     proportion_bound_from_mean,
@@ -219,10 +226,10 @@ def test_scan_family_factors_no_twist_parameter(monkeypatch):
     def refuse(name, n):
         if name == "D":
             raise AssertionError(f"the scan factored D = {n}")
-        return squarefree_factorization(name, n)
+        return check_squarefree(name, n)
 
-    squarefree_factorization = selmer._squarefree_factorization
-    monkeypatch.setattr(selmer, "_squarefree_factorization", refuse)
+    check_squarefree = selmer._check_squarefree
+    monkeypatch.setattr(selmer, "_check_squarefree", refuse)
     monkeypatch.setattr(selmer, "factorize", count)
     r = scan_family(1, 40_000).report
     assert r.family_size == 754
@@ -357,6 +364,40 @@ def test_correspondence_image_oracle():
     assert correspondence_check(1, x)
 
 
+@pytest.mark.parametrize(
+    "a,progression",
+    [
+        (1, (44, 48, NEGATIVE)),
+        (-35, (140, 58800, POSITIVE)),
+        (13, (156, 24336, POSITIVE)),
+        (-23, (75900, 76176, NEGATIVE)),
+    ],
+)
+def test_family_progression_frozen(a, progression):
+    fam = family_progression(a, 10**6)
+    assert (fam.residue_m, fam.modulus_n, fam.sign) == progression
+
+
+@pytest.mark.parametrize("a,twists", [(13, 37), (-23, 13), (157, 1), (-59, 2)])
+def test_family_progression_is_the_image_of_the_sqrt_3a_twists(a, twists):
+    # A ≡ 13 mod 36: the field is Q(sqrt(3AD)) with 3A ≡ 3 mod 4, so
+    # delta = 12AD; scan_parameters refuses these A, so D is listed here
+    x = 10**6
+    image = {
+        12 * a * d
+        for d in range(1, -(-x // abs(12 * a)), 12 * abs(a))
+        if is_squarefree(d)
+    }
+    assert image == set(enumerate_progression(family_progression(a, x)))
+    assert len(image) == twists
+
+
+@pytest.mark.parametrize("a", [0, 2, 49])
+def test_family_progression_refuses_invalid_coefficients(a):
+    with pytest.raises(ValidationError):
+        family_progression(a, 10**6)
+
+
 def test_nh_mean_frozen_value():
     fam = ProgressionFamily(10**4, 44, 48, NEGATIVE)
     assert nh_mean(fam) == Fraction(295, 183)
@@ -373,6 +414,17 @@ def test_nh_mean_warns_when_condition_fails():
         warnings.simplefilter("always")
         nh_mean(ProgressionFamily(100, 3, 6, NEGATIVE))
     assert any("condition" in str(w.message) for w in caught)
+
+
+def test_nh_mean_over_residue_zero():
+    # m ≡ 0 mod N is stored as the residue 0; N = 1 is every negative
+    # fundamental discriminant, 305 of them below 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nh_mean(ProgressionFamily(1000, 0, 1, NEGATIVE)) == Fraction(473, 305)
+    # the 20 discriminants ≡ 0 mod 4 below 200, where the condition fails
+    with pytest.warns(UserWarning, match="condition"):
+        assert nh_mean(ProgressionFamily(200, 0, 4, NEGATIVE)) == Fraction(13, 10)
 
 
 def test_nh_mean_empty_family():
