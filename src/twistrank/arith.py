@@ -10,24 +10,13 @@ number it cannot finish is refused rather than handed to a slower method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 TRIAL_DIVISION_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed prime factorization: value = sign * prod(p**e)."""
-
-    value: int
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def factorize(n: int) -> Factorization:
-    """Complete signed factorization of a nonzero integer.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers ((p, e), ...) of |n| for a nonzero integer n, p ascending.
 
     Trial division by 2, 3, 5 and the odd numbers up to 10**6.  A cofactor
     left below the square of the next trial divisor is 1 or a prime, so the
@@ -37,7 +26,6 @@ def factorize(n: int) -> Factorization:
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
-    sign = -1 if n < 0 else 1
     m = abs(n)
     powers: dict[int, int] = {}
 
@@ -63,8 +51,8 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         _account(m)
     factors = tuple(sorted(powers.items()))
-    assert sign * _product(factors) == n
-    return Factorization(value=n, sign=sign, factors=factors)
+    assert _product(factors) == abs(n)
+    return factors
 
 
 def _product(factors: tuple[tuple[int, int], ...]) -> int:
@@ -81,7 +69,7 @@ def is_squarefree(n: int) -> bool:
     m = abs(n)
     if m % 4 == 0 or m % 9 == 0 or m % 25 == 0:
         return False
-    return all(e == 1 for _, e in factorize(m).factors)
+    return all(e == 1 for _, e in factorize(m))
 
 
 def kronecker(a: int, n: int) -> int:
@@ -151,23 +139,6 @@ def exact_log(n: int, p: int) -> int | None:
         n //= p
         e += 1
     return e if n == 1 else None
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
-def is_perfect_cube(n: int) -> bool:
-    m = abs(n)
-    r = round(m ** (1.0 / 3.0)) if m else 0
-    while r**3 > m:
-        r -= 1
-    while (r + 1) ** 3 <= m:
-        r += 1
-    return r**3 == m
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

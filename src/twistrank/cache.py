@@ -55,10 +55,12 @@ def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
 
     Later duplicates of a discriminant must agree with the first occurrence;
     a conflicting duplicate is reported as corrupt rather than resolved.
+    Bytes that are not UTF-8 are read as surrogate escapes, so such a line
+    fails to parse like any other corrupt line and keeps its bytes.
     """
     data: ClassData = {}
     bad: list[BadLine] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -129,11 +131,12 @@ def quarantine(path: str) -> tuple[int, int]:
     """Strip corrupt lines from a cache, appending them to path + '.quarantined'.
 
     Returns (entries kept, lines quarantined).  The cleaned cache is written
-    atomically; the original bad lines stay readable in the side file.
+    atomically; the original bad lines, bytes that are not UTF-8 included,
+    stay in the side file.
     """
     data, bad = scan_lines(path)
     if bad:
-        with open(path + ".quarantined", "a", encoding="utf-8") as fh:
+        with open(path + ".quarantined", "a", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw, reason in bad:
                 fh.write(f"# line {lineno}: {reason}\n{raw}\n")
         _write_atomic(path, data)

@@ -693,7 +693,7 @@ def _kronecker_table(delta: int) -> np.ndarray:
     n = abs(delta)
     chi = np.ones(n, dtype=np.int8)
     odd = 1
-    for q, _ in factorize(n).factors:
+    for q, _ in factorize(n):
         if q == 2:
             continue
         odd *= q if q % 4 == 1 else -q
@@ -759,7 +759,11 @@ def analytic_class_number_oracle(delta: int) -> int:
     return h
 
 
-def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
+# Largest class number the brute-force oracle accepts; its walks compose up to h**2 times.
+_BRUTE_FORCE_GUARD = 200
+
+
+def brute_force_group_structure(delta: int) -> list[int]:
     """Invariant factors [d1, d2, ...] (d1 | d2 | ...) from the orders of all classes.
 
     The classes come from enumerating every reduced form (_classes; their
@@ -769,13 +773,14 @@ def brute_force_group_structure(delta: int, max_order: int = 200) -> list[int]:
     unknown, the powers x, x**2, ... are composed until the walk reaches the
     identity at x**n, so n = ord(x), and every class on the walk takes its
     order n / gcd(n, k) at once as x**k.  The elementary divisors are then
-    recovered by order counting.  Refuses groups larger than max_order.
+    recovered by order counting.  Refuses a class number above 200
+    (_BRUTE_FORCE_GUARD) before walking any class.
     """
     s = isqrt(delta) if delta > 0 else 0
     reps, index, identity = _classes(delta, s)
     h = len(reps)
-    if h > max_order:
-        raise ValueError(f"class number {h} exceeds the brute-force guard {max_order}")
+    if h > _BRUTE_FORCE_GUARD:
+        raise ValueError(f"class number {h} exceeds the brute-force guard {_BRUTE_FORCE_GUARD}")
     orders = [0] * h
     for i in range(h):
         if orders[i]:
@@ -799,7 +804,7 @@ def _invariant_factors(orders: list[int], h: int) -> list[int]:
     if h == 1:
         return []
     per_prime: dict[int, list[int]] = {}
-    for p, e in factorize(h).factors:
+    for p, e in factorize(h):
         # ranks[j] = log_p #{x : x**(p**j) == identity}; in an abelian group
         # each count is a p-power, and it reaches the Sylow size p**e by j = e.
         ranks = [0]

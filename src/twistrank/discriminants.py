@@ -71,17 +71,6 @@ class ProgressionFamily:
             raise ValueError(f"sign must be {NEGATIVE!r} or {POSITIVE!r}")
         object.__setattr__(self, "residue_m", self.residue_m % self.modulus_n)
 
-    def membership(self, delta: int) -> bool:
-        if delta == 0:
-            return False
-        if self.sign == NEGATIVE and not (-self.bound_x < delta < 0):
-            return False
-        if self.sign == POSITIVE and not (0 < delta < self.bound_x):
-            return False
-        if delta % self.modulus_n != self.residue_m:
-            return False
-        return is_fundamental(delta)
-
 
 def enumerate_progression(family: ProgressionFamily) -> list[int]:
     """All members of the family, sorted by absolute value (ascending)."""
@@ -121,7 +110,7 @@ def condition_star(m: int, n: int) -> ConditionCheck:
     if n < 1:
         raise ValueError("N must be a positive integer")
     g = gcd(m, n)
-    for p, _ in factorize(g).factors:
+    for p, _ in factorize(g):
         if p == 2:
             continue
         if n % (p * p) != 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .arith import factorize, is_perfect_cube, is_perfect_square
+from .arith import factorize
 from .classgroup import ClassGroupSummary, class_group_summary
 from .discriminants import check_scan_limit
 
@@ -50,7 +50,7 @@ DIRECT_ONLY_RESIDUE = 13
 
 def _check_squarefree(name: str, n: int) -> None:
     """Refuse n when some prime divides it twice."""
-    if any(e > 1 for _, e in factorize(n).factors):
+    if any(e > 1 for _, e in factorize(n)):
         raise ValidationError(f"{name} = {n} is not square-free")
 
 
@@ -111,30 +111,12 @@ def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None
     return twist_record(a, d, summary=summary).selmer_dim
 
 
-def torsion_is_trivial(b: int) -> bool:
-    """One-sided certificate that y**2 = x**3 + B has trivial rational torsion.
-
-    True certifies triviality (B outside {-432, 1}, not a cube, not a
-    square); False is inconclusive, not a claim of nontrivial torsion.
-    """
-    if b == 0:
-        raise ValueError("B must be nonzero (the curve must be nonsingular)")
-    if b in (-432, 1):
-        return False
-    if is_perfect_cube(b):
-        return False
-    if is_perfect_square(b):
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class TwistRecord:
     """Certified data for one quadratic twist y**2 = x**3 - A*D**3."""
 
     a: int
     d: int
-    twisted_coefficient: int
     field_discriminant: int
     case: StollCase
     selmer_dim: int
@@ -174,13 +156,18 @@ def _record(
     if summary.delta != delta:
         raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
     dim = case.dimension_parity + 2 * summary.three_rank
+    # E_D: y**2 = x**3 + B with B = -A*D**3 is sixth-power free, as A and D are
+    # square-free and coprime, so E_D has nontrivial rational torsion exactly
+    # when B is 1, -432, a cube or a square.  B is a cube only if A = 1, as
+    # A = -1 is not ≡ 1, 13, 25 mod 36; B is 1 or a square only if A = -1 and
+    # D = 1; B = -432 = -2**4 * 3**3 only if D = 1 and A = 432, which is not
+    # square-free.  So the torsion is trivial exactly when A != 1.
     return TwistRecord(
         a=a,
         d=d,
-        twisted_coefficient=-a * d**3,
         field_discriminant=delta,
         case=case,
         selmer_dim=dim,
         rank_bound=dim,
-        torsion_trivial=torsion_is_trivial(-a * d**3),
+        torsion_trivial=a != 1,
     )

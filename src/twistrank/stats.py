@@ -45,8 +45,6 @@ class EmptyFamilyError(ValueError):
 def low_rank_factor(k: int) -> Fraction:
     """Asymptotic lower bound for the proportion of discriminants with 3-rank <= k,
     given that the mean of the 3-torsion count is 2: (3**(k+1) - 2)/(3**(k+1) - 1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return proportion_bound_from_mean(Fraction(2), k)
 
 
@@ -75,7 +73,7 @@ def density_constant(a: int) -> Fraction:
     (1/8) * prod over primes p | A of p / ((p - 1) * (p + 1)), exactly."""
     _family_case(a)
     out = Fraction(1, 8)
-    for p, _ in factorize(a).factors:
+    for p, _ in factorize(a):
         out *= Fraction(p, (p - 1) * (p + 1))
     return out
 
@@ -230,7 +228,7 @@ def scan_family(
     ranks = [rec.three_rank for rec in records]
     h3_mean = Fraction(sum(3**r for r in ranks), n)
     avg_dim = Fraction(sum(rec.selmer_dim for rec in records), n)
-    k_hi = max(k, max(ranks) + (0 if a > 0 else 1))
+    k_hi = max(k, max(ranks) + case.dimension_parity)
     per_k: dict[int, Fraction] = {}
     within: dict[int, Fraction] = {}
     for kk in range(k_hi + 1):

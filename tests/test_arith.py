@@ -14,8 +14,6 @@ from twistrank.arith import (
     count_squarefree,
     exact_log,
     factorize,
-    is_perfect_cube,
-    is_perfect_square,
     is_squarefree,
     kronecker,
     squarefree_flags,
@@ -59,11 +57,10 @@ def euler_legendre(a: int, p: int) -> int:
 
 
 def test_factorize_frozen_examples():
-    assert factorize(60).factors == ((2, 2), (3, 1), (5, 1))
-    f = factorize(-35)
-    assert f.sign == -1 and f.factors == ((5, 1), (7, 1))
-    assert factorize(1).factors == () and factorize(1).sign == 1
-    assert factorize(-1).sign == -1
+    assert factorize(60) == ((2, 2), (3, 1), (5, 1))
+    # the prime powers of |n|: the sign is dropped
+    assert factorize(-35) == ((5, 1), (7, 1))
+    assert factorize(1) == () and factorize(-1) == ()
 
 
 def test_factorize_rejects_zero():
@@ -73,14 +70,14 @@ def test_factorize_rejects_zero():
 
 def test_factorize_matches_naive_oracle():
     for n in list(range(1, 600)) + list(range(-600, 0)) + [2**31 - 1, 3 * 5 * 7 * 11 * 13]:
-        f = factorize(n)
-        assert dict(f.factors) == naive_factor(n), n
-        assert f.sign == (1 if n > 0 else -1)
-        prod = f.sign
-        for p, e in f.factors:
+        factors = factorize(n)
+        assert dict(factors) == naive_factor(n), n
+        assert [p for p, _ in factors] == sorted(p for p, _ in factors)
+        prod = 1
+        for p, e in factors:
             assert naive_is_prime(p)
             prod *= p**e
-        assert prod == n
+        assert prod == abs(n)
 
 
 def test_factorize_semiprime_beyond_trial_bound():
@@ -94,9 +91,9 @@ def test_factorize_trial_division_proves_the_cofactor_prime():
     # both prime and below 1_000_001**2, the square of the first odd number
     # past the trial bound, so trial division alone proves them prime
     for n in (999_999_999_989, 10**12 + 39):
-        assert factorize(n).factors == ((n, 1),)
-        assert factorize(-2 * 3 * n).factors == ((2, 1), (3, 1), (n, 1))
-    assert factorize(2**4 * 3 * 7**2).factors == ((2, 4), (3, 1), (7, 2))
+        assert factorize(n) == ((n, 1),)
+        assert factorize(-2 * 3 * n) == ((2, 1), (3, 1), (n, 1))
+    assert factorize(2**4 * 3 * 7**2) == ((2, 4), (3, 1), (7, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +175,6 @@ def test_kronecker_periodicity_of_discriminant_character():
 
 # ---------------------------------------------------------------------------
 # Small helpers
-
-
-def test_perfect_powers():
-    squares = {n * n for n in range(60)}
-    cubes = {n**3 for n in range(-40, 40)}
-    for n in range(-3000, 3000):
-        assert is_perfect_square(n) == (n in squares)
-        assert is_perfect_cube(n) == (n in cubes)
 
 
 def test_exact_log_matches_powers():

@@ -105,6 +105,33 @@ def test_quarantine_repairs_and_preserves(tmp_path):
     assert cache.quarantine(p) == (2, 0)
 
 
+NOT_UTF8 = b"\xff\xfe garbage\n"
+
+
+def test_load_names_a_line_that_is_not_utf8(tmp_path):
+    p = str(tmp_path / "c.ndjson")
+    cache.save(p, entries((-4, 1, 1), (-52, 2, 1)))
+    with open(p, "ab") as fh:
+        fh.write(NOT_UTF8)
+    with pytest.raises(cache.CacheCorruption, match="line 3: Expecting value") as info:
+        cache.load(p)
+    assert [n for n, _, _ in info.value.bad_lines] == [3]
+
+
+def test_quarantine_keeps_the_bytes_of_a_line_that_is_not_utf8(tmp_path):
+    p = str(tmp_path / "c.ndjson")
+    cache.save(p, entries((-4, 1, 1), (-52, 2, 1)))
+    with open(p, "rb") as fh:
+        clean = fh.read()
+    with open(p, "ab") as fh:
+        fh.write(NOT_UTF8)
+    assert cache.quarantine(p) == (2, 1)
+    with open(p, "rb") as fh:
+        assert fh.read() == clean
+    with open(p + ".quarantined", "rb") as fh:
+        assert fh.read().endswith(b"\n" + NOT_UTF8)
+
+
 def test_blank_lines_ignored(tmp_path):
     p = str(tmp_path / "c.ndjson")
     with open(p, "w") as fh:

@@ -627,7 +627,7 @@ def test_kronecker_table_matches_kronecker():
 def test_kronecker_table_near_a_million_for_each_two_part():
     for delta, two_part in ((-999_995, 1), (-999_988, -4), (-1_000_024, 8), (-1_000_040, -8)):
         assert is_fundamental(delta)
-        odd = math.prod(q if q % 4 == 1 else -q for q, _ in factorize(-delta).factors if q > 2)
+        odd = math.prod(q if q % 4 == 1 else -q for q, _ in factorize(-delta) if q > 2)
         assert delta // odd == two_part, delta
         chi = _kronecker_table(delta)
         assert len(chi) == -delta
@@ -790,5 +790,5 @@ def test_brute_force_refuses_a_walk_that_never_closes(monkeypatch):
 
 
 def test_brute_force_structure_guard():
-    with pytest.raises(ValueError):
-        brute_force_group_structure(-479, max_order=10)  # h = 25 > 10
+    with pytest.raises(ValueError, match="^class number 311 exceeds the brute-force guard 200$"):
+        brute_force_group_structure(-40031)

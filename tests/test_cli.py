@@ -380,6 +380,18 @@ def test_verify_quarantines_corrupt_cache(capsys, tmp_path):
     assert cache.load(cache_file) == entries((-4, 1, 1))
 
 
+def test_verify_quarantines_a_cache_line_that_is_not_utf8(capsys, tmp_path):
+    cache_file = str(tmp_path / "c.ndjson")
+    cache.save(cache_file, entries((-4, 1, 1)))
+    with open(cache_file, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    code, out, _ = run(capsys, "verify", "--level", "quick", "--cache", cache_file)
+    assert code == 0
+    assert "quarantined 1 corrupt line(s)" in out
+    assert out.endswith("6/6 suites passed (quick)\n")
+    assert cache.load(cache_file) == entries((-4, 1, 1))
+
+
 def test_internal_errors_exit_1(capsys, monkeypatch):
     import twistrank.cli as cli_mod
 

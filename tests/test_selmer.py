@@ -5,19 +5,25 @@ parity term from the residue case plus twice the 3-rank obtained from the
 brute-force group structure of the twist's field discriminant.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from twistrank import selmer
-from twistrank.classgroup import brute_force_group_structure, class_group_summary
+from twistrank.arith import factorize
+from twistrank.classgroup import (
+    brute_force_group_structure,
+    class_group_summary,
+    summary_from_counts,
+)
 from twistrank.selmer import (
     StollCase,
     TwistRecord,
     ValidationError,
     _certify_twist,
+    _record,
     selmer_dimension,
-    torsion_is_trivial,
     twist_record,
     validate_coefficient,
 )
@@ -245,19 +251,40 @@ def test_dimension_parity_matches_case():
 
 
 # ---------------------------------------------------------------------------
-# Torsion certificate
+# Torsion
 
 
-def test_torsion_certificate():
-    assert torsion_is_trivial(-35) is True
-    assert torsion_is_trivial(-37 * 13**3) is True
-    assert torsion_is_trivial(-432) is False
-    assert torsion_is_trivial(1) is False
-    assert torsion_is_trivial(16) is False
-    assert torsion_is_trivial(-2197) is False  # (-13)^3
-    assert torsion_is_trivial(-1) is False
-    with pytest.raises(ValueError):
-        torsion_is_trivial(0)
+def mordell_torsion_is_trivial(b: int) -> bool:
+    """The classical rule for y**2 = x**3 + B with B sixth-power free: the
+    rational torsion is nontrivial exactly when B is 1, -432, a cube or a square."""
+    if b in (1, -432):
+        return False
+    r = round(abs(b) ** (1 / 3))
+    if any(c**3 == abs(b) for c in (r - 1, r, r + 1)):
+        return False
+    return b < 0 or math.isqrt(b) ** 2 != b
+
+
+def test_torsion_flag_is_the_theorem_a_not_1():
+    assert mordell_torsion_is_trivial(-35) is True
+    assert mordell_torsion_is_trivial(-37 * 13**3) is True
+    assert mordell_torsion_is_trivial(-432) is False
+    assert mordell_torsion_is_trivial(1) is False
+    assert mordell_torsion_is_trivial(16) is False
+    assert mordell_torsion_is_trivial(-2197) is False  # (-13)^3
+    checked = 0
+    for a in range(-299, 300):
+        for d in range(1, 1000, 12):
+            try:
+                case, delta = _certify_twist(a, d)
+            except ValidationError:
+                continue
+            b = -a * d**3
+            assert all(e < 6 for _, e in factorize(b)), (a, d)
+            rec = _record(case, a, d, delta, summary_from_counts(delta, 1, 1))
+            assert rec.torsion_trivial is mordell_torsion_is_trivial(b) is (a != 1), (a, d)
+            checked += 1
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +296,6 @@ def test_twist_record_frozen():
     assert rec == TwistRecord(
         a=1,
         d=13,
-        twisted_coefficient=-2197,
         field_discriminant=-52,
         case=StollCase.NEG2_8_A_POS,
         selmer_dim=0,
@@ -285,6 +311,14 @@ def test_twist_record_frozen():
         "rank_bound": 0,
         "torsion_trivial": False,
     }
+
+
+def test_twist_record_holds_what_it_prints():
+    rec = twist_record(37, 13)
+    fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(TwistRecord)}
+    fields["case"] = rec.case.value
+    names = {"a": "A", "d": "D", "field_discriminant": "delta"}
+    assert {names.get(name, name): v for name, v in fields.items()} == rec.to_json_dict()
 
 
 def test_twist_record_negative_branch():
