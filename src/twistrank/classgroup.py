@@ -3,30 +3,28 @@
 For delta < 0 the class group is realized by the unique reduced positive
 definite forms; for delta > 0 the narrow class group is realized by
 rho-cycles of reduced indefinite forms (the narrow and ordinary groups share
-their odd part, which is all the 3-rank machinery consumes).  Reduced forms
-are enumerated from the square roots of delta modulo 4a, built from the prime
-powers of each admissible a (one fixed prime list), in O~(sqrt|delta|) time
-and memory.  The class numbers of many negative discriminants can instead come
-from one numpy sweep over the reduced forms of their window, building no form.
-Composition is Dirichlet's.  One routine (_span_summary) serves both signs:
-3-torsion is counted inside the 3-Sylow subgroup S, spanned from prime
-forms, as |S| / |S**3|, where S**3 is spanned by the cubes of the generators
-of S, so no class is cubed one by one.  When delta > 0 its class number is
-not known beforehand, so the routine first spans the whole narrow class
-group from the prime forms of norm p <= sqrt(delta)/2 and the negated
-principal form, entering each new class by walking its rho-cycle, and
-enumerates no form.  Two independent oracles cross-check the
-class numbers: the exact finite character sum behind the analytic class
-number formula, its character built from the prime discriminants of delta
-rather than from any table the enumeration shares, and elementary divisors
-recovered from the orders of the classes of every reduced form (one
-partition into classes for both signs), found by walking the powers of each
-cyclic subgroup.
+their odd part, which is all the 3-rank machinery consumes).  Composition is
+Dirichlet's.  One routine (_span_summary) serves both signs: it spans the
+whole group from the prime forms of norm p <= sqrt(|delta|/3), or of norm
+p <= sqrt(delta)/2 and the negated principal form when delta > 0, entering
+each new class by its reduced form (by walking its rho-cycle when
+delta > 0), so h is the size of the span and no form is enumerated.
+3-torsion is then counted inside the 3-Sylow subgroup S as |S| / |S**3|,
+where S**3 is spanned by the cubes of the generators of S, so no class is
+cubed one by one.  The class numbers of many negative discriminants can
+instead come from one numpy sweep over the reduced forms of their window,
+building no form; the 3-Sylow span then starts from the known h.  Two
+independent oracles cross-check the class numbers: the exact finite
+character sum behind the analytic class number formula, its character built
+from the prime discriminants of delta rather than from any table the span
+shares, and elementary divisors recovered from the orders of the classes of
+every reduced form (listed by a plain double loop over (a, b), one partition
+into classes for both signs), found by walking the powers of each cyclic
+subgroup.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -175,12 +173,12 @@ def _compose_raw(
 
 
 # ---------------------------------------------------------------------------
-# Reduced form enumeration
+# Primes and square roots modulo a prime, for the prime forms
 
 
 @cache
 def _primes() -> tuple[int, ...]:
-    """The primes up to isqrt(MAX_DISCRIMINANT); each reader refuses a larger |delta| first."""
+    """The primes up to isqrt(MAX_DISCRIMINANT); _prime_forms refuses a larger |delta| first."""
     n = isqrt(MAX_DISCRIMINANT)
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\0\0"
@@ -219,105 +217,6 @@ def _sqrt_mod_prime(x: int, p: int) -> int | None:
     return r
 
 
-def _odd_prime_power_roots(delta: int, p: int, amax: int) -> list[list[int]]:
-    """Entry k - 1 lists the b mod p**k with b*b ≡ delta mod p**k, for p**k <= amax.
-
-    The list stops before the first power of p without a root.
-    """
-    r = _sqrt_mod_prime(delta, p)
-    if r is None:
-        return []
-    roots = [r, p - r] if r else [0]
-    out, q = [roots], p
-    while q * p <= amax:
-        # Test the p lifts of each root, which needs no case split on p | delta.
-        roots = [x for r in roots for x in range(r, q * p, q) if (x * x - delta) % (q * p) == 0]
-        if not roots:
-            break
-        out.append(roots)
-        q *= p
-    return out
-
-
-def _square_roots(delta: int, amax: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (a, roots) for each 1 <= a <= amax where b*b ≡ delta mod 4a is
-    solvable; roots lists those b mod 2a, each in [0, 2a).
-
-    The a are built depth-first from their prime powers, and the roots are
-    combined by CRT one prime power at a time, so an a without a root is
-    never visited.  The a come in no particular order.
-    """
-    primes = _primes()
-    odd = primes[1 : bisect_right(primes, amax)]
-    split = [(p, powers) for p in odd if (powers := _odd_prime_power_roots(delta, p, amax))]
-    # a = 2**k: lift the b mod 2a with b*b ≡ delta mod 4a up from a = 1.
-    stack = []
-    a, roots = 1, [delta & 1]
-    while roots and a <= amax:
-        stack.append((a, 0, roots))
-        roots = [x for r in roots for x in (r, r + 2 * a) if (x * x - delta) % (8 * a) == 0]
-        a *= 2
-    while stack:
-        a, first, roots = stack.pop()
-        yield a, roots
-        m = 2 * a
-        for j in range(first, len(split)):
-            p, powers = split[j]
-            if a * p > amax:
-                break
-            q = p
-            for proots in powers:
-                if a * q > amax:
-                    break
-                inv = pow(m, -1, q)
-                combined = [r + m * ((s - r) * inv % q) for r in roots for s in proots]
-                stack.append((a * q, j + 1, combined))
-                q *= p
-
-
-def _reduced_forms_definite(delta: int) -> list[Form]:
-    out = []
-    for a, roots in _square_roots(delta, isqrt(-delta // 3)):
-        for r in roots:
-            b = r if r <= a else r - 2 * a
-            c = (b * b - delta) // (4 * a)
-            if c >= a and not (b < 0 and c == a) and gcd(a, b, c) == 1:
-                out.append(Form(a, b, c))
-    out.sort()
-    return out
-
-
-def _reduced_forms_indefinite(delta: int) -> list[Form]:
-    s = isqrt(delta)
-    out = []
-    for a, roots in _square_roots(delta, s):
-        # Reduced window |sqrt(delta) - 2a| < b <= s; as delta is not a
-        # square, lo is its least integer.
-        t = 2 * a
-        lo = s + 1 - t if t <= s else t - s
-        for r in roots:
-            for b in range(lo + (r - lo) % t, s + 1, t):
-                n = (delta - b * b) // (4 * a)
-                if gcd(a, b, n) == 1:
-                    out.append(Form(a, b, -n))
-                    out.append(Form(-a, b, n))
-    out.sort()
-    return out
-
-
-def reduced_forms(delta: int) -> list[Form]:
-    """Every primitive reduced form of the discriminant, sorted lexicographically.
-
-    Both enumerators keep only primitive forms (for fundamental discriminants
-    every form is primitive), so the count is always the form class number.
-    """
-    _check_discriminant(delta)
-    check_scan_limit("|delta|", abs(delta))
-    if delta < 0:
-        return _reduced_forms_definite(delta)
-    return _reduced_forms_indefinite(delta)
-
-
 # ---------------------------------------------------------------------------
 # Class numbers of many negative discriminants in one sweep
 
@@ -336,15 +235,17 @@ def _sweep_window(ns: list[int]) -> tuple[int, int, int]:
 
 # One sweep costs about a_max * (a_max + L + 2**15) cells: for each a, one
 # numpy pass over the b candidates and one over the count window, plus a
-# fixed cost of about 2**15 cells.  One definite enumeration costs about
-# sqrt|delta| units.  Measured on a 2-core x86 host (Python 3.11, numpy 2.4)
-# over A = 1 families and their upper slices, X = 10**5 to 4*10**6: 1.4 ns
-# per cell and 0.85 us per unit, so a unit is worth about 600 cells.
-_SWEEP_CELLS_PER_UNIT = 600
+# fixed cost of about 2**15 cells.  Spanning one negative delta alone costs
+# about sqrt|delta| units more than spanning its 3-Sylow subgroup from a known
+# h (_span_summary(delta) against _span_summary(delta, h)).  Measured on a
+# 2-core x86 host (Python 3.11, numpy 2.4) over the A = 1, 37 and 61
+# families, X = 10**5 to 4*10**6: 1.2 to 2.1 ns per cell and 1.5 to 1.9 us per
+# unit, so a unit is worth about 1000 cells.
+_SWEEP_CELLS_PER_UNIT = 1000
 
 
 def _sweep_pays(deltas: list[int]) -> bool:
-    """Whether one sweep is cheaper than enumerating each negative delta alone."""
+    """Whether one sweep is cheaper than spanning each negative delta alone."""
     if len(deltas) < 2:
         return False
     ns = [-d for d in deltas]
@@ -627,39 +528,22 @@ def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> Cl
 def class_group_summary(delta: int) -> ClassGroupSummary:
     """Class number and 3-torsion of the (narrow, if delta > 0) class group.
 
-    The 3-torsion is counted inside the 3-Sylow subgroup (_sylow_three_torsion),
-    spanned from prime forms (_prime_forms).  For delta < 0, h is the number
-    of reduced forms; for delta > 0 the whole narrow group is spanned from the
-    prime forms first (_span_summary), so no form is enumerated.
+    For either sign the whole group is spanned from prime forms first
+    (_span_summary, _prime_forms), so h is the size of the span and no form
+    is enumerated; the 3-torsion is then counted inside the 3-Sylow subgroup
+    (_sylow_three_torsion).
     """
     check_scan_limit("|delta|", abs(delta))
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
-    return _span_summary(delta, len(reduced_forms(delta)) if delta < 0 else None)
-
-
-def _classes(
-    delta: int, s: int
-) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int], int]:
-    """Partition the sorted reduced forms into classes (rho-cycles when delta > 0).
-
-    Returns the least form of each class, the class index of every form and
-    the identity's index.
-    """
-    index = _RhoIndex(delta, s)
-    reps = []
-    for f in reduced_forms(delta):
-        # the forms are sorted, so the first form met of each class is its least
-        if index[f] == len(reps):
-            reps.append(f)
-    index = dict(index)
-    return reps, index, index[_reduce_raw(*principal_form(delta), delta, s)]
+    return _span_summary(delta)
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles
 
-# Largest |delta| the analytic oracle accepts; its memory grows linearly in |delta|.
+# Largest |delta| either oracle accepts: the analytic oracle's memory and the
+# form enumeration's time grow linearly in |delta|.
 _ORACLE_LIMIT = 10**7
 
 # The oracle squares k and sums t * chi(t) this many at a time, so no int64
@@ -684,9 +568,9 @@ def _kronecker_table(delta: int) -> np.ndarray:
     and d2 in {1, -4, 8, -8}, so chi(t) = chi_d2(t) * prod (t|q).  Each
     period q or |d2| divides |delta|: viewing chi as rows of that length, one
     in-place multiply per prime applies its Legendre table, built by marking
-    the squares mod q, to every row.  Of the form enumeration's machinery
-    only factorize (trial division) is shared; neither arith.kronecker nor
-    the prime list (_primes) is used.  chi is int8, one byte per t.
+    the squares mod q, to every row.  No table of the span is shared:
+    neither arith.kronecker nor the prime list (_primes) is used, only
+    factorize (trial division).  chi is int8, one byte per t.
     """
     import numpy as np
 
@@ -759,6 +643,60 @@ def analytic_class_number_oracle(delta: int) -> int:
     return h
 
 
+def reduced_forms(delta: int) -> list[Form]:
+    """Every primitive reduced form of the discriminant, sorted lexicographically.
+
+    A plain double loop over (a, b), with b in the parity of delta, tests
+    b*b ≡ delta mod 4a for each pair; it shares nothing with the prime-form
+    span, so the brute-force oracle (its only reader) stays independent of
+    it.  Only primitive forms are kept (for fundamental discriminants every
+    form is primitive), so the count is always the form class number.  Time
+    is O(|delta|); |delta| > 10**7 (_ORACLE_LIMIT) is refused before any loop.
+    """
+    _check_discriminant(delta)
+    if abs(delta) > _ORACLE_LIMIT:
+        raise ValueError(f"|delta| exceeds the form enumeration's limit {_ORACLE_LIMIT}")
+    s = isqrt(delta) if delta > 0 else 0
+    out = []
+    for a in range(1, s + 1 if delta > 0 else isqrt(-delta // 3) + 1):
+        t, m = 2 * a, 4 * a
+        if delta < 0:
+            lo, hi = 1 - a, a
+        else:
+            # Reduced window |sqrt(delta) - 2a| < b <= s; as delta is not a
+            # square, lo is its least integer.
+            lo, hi = (s + 1 - t if t <= s else t - s), s
+        lo += (lo - delta) % 2
+        for b in [b for b in range(lo, hi + 1, 2) if (b * b - delta) % m == 0]:
+            c = (b * b - delta) // m
+            if gcd(a, b, c) != 1:
+                continue
+            if delta > 0:
+                out += Form(a, b, c), Form(-a, b, -c)
+            elif c > a or (c == a and b >= 0):
+                out.append(Form(a, b, c))
+    out.sort()
+    return out
+
+
+def _classes(
+    delta: int, s: int
+) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int], int]:
+    """Partition the sorted reduced forms into classes (rho-cycles when delta > 0).
+
+    Returns the least form of each class, the class index of every form and
+    the identity's index.
+    """
+    index = _RhoIndex(delta, s)
+    reps = []
+    for f in reduced_forms(delta):
+        # the forms are sorted, so the first form met of each class is its least
+        if index[f] == len(reps):
+            reps.append(f)
+    index = dict(index)
+    return reps, index, index[_reduce_raw(*principal_form(delta), delta, s)]
+
+
 # Largest class number the brute-force oracle accepts; its walks compose up to h**2 times.
 _BRUTE_FORCE_GUARD = 200
 
@@ -767,12 +705,12 @@ def brute_force_group_structure(delta: int) -> list[int]:
     """Invariant factors [d1, d2, ...] (d1 | d2 | ...) from the orders of all classes.
 
     The classes come from enumerating every reduced form (_classes; their
-    rho-cycles when delta > 0), independent of the prime-form span that
-    class_group_summary uses for delta > 0 and of its 3-Sylow count.  Orders
-    are found by cyclic walks: from each class x whose order is still
-    unknown, the powers x, x**2, ... are composed until the walk reaches the
-    identity at x**n, so n = ord(x), and every class on the walk takes its
-    order n / gcd(n, k) at once as x**k.  The elementary divisors are then
+    rho-cycles when delta > 0), independent of the span for both signs
+    (_span_summary, which class_group_summary uses) and of its 3-Sylow
+    count.  Orders are found by cyclic walks: from each class x whose order
+    is still unknown, the powers x, x**2, ... are composed until the walk
+    reaches the identity at x**n, so n = ord(x), and every class on the walk
+    takes its order n / gcd(n, k) at once as x**k.  The elementary divisors are then
     recovered by order counting.  Refuses a class number above 200
     (_BRUTE_FORCE_GUARD) before walking any class.
     """

@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0,
                    help="rank threshold: certify rank <= 2k (default 0)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for class-group computation (default 1)")
+                   help="worker processes for class-group computation, at most "
+                        "the number of CPUs (default 1)")
     p.add_argument("--cache", metavar="PATH",
                    help=f"class-data cache file (default ${cache_mod.CACHE_ENV_VAR})")
     p.add_argument("--report", metavar="PATH", help="also write the report JSON here")

@@ -14,6 +14,7 @@ bijection with.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,10 +121,10 @@ def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
 def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
     """Class-group summary for each discriminant, optionally in parallel.
 
-    When one sweep over their window is cheaper than enumerating each alone,
+    When one sweep over their window is cheaper than spanning each alone,
     the negative discriminants take their class numbers from that sweep.
     The result does not depend on jobs; partitioning only affects wall time,
-    and no more workers start than there are discriminants.
+    and no more workers start than there are discriminants or CPUs.
     """
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
@@ -133,9 +134,9 @@ def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
     if _sweep_pays(negative):
         swept = dict(zip(negative, _definite_class_numbers(negative)))
     tasks = [(d, swept.get(d)) for d in todo]
+    jobs = min(jobs, len(todo), os.cpu_count() or 1)
     if jobs == 1 or len(todo) < 8:
         return dict(zip(todo, map(_summary, tasks)))
-    jobs = min(jobs, len(todo))
     chunk = max(1, len(todo) // (jobs * 8))
     with multiprocessing.Pool(jobs) as pool:
         return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))

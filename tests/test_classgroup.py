@@ -1,10 +1,10 @@
 """Tests for binary quadratic forms and class groups.
 
-Independent oracles cross-check the form-counting route: standalone loop
-enumerations of reduced definite and indefinite forms, and the exact finite
-character sum for the class number.  The 3-Sylow torsion count is checked
-against cubing every class, and group structure against explicit
-multiplication tables.
+Independent oracles cross-check the prime-form span and the form
+enumeration: standalone loop enumerations of reduced definite and indefinite
+forms, and the exact finite character sum for the class number.  The 3-Sylow
+torsion count is checked against cubing every class, and group structure
+against explicit multiplication tables.
 """
 
 import itertools
@@ -39,7 +39,6 @@ from twistrank.classgroup import (
     _primes,
     _reduce_definite_raw,
     _reduce_indefinite_raw,
-    _reduced_forms_definite,
     _rho_raw,
     _RhoIndex,
     _span_summary,
@@ -209,13 +208,13 @@ def test_reduced_forms_indefinite_matches_double_loop():
 
 
 def test_reduced_forms_definite_raw_enumerator_agrees():
-    # the raw enumerator, which tests primitivity itself, against the
+    # the enumerator, which tests primitivity itself, against the
     # triple-loop oracle; -6039 = 9 * (-671) is not fundamental, and 30 of
     # its 90 reduced forms are imprimitive
     for delta in (-6004, -7403, -9587):
         assert is_fundamental(delta)
     for delta in (-6004, -7403, -9587, -6039):
-        raw = _reduced_forms_definite(delta)
+        raw = reduced_forms(delta)
         assert raw == sorted(set(raw))
         assert set(raw) == naive_reduced_definite(delta), delta
 
@@ -267,6 +266,21 @@ def test_reduced_forms_non_fundamental_keeps_primitive_classes():
     assert reduced_forms(20) == [Form(-1, 4, 1), Form(1, 4, -1)]
 
 
+def test_reduced_forms_refuses_past_the_oracle_limit():
+    # the first is (10**18 + 3) * (3 * 10**18 + 37): refused before any loop
+    for delta in (
+        -3000000000000000046000000000000000111,
+        -(MAX_DISCRIMINANT + 3),
+        -(10**7 + 3),
+        10**7 + 1,
+        10**7 + 4,
+    ):
+        with pytest.raises(
+            ValueError, match=r"^\|delta\| exceeds the form enumeration's limit 10000000$"
+        ):
+            reduced_forms(delta)
+
+
 # ---------------------------------------------------------------------------
 # Class numbers in one sweep
 
@@ -278,7 +292,8 @@ def test_sweep_matches_enumeration_on_every_fundamental():
     assert _definite_class_numbers(deltas) == [len(reduced_forms(d)) for d in deltas]
 
 
-def test_sweep_matches_enumeration_on_twist_families():
+def test_sweep_matches_the_span_on_twist_families():
+    # the span reaches h by composition, not by enumeration
     family = [-4 * d for d in scan_parameters(1, 2 * 10**5)]
     upper = [d for d in family if d < -18 * 10**4]
     for deltas in (
@@ -288,7 +303,9 @@ def test_sweep_matches_enumeration_on_twist_families():
         [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
     ):
         assert _sweep_window([-d for d in deltas])[1] > 1
-        assert _definite_class_numbers(deltas) == [len(reduced_forms(d)) for d in deltas]
+        assert _definite_class_numbers(deltas) == [
+            _span_summary(d).class_number for d in deltas
+        ]
 
 
 def test_sweep_rejects_non_fundamental():
@@ -459,12 +476,18 @@ def test_narrow_span_matches_every_reduced_form():
         assert (s.class_number, s.three_torsion) == cube_every_class(delta), delta
 
 
-def test_real_class_groups_enumerate_no_form(monkeypatch):
-    expected = {229: (3, 3), 999_999_997: (8, 1)}
+def test_class_groups_of_either_sign_enumerate_no_form(monkeypatch):
+    expected = {
+        229: (3, 3),
+        999_999_997: (8, 1),
+        -23: (3, 3),
+        -3299: (27, 9),
+        -999_999_995: (8856, 3),
+    }
     scan = scan_family(-35, 10**6)
 
     def no_enumeration(*args):
-        raise AssertionError("a real class group enumerated its reduced forms")
+        raise AssertionError("a class group enumerated its reduced forms")
 
     monkeypatch.setattr(classgroup, "reduced_forms", no_enumeration)
     for delta, (h, torsion) in expected.items():
@@ -581,10 +604,12 @@ def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     # h(-3299) = 27: the 3-Sylow subgroup is the whole group
     assert class_group_summary(-3299).class_number == 27
     monkeypatch.setattr(classgroup, "_prime_forms", lambda delta: iter(()))
-    with pytest.raises(ArithmeticError, match="stalled"):
-        class_group_summary(-3299)
+    # with h known (the sweep's route) the 3-Sylow span stalls loudly
     with pytest.raises(ArithmeticError, match="stalled"):
         _span_summary(-3299, 27)
+    # without h, the span is the group its forms generate, as for delta > 0:
+    # here the principal class alone
+    assert class_group_summary(-3299).class_number == 1
 
 
 def test_rho_index_refuses_a_walk_that_does_not_close():

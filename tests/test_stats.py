@@ -275,8 +275,15 @@ def test_compute_class_data_starts_no_more_workers_than_discriminants(monkeypatc
 
     monkeypatch.setattr(stats.multiprocessing, "Pool", FakePool)
     deltas = [-4 * d for d in scan_parameters(1, 2000)]
-    assert compute_class_data(deltas, jobs=10**6) == compute_class_data(deltas)
-    assert sizes == [len(deltas)] == [35]
+    expected = compute_class_data(deltas)
+    # nor more than there are CPUs; one CPU, or an unknown count, runs in
+    # this process with no pool
+    for cpus, want in ((64, [35]), (2, [2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
+        assert compute_class_data(deltas, jobs=10**6) == expected
+        assert sizes == want, cpus
+    assert len(deltas) == 35
 
 
 def test_compute_class_data_matches_per_delta_summaries():
