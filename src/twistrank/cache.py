@@ -3,13 +3,15 @@
 Each line is an object {"delta": ..., "h": ..., "three_torsion": ...} with
 keys in sorted order.  The cache only ever gains entries; rewrites go through
 a temporary file and an atomic rename, so a crash can never leave a
-half-written cache behind.  Single writer assumed.
+half-written cache behind, and keep the permission bits of the file they
+replace (a new file gets 0o666 less the umask).  Single writer assumed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 
 from .classgroup import ClassGroupSummary, summary_from_counts
@@ -88,20 +90,31 @@ def load(path: str) -> ClassData:
     return data
 
 
+def _file_mode(path: str) -> int:
+    """Permission bits for a rewrite of path: those of the file it replaces,
+    or 0o666 less the umask for a new file, as open() would create it."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, data: ClassData) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    mode = _file_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for delta in sorted(data):
-                s = data[delta]
-                fh.write(
-                    json.dumps(
-                        {"delta": s.delta, "h": s.class_number, "three_torsion": s.three_torsion},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            # the bytes json.dumps(..., sort_keys=True) gives for int values
+            fh.writelines(
+                f'{{"delta": {d}, "h": {data[d].class_number}, '
+                f'"three_torsion": {data[d].three_torsion}}}\n'
+                for d in sorted(data)
+            )
+        # mkstemp creates the file 0600, and the rename keeps that mode
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

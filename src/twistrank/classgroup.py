@@ -9,7 +9,9 @@ whole group from the prime forms of norm p <= sqrt(|delta|/3), or of norm
 p <= sqrt(delta)/2 and the negated principal form when delta > 0, entering
 each new class by its reduced form (by walking its rho-cycle when
 delta > 0), so h is the size of the span and no form is enumerated.
-3-torsion is then counted inside the 3-Sylow subgroup S as |S| / |S**3|,
+3-torsion is then counted inside the 3-Sylow subgroup S: as 3 as soon as one
+generator's 3**(v-1)-th power (|S| = 3**v) is not the identity, since that
+generator then has order |S| and S is cyclic, and otherwise as |S| / |S**3|,
 where S**3 is spanned by the cubes of the generators of S, so no class is
 cubed one by one.  The class numbers of many negative discriminants can
 instead come from one numpy sweep over the reduced forms of their window,
@@ -359,9 +361,13 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     With h = 3**v * m and 3 not dividing m, the 3-torsion lies in the 3-Sylow
     subgroup S, the image of x -> x**m.  If v = 0 it is trivial by Lagrange,
     and if v = 1 then S has prime order, so S = C3 is all 3-torsion.
-    Otherwise S is spanned by the y = g**m for g drawn from reduced forms that
-    generate the group, until |S| = 3**v, and the 3-torsion is counted as
-    |S| / |S**3|, with S**3 spanned by the cubes of the y that enlarged S.
+    Otherwise the y = g**m, for g drawn from reduced forms that generate the
+    group, are taken in turn, skipping each y whose class is already in S.
+    If y**(3**(v-1)) is not the identity, y has order |S|, so S is cyclic
+    and its 3-torsion is 3, decided by that one power.  If not, y is
+    adjoined to the span of S, until |S| = 3**v, and the 3-torsion is
+    counted as |S| / |S**3|, with S**3 spanned by the cubes of the y that
+    enlarged S.
     one is the identity's reduced form, and key(f) names the class of a
     reduced form f.  Raises ArithmeticError if the generators run out first.
     """
@@ -378,8 +384,16 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     spanning = []
     for g in generators:
         y = _power(g, m, delta, s)
-        if _adjoin(sylow, seen, y, delta, s, key):
-            spanning.append(y)
+        if key(y) in seen:
+            continue
+        # ord(y) divides |S| = 3**v, so if y**(3**(v-1)) is not the identity
+        # class then ord(y) = |S|: y generates S, S is cyclic and
+        # |S[3]| = 3.  Classes are compared by key, never by form, as a class
+        # has many reduced forms when delta > 0.
+        if key(_power(y, size // 3, delta, s)) != key(one):
+            return 3
+        _adjoin(sylow, seen, y, delta, s, key)
+        spanning.append(y)
         if len(sylow) == size:
             break
     if len(sylow) != size:

@@ -82,6 +82,12 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     path = _cache_path(args.cache)
+    if path:
+        # refused before any class group is computed: the save at the end
+        # could not create its temporary file there
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise ValueError(f"cache directory {directory} does not exist")
     supplied = cache_mod.load(path) if path and os.path.exists(path) else {}
     result = scan_family(
         args.A, args.max_x, k=args.k, jobs=args.jobs, class_data=supplied

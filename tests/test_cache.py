@@ -45,6 +45,25 @@ def test_save_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["c.ndjson"]
 
 
+def test_save_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    p = str(tmp_path / "c.ndjson")
+    umask = os.umask(0o022)
+    try:
+        # a new cache is created as open() would create it
+        cache.save(p, entries((-4, 1, 1)))
+        assert os.stat(p).st_mode & 0o777 == 0o644
+        os.chmod(p, 0o664)
+        cache.save(p, entries((-52, 2, 1)))
+        assert os.stat(p).st_mode & 0o777 == 0o664
+        # quarantine rewrites through the same writer
+        with open(p, "a") as fh:
+            fh.write("garbage\n")
+        assert cache.quarantine(p) == (2, 1)
+        assert os.stat(p).st_mode & 0o777 == 0o664
+    finally:
+        os.umask(umask)
+
+
 def test_load_missing_keys_rejected(tmp_path):
     p = str(tmp_path / "c.ndjson")
     with open(p, "w") as fh:

@@ -600,6 +600,39 @@ def test_rho_index_matches_the_rho_walk():
         assert index.size == cycles and set(index) == walked, delta
 
 
+@pytest.mark.parametrize(
+    "delta,h,torsion,adjoins",
+    [
+        # cyclic S, decided by the first y's power: no class is adjoined
+        (-199, 9, 3, False),
+        (-983, 27, 3, False),
+        (-3671, 81, 3, False),
+        (1129, 9, 3, False),
+        (8761, 27, 3, False),
+        # cyclic S, but a y of lower order is adjoined before one of full order
+        (-1607, 27, 3, True),
+        (15629, 9, 3, True),
+        # rank 2: no y has full order, so S is spanned; 32009 (C3 x C3) has
+        # y**3 equal to the identity class through a different reduced form
+        (-3299, 27, 9, True),
+        (-3896, 36, 9, True),
+        (32009, 9, 9, True),
+    ],
+)
+def test_cyclic_sylow_is_decided_by_one_power(monkeypatch, delta, h, torsion, adjoins):
+    calls = []
+    adjoin = classgroup._adjoin
+
+    def counted(*args):
+        calls.append(args)
+        return adjoin(*args)
+
+    monkeypatch.setattr(classgroup, "_adjoin", counted)
+    s = _span_summary(delta, h)
+    assert (s.class_number, s.three_torsion) == (h, torsion)
+    assert bool(calls) == adjoins
+
+
 def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     # h(-3299) = 27: the 3-Sylow subgroup is the whole group
     assert class_group_summary(-3299).class_number == 27

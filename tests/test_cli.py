@@ -165,6 +165,29 @@ def test_scan_rejects_corrupt_cache(capsys, tmp_path):
     assert "corrupt" in err
 
 
+def test_scan_refuses_a_cache_in_a_missing_directory_before_any_work(
+    capsys, tmp_path, monkeypatch
+):
+    from twistrank import stats
+
+    def no_class_data(*args, **kwargs):
+        raise AssertionError("class data computed before the cache path was checked")
+
+    monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    missing = tmp_path / "nodir"
+    code, out, err = run(
+        capsys, "scan", "1", "--max-x", "40000", "--cache", str(missing / "c.ndjson")
+    )
+    assert (code, out) == (2, "")
+    assert f"cache directory {missing} does not exist" in err
+    # the same holds for a cache named by the environment
+    monkeypatch.setenv(cache.CACHE_ENV_VAR, str(missing / "c.ndjson"))
+    code, out, err = run(capsys, "scan", "1", "--max-x", "40000")
+    assert (code, out) == (2, "")
+    assert "does not exist" in err
+    assert not missing.exists()
+
+
 def test_scan_negative_coefficient_parses(capsys):
     code, out, _ = run(capsys, "scan", "-35", "--max-x", "20000")
     assert code == 0
