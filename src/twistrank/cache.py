@@ -1,20 +1,28 @@
 """Persistent class-data cache: newline-delimited JSON keyed by discriminant.
 
 Each line is an object {"delta": ..., "h": ..., "three_torsion": ...} with
-keys in sorted order.  The cache only ever gains entries; rewrites go through
-a temporary file and an atomic rename, so a crash can never leave a
-half-written cache behind, and keep the permission bits of the file they
-replace (a new file gets 0o666 less the umask).  Single writer assumed.
+keys in sorted order.  A line in exactly that form is parsed by one pattern
+(_CANONICAL); any other line, a valid one with other key order or spacing
+included, goes through json.loads.  Every line is re-validated: delta must be
+a discriminant (nonzero, 0 or 1 mod 4, not a square) and the 3-torsion a power
+of 3 dividing h.  Fundamentality is not re-checked, since factoring each delta
+would cost more than the whole load.
+
+The cache only ever gains entries; rewrites go through a temporary file and
+an atomic rename, so a crash can never leave a half-written cache behind, and
+keep the permission bits of the file they replace (a new file gets 0o666 less
+the umask).  Single writer assumed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import tempfile
 
-from .classgroup import ClassGroupSummary, summary_from_counts
+from .classgroup import ClassGroupSummary, _check_discriminant, summary_from_counts
 
 CACHE_ENV_VAR = "TWISTRANK_CACHE"
 
@@ -39,14 +47,26 @@ def default_path() -> str | None:
     return os.environ.get(CACHE_ENV_VAR) or None
 
 
+# The line _write_atomic writes.  Integers follow JSON's own grammar with ASCII
+# [0-9]: \d would also match digits such as U+0664, which int() reads and JSON
+# refuses.  So a match is a JSON object with exactly these three integer keys.
+_INT = r"(-?(?:0|[1-9][0-9]*))"
+_CANONICAL = re.compile(rf'\{{"delta": {_INT}, "h": {_INT}, "three_torsion": {_INT}\}}')
+
+
 def _parse_line(line: str) -> ClassGroupSummary:
-    obj = json.loads(line)
-    if not isinstance(obj, dict) or set(obj) != {"delta", "h", "three_torsion"}:
-        raise ValueError("keys must be exactly delta, h, three_torsion")
-    delta, h, torsion = obj["delta"], obj["h"], obj["three_torsion"]
-    for name, v in (("delta", delta), ("h", h), ("three_torsion", torsion)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer")
+    match = _CANONICAL.fullmatch(line)
+    if match:
+        delta, h, torsion = map(int, match.groups())
+    else:
+        obj = json.loads(line)
+        if not isinstance(obj, dict) or set(obj) != {"delta", "h", "three_torsion"}:
+            raise ValueError("keys must be exactly delta, h, three_torsion")
+        delta, h, torsion = obj["delta"], obj["h"], obj["three_torsion"]
+        for name, v in (("delta", delta), ("h", h), ("three_torsion", torsion)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer")
+    _check_discriminant(delta)
     # re-derives the 3-rank, so this also rejects torsion values that are not
     # powers of 3 or do not divide h
     return summary_from_counts(delta, h, torsion)

@@ -82,12 +82,13 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     path = _cache_path(args.cache)
-    if path:
-        # refused before any class group is computed: the save at the end
-        # could not create its temporary file there
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise ValueError(f"cache directory {directory} does not exist")
+    # refused before any class group is computed: the cache, the report and
+    # the trace are all written after the scan, and could not be created there
+    for name, target in (("cache", path), ("report", args.report), ("trace", args.trace)):
+        if target:
+            directory = os.path.dirname(os.path.abspath(target))
+            if not os.path.isdir(directory):
+                raise ValueError(f"{name} directory {directory} does not exist")
     supplied = cache_mod.load(path) if path and os.path.exists(path) else {}
     result = scan_family(
         args.A, args.max_x, k=args.k, jobs=args.jobs, class_data=supplied
@@ -104,10 +105,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for rec in result.records:
-                h = result.class_data[rec.field_discriminant].class_number
+                s = result.class_data[rec.field_discriminant]
                 writer.writerow([
-                    rec.d, rec.field_discriminant, h, rec.three_rank, rec.selmer_dim,
-                    rec.rank_bound,
+                    rec.d, rec.field_discriminant, s.class_number, s.three_rank,
+                    rec.selmer_dim, rec.rank_bound,
                 ])
     return 0
 

@@ -13,9 +13,9 @@ bijection with.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,6 +137,10 @@ def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
     jobs = min(jobs, len(todo), os.cpu_count() or 1)
     if jobs == 1 or len(todo) < 8:
         return dict(zip(todo, map(_summary, tasks)))
+    # imported here, as only a pool needs it: loading it costs every other
+    # process (--jobs 1, a warm rescan, classgroup, twist, verify) about 10 ms
+    import multiprocessing
+
     chunk = max(1, len(todo) // (jobs * 8))
     with multiprocessing.Pool(jobs) as pool:
         return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))
@@ -226,14 +230,17 @@ def scan_family(
     n = len(records)
     # the square-free D with D * |Delta(A, 1)| < X
     squarefree_count = count_squarefree(-(-x // abs(base)))
-    ranks = [rec.three_rank for rec in records]
-    h3_mean = Fraction(sum(3**r for r in ranks), n)
-    avg_dim = Fraction(sum(rec.selmer_dim for rec in records), n)
-    k_hi = max(k, max(ranks) + case.dimension_parity)
+    # every statistic depends on a twist through its 3-rank r alone, and
+    # _record gives it selmer_dim = rank_bound = parity + 2r
+    per_rank = Counter(data[delta].three_rank for delta in deltas)
+    parity = case.dimension_parity
+    h3_mean = Fraction(sum(3**r * m for r, m in per_rank.items()), n)
+    avg_dim = Fraction(sum((parity + 2 * r) * m for r, m in per_rank.items()), n)
+    k_hi = max(k, max(per_rank) + parity)
     per_k: dict[int, Fraction] = {}
     within: dict[int, Fraction] = {}
     for kk in range(k_hi + 1):
-        certified = sum(1 for rec in records if rec.rank_bound <= 2 * kk)
+        certified = sum(m for r, m in per_rank.items() if parity + 2 * r <= 2 * kk)
         per_k[kk] = Fraction(certified, squarefree_count)
         within[kk] = Fraction(certified, n)
     report = FamilyReport(

@@ -86,6 +86,16 @@ def test_load_missing_keys_rejected(tmp_path):
         ('{"delta": -23, "h": 4, "three_torsion": 3}', "divide"),
         ('{"delta": -23, "h": 0, "three_torsion": 1}', "positive"),
         ('["not", "an", "object"]', "keys"),
+        # delta must be a discriminant, on either branch of the parser
+        ('{"delta": 0, "h": 1, "three_torsion": 1}', "nonzero"),
+        ('{"delta": -5, "h": 1, "three_torsion": 1}', "not a discriminant"),
+        ('{"delta": 1, "h": 1, "three_torsion": 1}', "degenerate"),
+        ('{"h": 1, "three_torsion": 1, "delta": 9}', "degenerate"),
+        # integers a looser pattern than JSON's grammar would accept
+        ('{"delta": -04, "h": 1, "three_torsion": 1}', "Expecting ',' delimiter"),
+        ('{"delta": -\u0664, "h": 1, "three_torsion": 1}', "Expecting value"),
+        ('{"delta": 1_0, "h": 1, "three_torsion": 1}', "Expecting ',' delimiter"),
+        ('{"delta": +4, "h": 1, "three_torsion": 1}', "Expecting value"),
     ],
 )
 def test_load_rejects_invalid_lines(tmp_path, line, reason_fragment):
@@ -95,6 +105,35 @@ def test_load_rejects_invalid_lines(tmp_path, line, reason_fragment):
     with pytest.raises(cache.CacheCorruption) as info:
         cache.load(p)
     assert reason_fragment in info.value.bad_lines[0][2]
+
+
+def test_non_canonical_lines_load_like_the_canonical_line(tmp_path):
+    p = str(tmp_path / "c.ndjson")
+    canonical = '{"delta": -244, "h": 6, "three_torsion": 3}'
+    for text in (
+        canonical + "\n",
+        '{"three_torsion": 3, "h": 6, "delta": -244}\n',
+        '{"delta":-244,"h":6,"three_torsion":3}\n',
+        '{ "delta" : -244 , "h" : 6 , "three_torsion" : 3 }\n',
+        canonical + " \t\n",
+        canonical + "\r\n",
+    ):
+        with open(p, "w", newline="") as fh:
+            fh.write(text)
+        assert cache.load(p) == entries((-244, 6, 3)), text
+    # every line save writes takes the pattern branch, and gives the summary
+    # its json.loads parse gives
+    cache.save(p, entries(
+        (-244, 6, 3), (-4, 1, 1), (140, 4, 1), (-3299, 27, 9), (32009, 9, 9),
+        (-999999995, 8856, 3),
+    ))
+    for line in open(p):
+        line = line.strip()
+        assert cache._CANONICAL.fullmatch(line), line
+        obj = json.loads(line)
+        assert cache._parse_line(line) == summary_from_counts(
+            obj["delta"], obj["h"], obj["three_torsion"]
+        )
 
 
 def test_duplicate_entries_must_agree(tmp_path):

@@ -180,6 +180,13 @@ def test_scan_refuses_a_cache_in_a_missing_directory_before_any_work(
     )
     assert (code, out) == (2, "")
     assert f"cache directory {missing} does not exist" in err
+    # so are a report and a trace, which are written after the scan too
+    for flag, name in (("--report", "report"), ("--trace", "trace")):
+        code, out, err = run(
+            capsys, "scan", "1", "--max-x", "40000", flag, str(missing / "out")
+        )
+        assert (code, out) == (2, "")
+        assert f"{name} directory {missing} does not exist" in err
     # the same holds for a cache named by the environment
     monkeypatch.setenv(cache.CACHE_ENV_VAR, str(missing / "c.ndjson"))
     code, out, err = run(capsys, "scan", "1", "--max-x", "40000")
@@ -226,21 +233,28 @@ sys.stderr.write(f"{imported} {'numpy' in sys.modules} {code}")
 """
 
 
-def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
-    # pytest itself has loaded numpy, so each check needs its own interpreter.
+MULTIPROCESSING_PROBE = NUMPY_PROBE.replace("numpy", "multiprocessing")
+
+
+def fresh_main(tmp_path, source, *argv):
+    """Runs a probe with argv in a fresh interpreter that imports this
+    checkout's twistrank; returns its stdout and the last line of its stderr."""
     env = dict(os.environ)
     env.pop("TWISTRANK_CACHE", None)
     package_root = str(Path(twistrank.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *argv], capture_output=True, env=env, cwd=tmp_path
+    )
+    return proc.stdout, proc.stderr.decode().splitlines()[-1]
 
+
+def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
+    # pytest itself has loaded numpy, so each check needs its own interpreter.
     def probe(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, env=env,
-            cwd=tmp_path,
-        )
-        return proc.stdout, proc.stderr.decode().splitlines()[-1]
+        return fresh_main(tmp_path, NUMPY_PROBE, *argv)
 
     # forms are enumerated in pure Python: only the sweep and the oracle load numpy
     for argv in (
@@ -255,6 +269,16 @@ def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
     assert cold_numpy == "False True 0"  # the sweep computed the class numbers
     warm, warm_numpy = probe(*argv)
     assert warm_numpy == "False False 0"  # every class number came from the cache
+    assert warm == cold
+
+
+def test_multiprocessing_loads_only_for_a_pool(tmp_path):
+    # --jobs 1 starts no pool, cold (the sweep and numpy) or warm
+    argv = ["scan", "1", "--max-x", "40000", "--jobs", "1", "--cache", "c.ndjson"]
+    cold, cold_loaded = fresh_main(tmp_path, MULTIPROCESSING_PROBE, *argv)
+    assert cold_loaded == "False False 0"
+    warm, warm_loaded = fresh_main(tmp_path, MULTIPROCESSING_PROBE, *argv)
+    assert warm_loaded == "False False 0"
     assert warm == cold
 
 

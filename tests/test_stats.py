@@ -7,6 +7,7 @@ value from an independent brute-force run.
 """
 
 import math
+import multiprocessing
 import warnings
 from fractions import Fraction
 
@@ -214,6 +215,18 @@ def test_scan_family_records_equal_certified_records(a, x):
     for rec in res.records:
         assert (rec.case, rec.field_discriminant) == _certify_twist(a, rec.d)
         assert rec == twist_record(a, rec.d, summary=res.class_data[rec.field_discriminant])
+    # the statistics, counted once per 3-rank, equal a recount over the records
+    r, n = res.report, len(res.records)
+    assert r.h3_mean == Fraction(sum(3**rec.three_rank for rec in res.records), n)
+    assert r.avg_selmer_dim == Fraction(sum(rec.selmer_dim for rec in res.records), n)
+    # the thresholds run up to the least k that certifies every twist
+    k_hi = -(-max(rec.rank_bound for rec in res.records) // 2)
+    assert list(r.certified_proportion_per_k) == list(range(k_hi + 1))
+    assert list(r.certified_proportion_within_family) == list(range(k_hi + 1))
+    for kk in range(k_hi + 1):
+        certified = sum(1 for rec in res.records if rec.rank_bound <= 2 * kk)
+        assert r.certified_proportion_per_k[kk] == Fraction(certified, r.squarefree_count)
+        assert r.certified_proportion_within_family[kk] == Fraction(certified, n)
 
 
 def test_scan_family_factors_no_twist_parameter(monkeypatch):
@@ -273,7 +286,7 @@ def test_compute_class_data_starts_no_more_workers_than_discriminants(monkeypatc
         def map(self, fn, items, chunksize=1):
             return list(map(fn, items))
 
-    monkeypatch.setattr(stats.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     deltas = [-4 * d for d in scan_parameters(1, 2000)]
     expected = compute_class_data(deltas)
     # nor more than there are CPUs; one CPU, or an unknown count, runs in
