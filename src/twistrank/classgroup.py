@@ -9,13 +9,16 @@ whole group from the prime forms of norm p <= sqrt(|delta|/3), or of norm
 p <= sqrt(delta)/2 and the negated principal form when delta > 0, entering
 each new class by its reduced form (by walking its rho-cycle when
 delta > 0), so h is the size of the span and no form is enumerated.
-3-torsion is then counted inside the 3-Sylow subgroup S: as 3 as soon as one
-generator's 3**(v-1)-th power (|S| = 3**v) is not the identity, since that
-generator then has order |S| and S is cyclic, and otherwise as |S| / |S**3|,
-where S**3 is spanned by the cubes of the generators of S, so no class is
-cubed one by one.  The class numbers of many negative discriminants can
-instead come from one numpy sweep over the reduced forms of their window,
-building no form; the 3-Sylow span then starts from the known h.  Two
+When 9 does not divide h, Lagrange settles the 3-torsion in _span_summary:
+1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
+Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
+v >= 2 (_sylow_three_torsion): as 3 as soon as one generator's
+3**(v-1)-th power is not the identity, since that generator then has order
+|S| and S is cyclic, and otherwise as |S| / |S**3|, where S**3 is spanned
+by the cubes of the generators of S, so no class is cubed one by one.  The
+class numbers of many negative discriminants can instead come from one
+numpy sweep over the reduced forms of their window, building no form; the
+3-Sylow span then starts from the known h, and only where 9 | h.  Two
 independent oracles cross-check the class numbers: the exact finite
 character sum behind the analytic class number formula, its character built
 from the prime discriminants of delta rather than from any table the span
@@ -356,13 +359,13 @@ def _adjoin(group: list, seen: set, y, delta: int, s: int, key) -> bool:
 
 
 def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> int:
-    """Number of classes x with x**3 = 1 in a class group of order h.
+    """Number of classes x with x**3 = 1 in a class group of order h, 9 | h.
 
-    With h = 3**v * m and 3 not dividing m, the 3-torsion lies in the 3-Sylow
-    subgroup S, the image of x -> x**m.  If v = 0 it is trivial by Lagrange,
-    and if v = 1 then S has prime order, so S = C3 is all 3-torsion.
-    Otherwise the y = g**m, for g drawn from reduced forms that generate the
-    group, are taken in turn, skipping each y whose class is already in S.
+    With h = 3**v * m, v >= 2 and 3 not dividing m, the 3-torsion lies in the
+    3-Sylow subgroup S, the image of x -> x**m (v <= 1 is settled by
+    _span_summary before any form is built).  The y = g**m, for g drawn from
+    reduced forms that generate the group, are taken in turn, skipping each
+    y whose class is already in S.
     If y**(3**(v-1)) is not the identity, y has order |S|, so S is cyclic
     and its 3-torsion is 3, decided by that one power.  If not, y is
     adjoined to the span of S, until |S| = 3**v, and the 3-torsion is
@@ -374,11 +377,7 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     m = h
     while m % 3 == 0:
         m //= 3
-    if m == h:
-        return 1
     size = h // m
-    if size == 3:
-        return 3
     sylow = [one]
     seen = {key(one)}
     spanning = []
@@ -494,23 +493,39 @@ class _RhoIndex(dict):
 # generate the group, and adjoining them all to the principal class lists it.
 
 
+def _principal_class(delta: int, s: int):
+    """The identity's reduced form and the class key of reduced forms.
+
+    A reduced definite form is its own class key, so no class index is built
+    when delta < 0.
+    """
+    one = _reduce_raw(*principal_form(delta), delta, s)
+    key = (lambda f: f) if delta < 0 else _RhoIndex(delta, s).__getitem__
+    return one, key
+
+
 def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
     """Summary of a fundamental discriminant of either sign, from prime forms.
 
     h is the (narrow) class number if known.  If not, the whole group is
     spanned from the prime forms first, its size is h, and the prime forms
     that enlarged it, which generate it, go on to span the 3-Sylow subgroup.
-    A reduced definite form is its own class key, so no class index is built
-    when delta < 0.
+    If 9 does not divide h, Lagrange settles the 3-torsion: 1 when 3 does
+    not divide h, and 3 when 3 || h, as the 3-Sylow subgroup then has order
+    3 and is C3.  So a known h with 9 not dividing it builds no form at all.
     """
     s = isqrt(delta) if delta > 0 else 0
-    one = _reduce_raw(*principal_form(delta), delta, s)
-    key = (lambda f: f) if delta < 0 else _RhoIndex(delta, s).__getitem__
-    gens = _prime_forms(delta)
-    if h is None:
+    spanned = h is None
+    if spanned:
+        one, key = _principal_class(delta, s)
         group, seen = [one], {key(one)}
-        gens = [g for g in gens if _adjoin(group, seen, g, delta, s, key)]
+        gens = [g for g in _prime_forms(delta) if _adjoin(group, seen, g, delta, s, key)]
         h = len(group)
+    if h % 9:
+        return summary_from_counts(delta, h, 3 if h % 3 == 0 else 1)
+    if not spanned:
+        one, key = _principal_class(delta, s)
+        gens = _prime_forms(delta)
     torsion = _sylow_three_torsion(delta, s, h, gens, one, key)
     return summary_from_counts(delta, h, torsion)
 

@@ -31,7 +31,7 @@ from .discriminants import (
     condition_star,
     enumerate_progression,
 )
-from .selmer import twist_record
+from .selmer import _dimension, twist_record
 from .stats import (
     compute_class_data,
     correspondence_check,
@@ -45,6 +45,13 @@ CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
 
 def _cache_path(explicit: str | None) -> str | None:
     return explicit or cache_mod.default_path()
+
+
+def _refuse_directory(name: str, target: str) -> None:
+    """Refuse a file path that names an existing directory: it could be neither
+    read nor written as a file."""
+    if os.path.isdir(target):
+        raise ValueError(f"{name} path {target} is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # the trace are all written after the scan, and could not be created there
     for name, target in (("cache", path), ("report", args.report), ("trace", args.trace)):
         if target:
+            _refuse_directory(name, target)
             directory = os.path.dirname(os.path.abspath(target))
             if not os.path.isdir(directory):
                 raise ValueError(f"{name} directory {directory} does not exist")
@@ -104,12 +112,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for rec in result.records:
-                s = result.class_data[rec.field_discriminant]
-                writer.writerow([
-                    rec.d, rec.field_discriminant, s.class_number, s.three_rank,
-                    rec.selmer_dim, rec.rank_bound,
-                ])
+            # class_data is in scan order, one discriminant per D
+            for d, (delta, s) in zip(result.parameters, result.class_data.items()):
+                dim = _dimension(result.case, delta, s)
+                writer.writerow([d, delta, s.class_number, s.three_rank, dim, dim])
     return 0
 
 
@@ -206,13 +212,17 @@ def _verify_cache(path: str | None) -> tuple[bool, str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     full = args.level == "full"
+    path = _cache_path(args.cache)
+    # refused before the first suite runs, so stdout stays empty
+    if path:
+        _refuse_directory("cache", path)
     suites = (
         ("analytic class numbers", _verify_analytic, (10**4 if full else 2000,)),
         ("group structures", _verify_structure, (2000,)),
         ("twist correspondence", _verify_correspondence, (10**5 if full else 10**4,)),
         ("progression condition", _verify_condition, (2000,)),
         ("rearrangement bound", _verify_rearrangement, (1000,)),
-        ("cache integrity", _verify_cache, (_cache_path(args.cache),)),
+        ("cache integrity", _verify_cache, (path,)),
     )
     failures = 0
     for name, fn, fn_args in suites:

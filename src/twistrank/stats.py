@@ -18,6 +18,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import count_squarefree, exact_log, factorize, squarefree_flags
 from .cache import ClassData
@@ -186,10 +187,25 @@ class FamilyReport:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """A family scan: its report, its twist parameters D in scan order, their
+    case, the class data of their discriminants (in the same order) and the
+    part of that data this scan computed."""
+
     report: FamilyReport
-    records: list[TwistRecord]
+    parameters: list[int]
+    case: StollCase
     class_data: ClassData
     new_class_data: ClassData
+
+    @cached_property
+    def records(self) -> list[TwistRecord]:
+        """One TwistRecord per D, in scan order, built on first access: no
+        statistic, report or trace reads them."""
+        a, case = self.report.a, self.case
+        return [
+            _record(case, a, d, delta, summary)
+            for d, (delta, summary) in zip(self.parameters, self.class_data.items())
+        ]
 
 
 def _rational_json(fr: Fraction) -> dict:
@@ -220,27 +236,27 @@ def scan_family(
         raise EmptyFamilyError(
             f"no twist parameters below X/(4|A|) = {x}/{abs(base)}; raise X"
         )
+    # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1,
+    # so delta = D * Delta(A, 1) by _base_discriminant's rule, as _certify_twist finds.
     deltas = [d * base for d in params]
     supplied = class_data or {}
     fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
     data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
-    # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1,
-    # so delta = D * Delta(A, 1) by _base_discriminant's rule, as _certify_twist finds.
-    records = [_record(case, a, d, delta, data[delta]) for d, delta in zip(params, deltas)]
-    n = len(records)
+    n = len(params)
     # the square-free D with D * |Delta(A, 1)| < X
     squarefree_count = count_squarefree(-(-x // abs(base)))
     # every statistic depends on a twist through its 3-rank r alone, and
-    # _record gives it selmer_dim = rank_bound = parity + 2r
-    per_rank = Counter(data[delta].three_rank for delta in deltas)
+    # selmer._dimension gives it selmer_dim = rank_bound = parity + 2r
+    per_rank = Counter(summary.three_rank for summary in data.values())
     parity = case.dimension_parity
+    per_dim = {parity + 2 * r: m for r, m in per_rank.items()}
     h3_mean = Fraction(sum(3**r * m for r, m in per_rank.items()), n)
-    avg_dim = Fraction(sum((parity + 2 * r) * m for r, m in per_rank.items()), n)
+    avg_dim = Fraction(sum(dim * m for dim, m in per_dim.items()), n)
     k_hi = max(k, max(per_rank) + parity)
     per_k: dict[int, Fraction] = {}
     within: dict[int, Fraction] = {}
     for kk in range(k_hi + 1):
-        certified = sum(m for r, m in per_rank.items() if parity + 2 * r <= 2 * kk)
+        certified = sum(m for dim, m in per_dim.items() if dim <= 2 * kk)
         per_k[kk] = Fraction(certified, squarefree_count)
         within[kk] = Fraction(certified, n)
     report = FamilyReport(
@@ -261,7 +277,7 @@ def scan_family(
         },
     )
     return ScanResult(
-        report=report, records=records, class_data=data, new_class_data=fresh
+        report=report, parameters=params, case=case, class_data=data, new_class_data=fresh
     )
 
 

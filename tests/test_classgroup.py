@@ -633,6 +633,33 @@ def test_cyclic_sylow_is_decided_by_one_power(monkeypatch, delta, h, torsion, ad
     assert bool(calls) == adjoins
 
 
+@pytest.mark.parametrize(
+    "delta,h,torsion",
+    [(-4, 1, 1), (-23, 3, 3), (-244, 6, 3), (-1987, 7, 1), (5, 1, 1), (229, 3, 3), (12, 2, 1)],
+)
+def test_known_h_prime_to_9_builds_no_form(monkeypatch, delta, h, torsion):
+    def no_forms(*args):
+        raise AssertionError("a form was built where Lagrange settles the 3-torsion")
+
+    for name in ("principal_form", "_prime_forms", "_mul"):
+        monkeypatch.setattr(classgroup, name, no_forms)
+    assert _span_summary(delta, h) == summary_from_counts(delta, h, torsion)
+
+
+def test_known_h_prime_to_9_agrees_with_the_span_and_the_brute_force():
+    checked = 0
+    for delta in range(-1000, 1001):
+        if not is_fundamental(delta):
+            continue
+        s = class_group_summary(delta)
+        if s.class_number % 9:
+            assert _span_summary(delta, s.class_number) == s
+            structure = brute_force_group_structure(delta)
+            assert s.three_rank == sum(1 for n in structure if n % 3 == 0), delta
+            checked += 1
+    assert checked > 500
+
+
 def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     # h(-3299) = 27: the 3-Sylow subgroup is the whole group
     assert class_group_summary(-3299).class_number == 27

@@ -147,6 +147,59 @@ def test_scan_trace_and_report_files(capsys, tmp_path):
     assert len(rows) == 8
 
 
+@pytest.mark.parametrize("a,x", [(1, 40_000), (-35, 10**6)])
+def test_scan_trace_rows_equal_certified_records(capsys, tmp_path, monkeypatch, a, x):
+    from twistrank.selmer import _certify_twist
+    from twistrank.stats import scan_parameters
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    trace = str(tmp_path / "t.csv")
+    code, _, _ = run(capsys, "scan", str(a), "--max-x", str(x), "--trace", trace)
+    assert code == 0
+    with open(trace, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound"]
+    params = scan_parameters(a, x)
+    assert len(rows) == len(params) > 10
+    for row, d in zip(rows, params):
+        # each twist certified from scratch, its class group computed alone
+        s = twistrank.class_group_summary(_certify_twist(a, d)[1])
+        rec = twistrank.twist_record(a, d, summary=s)
+        expected = [
+            rec.d, rec.field_discriminant, s.class_number, s.three_rank,
+            rec.selmer_dim, rec.rank_bound,
+        ]
+        assert row == [str(v) for v in expected]
+
+
+def test_scan_and_verify_refuse_a_directory_path_before_any_work(
+    capsys, tmp_path, monkeypatch
+):
+    import twistrank.cli as cli_mod
+    from twistrank import stats
+
+    def no_class_data(*args, **kwargs):
+        raise AssertionError("class data computed before the path was checked")
+
+    monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    for flag, name in (("--cache", "cache"), ("--report", "report"), ("--trace", "trace")):
+        code, out, err = run(capsys, "scan", "1", "--max-x", "40000", flag, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert f"{name} path {tmp_path} is a directory" in err
+    code, out, err = run(capsys, "verify", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"cache path {tmp_path} is a directory" in err
+    # the same holds for a cache named by the environment
+    monkeypatch.setenv(cache.CACHE_ENV_VAR, str(tmp_path))
+    for argv in (("scan", "1", "--max-x", "40000"), ("verify",)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_uses_cache_env_var(capsys, tmp_path, monkeypatch):
     cache_file = str(tmp_path / "env.ndjson")
     monkeypatch.setenv(cache.CACHE_ENV_VAR, cache_file)

@@ -229,6 +229,32 @@ def test_scan_family_records_equal_certified_records(a, x):
         assert r.certified_proportion_within_family[kk] == Fraction(certified, n)
 
 
+def test_scan_builds_records_only_on_first_access(capsys, monkeypatch, tmp_path):
+    from twistrank import cache
+    from twistrank.cli import main
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    calls = []
+    record = stats._record
+
+    def counted(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(stats, "_record", counted)
+    res = scan_family(1, 40_000)
+    assert calls == []
+    # a --trace row is written from the class data, not from a record
+    assert main(["scan", "1", "--max-x", "40000", "--trace", str(tmp_path / "t.csv")]) == 0
+    assert calls == []
+    records = res.records
+    assert len(calls) == res.report.family_size == len(records) > 100
+    assert res.records is records
+    assert len(calls) == res.report.family_size
+    assert [rec.d for rec in records] == res.parameters == scan_parameters(1, 40_000)
+    assert [rec.field_discriminant for rec in records] == list(res.class_data)
+
+
 def test_scan_family_factors_no_twist_parameter(monkeypatch):
     calls = []
 
