@@ -11,7 +11,8 @@ would cost more than the whole load.
 The cache only ever gains entries; rewrites go through a temporary file and
 an atomic rename, so a crash can never leave a half-written cache behind, and
 keep the permission bits of the file they replace (a new file gets 0o666 less
-the umask).  Single writer assumed.
+the umask).  A cache reached through a symlink is rewritten at the link's
+target, and the link stays.  Single writer assumed.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import re
 import stat
 import tempfile
 
-from .classgroup import ClassGroupSummary, _check_discriminant, summary_from_counts
+from .classgroup import ClassData, ClassGroupSummary, _check_discriminant, summary_from_counts
 
 CACHE_ENV_VAR = "TWISTRANK_CACHE"
 
-#: Validated class-group summaries keyed by discriminant.
-ClassData = dict[int, ClassGroupSummary]
 BadLine = tuple[int, str, str]  # (line number, raw text, reason)
 
 
@@ -122,7 +121,9 @@ def _file_mode(path: str) -> int:
 
 
 def _write_atomic(path: str, data: ClassData) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    # a symlink stays a link: the temporary file and the rename go to its target
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     mode = _file_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".tmp")
     try:
@@ -148,9 +149,7 @@ def save(path: str, data: ClassData) -> None:
     Entries already on disk are preserved: the stored file becomes the union
     of the existing valid entries and data.
     """
-    merged: ClassData = {}
-    if os.path.exists(path):
-        merged.update(load(path))
+    merged = load(path) if os.path.exists(path) else {}
     for delta, summary in data.items():
         if delta in merged and merged[delta] != summary:
             raise CacheCorruption(

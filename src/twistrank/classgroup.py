@@ -18,7 +18,10 @@ v >= 2 (_sylow_three_torsion): as 3 as soon as one generator's
 by the cubes of the generators of S, so no class is cubed one by one.  The
 class numbers of many negative discriminants can instead come from one
 numpy sweep over the reduced forms of their window, building no form; the
-3-Sylow span then starts from the known h, and only where 9 | h.  Two
+3-Sylow span then starts from the known h, and only where 9 | h.
+compute_class_data makes that choice for a set of discriminants (the sweep
+where _sweep_pays, class_group_summary for the rest), in a process pool
+when jobs > 1.  Two
 independent oracles cross-check the class numbers: the exact finite
 character sum behind the analytic class number formula, its character built
 from the prime discriminants of delta rather than from any table the span
@@ -30,6 +33,7 @@ subgroup.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -65,6 +69,10 @@ class ClassGroupSummary:
     class_number: int
     three_torsion: int
     three_rank: int
+
+
+#: Validated class-group summaries keyed by discriminant.
+ClassData = dict[int, ClassGroupSummary]
 
 
 class ExtraUnitsDiscriminant(ValueError):
@@ -142,13 +150,11 @@ def _rho_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, int]
 
 
 def _reduce_indefinite_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, int]:
-    steps = 0
-    while not _is_reduced_indefinite(a, b, s, delta):
+    for _ in range(100001):
+        if _is_reduced_indefinite(a, b, s, delta):
+            return a, b, c
         a, b, c = _rho_raw(a, b, c, delta, s)
-        steps += 1
-        if steps > 100000:
-            raise ArithmeticError(f"reduction of ({a},{b},{c}) did not terminate")
-    return a, b, c
+    raise ArithmeticError(f"reduction of ({a},{b},{c}) did not terminate")
 
 
 def _reduce_raw(a: int, b: int, c: int, delta: int, s: int) -> tuple[int, int, int]:
@@ -281,11 +287,7 @@ def _definite_class_numbers(deltas: list[int]) -> list[int]:
     ns = [-d for d in deltas]
     check_scan_limit("|delta|", max(ns))
     # _is_fundamental asks about n itself when n is odd and about n/4 when not.
-    flags = squarefree_flags(max(n if n % 2 else n // 4 for n in ns))
-
-    def squarefree(v: int) -> bool:
-        return flags[abs(v)] == 1
-
+    squarefree = squarefree_flags(max(n if n % 2 else n // 4 for n in ns)).__getitem__
     for delta in deltas:
         if delta >= 0 or not _is_fundamental(delta, squarefree):
             raise ValueError(f"{delta} is not a fundamental discriminant")
@@ -566,6 +568,41 @@ def class_group_summary(delta: int) -> ClassGroupSummary:
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     return _span_summary(delta)
+
+
+def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
+    """Summary of one discriminant, from its class number when the sweep gave one."""
+    delta, h = task
+    # class_group_summary's fundamentality re-check (~10 us) is the only guard for delta > 0.
+    return class_group_summary(delta) if h is None else _span_summary(delta, h)
+
+
+def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
+    """Class-group summary for each discriminant, optionally in parallel.
+
+    When one sweep over their window is cheaper than spanning each alone,
+    the negative discriminants take their class numbers from that sweep.
+    The result does not depend on jobs; partitioning only affects wall time,
+    and no more workers start than there are discriminants or CPUs.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be a positive integer")
+    todo = sorted(set(deltas))
+    negative = [d for d in todo if d < 0]
+    swept = {}
+    if _sweep_pays(negative):
+        swept = dict(zip(negative, _definite_class_numbers(negative)))
+    tasks = [(d, swept.get(d)) for d in todo]
+    jobs = min(jobs, len(todo), os.cpu_count() or 1)
+    if jobs == 1 or len(todo) < 8:
+        return dict(zip(todo, map(_summary, tasks)))
+    # imported here, as only a pool needs it: loading it costs every other
+    # process (--jobs 1, a warm rescan, classgroup, twist, verify) about 10 ms
+    import multiprocessing
+
+    chunk = max(1, len(todo) // (jobs * 8))
+    with multiprocessing.Pool(jobs) as pool:
+        return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
+    compute_class_data,
 )
 from .discriminants import (
     NEGATIVE,
@@ -33,7 +34,6 @@ from .discriminants import (
 )
 from .selmer import _dimension, twist_record
 from .stats import (
-    compute_class_data,
     correspondence_check,
     family_progression,
     rearrangement_check,
@@ -43,15 +43,14 @@ from .stats import (
 CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
 
 
-def _cache_path(explicit: str | None) -> str | None:
-    return explicit or cache_mod.default_path()
-
-
-def _refuse_directory(name: str, target: str) -> None:
+def _refuse_path(name: str, target: str) -> None:
     """Refuse a file path that names an existing directory: it could be neither
-    read nor written as a file."""
+    read nor written as a file.  An existing cache must be a regular file:
+    reading a FIFO blocks, and the atomic rewrite would replace a device."""
     if os.path.isdir(target):
         raise ValueError(f"{name} path {target} is a directory")
+    if name == "cache" and os.path.exists(target) and not os.path.isfile(target):
+        raise ValueError(f"cache path {target} is not a regular file")
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +87,24 @@ def cmd_twist(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    path = _cache_path(args.cache)
+    path = args.cache or cache_mod.default_path()
     # refused before any class group is computed: the cache, the report and
-    # the trace are all written after the scan, and could not be created there
+    # the trace are all written after the scan, each to its own file, and
+    # through a symlink into the directory of its target
+    named = {}
     for name, target in (("cache", path), ("report", args.report), ("trace", args.trace)):
         if target:
-            _refuse_directory(name, target)
-            directory = os.path.dirname(os.path.abspath(target))
+            _refuse_path(name, target)
+            resolved = os.path.realpath(target)
+            directory = os.path.dirname(resolved)
             if not os.path.isdir(directory):
                 raise ValueError(f"{name} directory {directory} does not exist")
+            # one file: one inode (as os.path.samefile) or one path yet to be made
+            st = os.stat(resolved) if os.path.exists(resolved) else None
+            key = (st.st_dev, st.st_ino) if st else resolved
+            if key in named:
+                raise ValueError(f"{named[key]} and {name} path {target} name one file")
+            named[key] = f"{name} path {target}"
     supplied = cache_mod.load(path) if path and os.path.exists(path) else {}
     result = scan_family(
         args.A, args.max_x, k=args.k, jobs=args.jobs, class_data=supplied
@@ -212,10 +220,10 @@ def _verify_cache(path: str | None) -> tuple[bool, str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     full = args.level == "full"
-    path = _cache_path(args.cache)
+    path = args.cache or cache_mod.default_path()
     # refused before the first suite runs, so stdout stays empty
     if path:
-        _refuse_directory("cache", path)
+        _refuse_path("cache", path)
     suites = (
         ("analytic class numbers", _verify_analytic, (10**4 if full else 2000,)),
         ("group structures", _verify_structure, (2000,)),

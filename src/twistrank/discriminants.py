@@ -38,14 +38,15 @@ def is_fundamental(delta: int) -> bool:
 
 
 def _is_fundamental(delta: int, squarefree: Callable[[int], bool]) -> bool:
+    # squarefree gets |delta| or |delta/4|: a sieve's flags.__getitem__ will do
     if delta == 1 or delta == 0:
         return False
     r = delta % 4
     if r == 1:
-        return squarefree(delta)
+        return squarefree(abs(delta))
     if r == 0:
         d = delta // 4
-        return d % 4 in (2, 3) and squarefree(d)
+        return d % 4 in (2, 3) and squarefree(abs(d))
     return False
 
 
@@ -76,11 +77,7 @@ def enumerate_progression(family: ProgressionFamily) -> list[int]:
     """All members of the family, sorted by absolute value (ascending)."""
     x, m, n = family.bound_x, family.residue_m, family.modulus_n
     check_scan_limit("bound_x", x)
-    flags = squarefree_flags(x)
-
-    def squarefree(v: int) -> bool:
-        return flags[abs(v)] == 1
-
+    squarefree = squarefree_flags(x).__getitem__
     if family.sign == NEGATIVE:
         candidates = range(m - n, -x, -n)
     else:

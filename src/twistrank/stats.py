@@ -5,15 +5,15 @@ rearrangement factor (3**(k+1) - 2)/(3**(k+1) - 1), the family density
 constant (1/8) * prod_{p | A} p/((p-1)(p+1)), their product (a certified
 asymptotic lower bound for the density of twists with rank <= 2k), and the
 asymptotic average-dimension bounds 1 (A > 0) and 4/3 (A < 0).  The
-empirical side scans a twist family, aggregates 3-ranks into certified
-proportions and averages, and checks the correspondence D -> D*Delta(A, 1)
+empirical side scans a twist family, aggregates the 3-ranks of its class
+data (from classgroup.compute_class_data) into certified proportions and
+averages, and checks the correspondence D -> D*Delta(A, 1)
 (selmer._base_discriminant) against the progression family it is in
 bijection with.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -21,14 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import count_squarefree, exact_log, factorize, squarefree_flags
-from .cache import ClassData
-from .classgroup import (
-    ClassGroupSummary,
-    _definite_class_numbers,
-    _span_summary,
-    _sweep_pays,
-    class_group_summary,
-)
+from .classgroup import ClassData, compute_class_data
 from .discriminants import (
     NEGATIVE,
     POSITIVE,
@@ -110,41 +103,6 @@ def scan_parameters(a: int, x: int) -> list[int]:
         return []
     flags = squarefree_flags(d_max)
     return [d for d in range(1, d_max + 1, 12 * abs(a)) if flags[d]]
-
-
-def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
-    """Summary of one discriminant, from its class number when the sweep gave one."""
-    delta, h = task
-    # class_group_summary's fundamentality re-check (~10 us) is the only guard for delta > 0.
-    return class_group_summary(delta) if h is None else _span_summary(delta, h)
-
-
-def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
-    """Class-group summary for each discriminant, optionally in parallel.
-
-    When one sweep over their window is cheaper than spanning each alone,
-    the negative discriminants take their class numbers from that sweep.
-    The result does not depend on jobs; partitioning only affects wall time,
-    and no more workers start than there are discriminants or CPUs.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    todo = sorted(set(deltas))
-    negative = [d for d in todo if d < 0]
-    swept = {}
-    if _sweep_pays(negative):
-        swept = dict(zip(negative, _definite_class_numbers(negative)))
-    tasks = [(d, swept.get(d)) for d in todo]
-    jobs = min(jobs, len(todo), os.cpu_count() or 1)
-    if jobs == 1 or len(todo) < 8:
-        return dict(zip(todo, map(_summary, tasks)))
-    # imported here, as only a pool needs it: loading it costs every other
-    # process (--jobs 1, a warm rescan, classgroup, twist, verify) about 10 ms
-    import multiprocessing
-
-    chunk = max(1, len(todo) // (jobs * 8))
-    with multiprocessing.Pool(jobs) as pool:
-        return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,113 @@ def test_scan_and_verify_refuse_a_directory_path_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "first,second", [("--cache", "--report"), ("--cache", "--trace"), ("--report", "--trace")]
+)
+def test_scan_refuses_two_paths_that_name_one_file(
+    capsys, tmp_path, monkeypatch, first, second
+):
+    import twistrank.cli as cli_mod
+    from twistrank import stats
+
+    def no_class_data(*args, **kwargs):
+        raise AssertionError("class data computed before the paths were checked")
+
+    monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    one, other = first[2:], second[2:]
+    # one name twice, for a file that does not exist yet
+    code, out, err = run(capsys, "scan", "1", "--max-x", "4000", first, "x", second, "x")
+    assert (code, out) == (2, "")
+    assert f"{one} path x and {other} path x name one file" in err
+    assert os.listdir(tmp_path) == []
+    # an existing file under other names: a relative path, a symlink, a hard link
+    Path("x").write_text("kept\n")
+    Path("link").symlink_to("x")
+    os.link("x", "hard")
+    for name in ("./x", "link", str(tmp_path / "link"), "hard"):
+        code, out, err = run(capsys, "scan", "1", "--max-x", "4000", first, "x", second, name)
+        assert (code, out) == (2, ""), name
+        assert f"{one} path x and {other} path {name} name one file" in err, name
+    if first == "--cache":
+        # a cache named by the environment too
+        monkeypatch.setenv(cache.CACHE_ENV_VAR, "link")
+        code, out, err = run(capsys, "scan", "1", "--max-x", "4000", second, "x")
+        assert (code, out) == (2, "")
+        assert f"cache path link and {other} path x name one file" in err
+    assert sorted(os.listdir(tmp_path)) == ["hard", "link", "x"]
+    assert Path("x").read_text() == "kept\n" and Path("link").is_symlink()
+
+
+def test_scan_writes_a_symlinked_cache_through_the_link(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "c.ndjson"
+    target.write_text("")
+    link = tmp_path / "link.ndjson"
+    link.symlink_to(target)
+    code, cold, _ = run(capsys, "scan", "1", "--max-x", "4000", "--cache", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert len(cache.load(str(target))) == json.loads(cold)["family_size"] == 71
+    assert os.listdir(real) == ["c.ndjson"]
+    # a warm rescan reads the entries through the link
+    code, warm, _ = run(capsys, "scan", "1", "--max-x", "4000", "--cache", str(link))
+    assert (code, warm) == (0, cold)
+    # a quarantine rewrites the target too
+    with open(target, "a") as fh:
+        fh.write("junk\n")
+    code, out, _ = run(capsys, "verify", "--cache", str(link))
+    assert code == 0 and "quarantined 1 corrupt line(s)" in out
+    assert link.is_symlink() and len(cache.load(str(target))) == 71
+    # the directory a link's target would be written to must exist
+    dangling = tmp_path / "dangling.ndjson"
+    dangling.symlink_to(tmp_path / "nodir" / "c.ndjson")
+    code, out, err = run(capsys, "scan", "1", "--max-x", "4000", "--cache", str(dangling))
+    assert (code, out) == (2, "")
+    assert f"cache directory {tmp_path / 'nodir'} does not exist" in err
+    assert dangling.is_symlink()
+
+
+# Runs main(argv) in a fresh interpreter in which computing class data fails,
+# and exits with main's exit code.
+NO_CLASS_DATA_PROBE = """
+import sys
+import twistrank.cli, twistrank.stats
+
+def no_class_data(*args, **kwargs):
+    raise AssertionError("class data computed before the cache path was checked")
+
+twistrank.cli.compute_class_data = twistrank.stats.compute_class_data = no_class_data
+sys.exit(twistrank.cli.main(sys.argv[1:]))
+"""
+
+
+def test_scan_and_verify_refuse_a_cache_that_is_not_a_regular_file(tmp_path):
+    # reading a FIFO blocks, so each run gets its own interpreter and a timeout
+    os.mkfifo(tmp_path / "fifo")
+    for argv, cache_env in (
+        (["scan", "1", "--max-x", "4000", "--cache", "fifo"], None),
+        (["verify", "--cache", "fifo"], None),
+        (["scan", "1", "--max-x", "4000"], "fifo"),
+        (["verify"], "fifo"),
+    ):
+        env = fresh_env()
+        if cache_env:
+            env[cache.CACHE_ENV_VAR] = cache_env
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_CLASS_DATA_PROBE, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert "cache path fifo is not a regular file" in proc.stderr, argv
+    assert os.listdir(tmp_path) == ["fifo"]
+    assert stat.S_ISFIFO(os.lstat(tmp_path / "fifo").st_mode)
+
+
 def test_scan_uses_cache_env_var(capsys, tmp_path, monkeypatch):
     cache_file = str(tmp_path / "env.ndjson")
     monkeypatch.setenv(cache.CACHE_ENV_VAR, cache_file)
@@ -289,17 +397,24 @@ sys.stderr.write(f"{imported} {'numpy' in sys.modules} {code}")
 MULTIPROCESSING_PROBE = NUMPY_PROBE.replace("numpy", "multiprocessing")
 
 
-def fresh_main(tmp_path, source, *argv):
-    """Runs a probe with argv in a fresh interpreter that imports this
-    checkout's twistrank; returns its stdout and the last line of its stderr."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    twistrank, with no cache configured."""
     env = dict(os.environ)
     env.pop("TWISTRANK_CACHE", None)
     package_root = str(Path(twistrank.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
+    return env
+
+
+def fresh_main(tmp_path, source, *argv):
+    """Runs a probe with argv in a fresh interpreter that imports this
+    checkout's twistrank; returns its stdout and the last line of its stderr."""
     proc = subprocess.run(
-        [sys.executable, "-c", source, *argv], capture_output=True, env=env, cwd=tmp_path
+        [sys.executable, "-c", source, *argv],
+        capture_output=True, env=fresh_env(), cwd=tmp_path,
     )
     return proc.stdout, proc.stderr.decode().splitlines()[-1]
 
@@ -333,6 +448,20 @@ def test_multiprocessing_loads_only_for_a_pool(tmp_path):
     warm, warm_loaded = fresh_main(tmp_path, MULTIPROCESSING_PROBE, *argv)
     assert warm_loaded == "False False 0"
     assert warm == cold
+
+
+# Imports twistrank.stats in a fresh interpreter; the last line of stderr says
+# whether that loaded the cache layer.
+STATS_PROBE = """
+import sys
+import twistrank.stats
+sys.stderr.write(str("twistrank.cache" in sys.modules))
+"""
+
+
+def test_stats_loads_no_cache_layer(tmp_path):
+    # pytest itself has loaded twistrank.cache, so the check needs its own interpreter
+    assert fresh_main(tmp_path, STATS_PROBE) == (b"", "False")
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +520,16 @@ def test_verify_full_passes(capsys, monkeypatch):
 
 
 def test_verify_checks_the_class_numbers_scans_use(capsys, monkeypatch):
-    from twistrank import stats
+    from twistrank import classgroup
 
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
-    sweep = stats._definite_class_numbers
+    sweep = classgroup._definite_class_numbers
 
     def off_by_one(deltas):
         # h(-1987) = 7: 8 is prime to 3, so the 3-torsion count still runs
         return [h + (d == -1987) for d, h in zip(deltas, sweep(deltas))]
 
-    monkeypatch.setattr(stats, "_definite_class_numbers", off_by_one)
+    monkeypatch.setattr(classgroup, "_definite_class_numbers", off_by_one)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAIL analytic class numbers: mismatch at delta = -1987\n" in out
@@ -408,19 +537,19 @@ def test_verify_checks_the_class_numbers_scans_use(capsys, monkeypatch):
 
 
 def test_verify_checks_the_3_torsion_scans_use(capsys, monkeypatch):
-    from twistrank import stats
+    from twistrank import classgroup
     from twistrank.classgroup import ClassGroupSummary
 
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
-    summary = stats._span_summary
+    summary = classgroup._span_summary
 
-    def trivial_torsion_at_minus_23(delta, h):
+    def trivial_torsion_at_minus_23(delta, h=None):
         # h(-23) = 3 and its 3-torsion is 3, not 1
         if delta == -23:
             return ClassGroupSummary(delta, h, 1, 0)
         return summary(delta, h)
 
-    monkeypatch.setattr(stats, "_span_summary", trivial_torsion_at_minus_23)
+    monkeypatch.setattr(classgroup, "_span_summary", trivial_torsion_at_minus_23)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "PASS analytic class numbers" in out

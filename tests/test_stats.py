@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistrank import selmer, stats
+from twistrank import classgroup, selmer, stats
 from twistrank.arith import factorize, is_squarefree
 from twistrank.classgroup import (
     analytic_class_number_oracle,
@@ -319,7 +319,7 @@ def test_compute_class_data_starts_no_more_workers_than_discriminants(monkeypatc
     # this process with no pool
     for cpus, want in ((64, [35]), (2, [2]), (1, []), (None, [])):
         sizes.clear()
-        monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(classgroup.os, "cpu_count", lambda: cpus)
         assert compute_class_data(deltas, jobs=10**6) == expected
         assert sizes == want, cpus
     assert len(deltas) == 35
@@ -347,7 +347,7 @@ def test_compute_class_data_sweeps_a_family(monkeypatch):
     def no_enumeration(delta):
         raise AssertionError(f"class_group_summary({delta}) called on the sweep path")
 
-    monkeypatch.setattr(stats, "class_group_summary", no_enumeration)
+    monkeypatch.setattr(classgroup, "class_group_summary", no_enumeration)
     assert compute_class_data(deltas) == expected
 
 
@@ -358,7 +358,7 @@ def test_compute_class_data_far_apart_pair_skips_the_sweep(monkeypatch):
     def no_sweep(deltas):
         raise AssertionError("a sweep over two far-apart discriminants")
 
-    monkeypatch.setattr(stats, "_definite_class_numbers", no_sweep)
+    monkeypatch.setattr(classgroup, "_definite_class_numbers", no_sweep)
     assert compute_class_data(deltas) == {d: class_group_summary(d) for d in deltas}
 
 
@@ -381,7 +381,7 @@ def test_compute_class_data_matches_the_oracles_at_the_scanned_scale():
 
 def test_compute_class_data_rejects_non_fundamental_on_the_sweep_path():
     deltas = [-4 * d for d in scan_parameters(1, 10**5)] + [-12]
-    assert stats._sweep_pays(sorted(deltas))
+    assert classgroup._sweep_pays(sorted(deltas))
     with pytest.raises(ValueError, match="^-12 is not a fundamental discriminant$"):
         compute_class_data(deltas)
 
