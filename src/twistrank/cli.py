@@ -34,6 +34,7 @@ from .discriminants import (
 )
 from .selmer import _dimension, twist_record
 from .stats import (
+    _MAX_K,
     correspondence_check,
     family_progression,
     rearrangement_check,
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-x", type=int, required=True, metavar="X",
                    help="discriminant bound X; twists use D < X/(4|A|)")
     p.add_argument("--k", type=int, default=0,
-                   help="rank threshold: certify rank <= 2k (default 0)")
+                   help=f"rank threshold: certify rank <= 2k (default 0); at most "
+                        f"{_MAX_K}, which certifies every twist below the scan limit")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for class-group computation, at most "
                         "the number of CPUs (default 1)")

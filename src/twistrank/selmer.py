@@ -48,25 +48,33 @@ FAMILY_RESIDUES = (1, 25)
 DIRECT_ONLY_RESIDUE = 13
 
 
-def _check_squarefree(name: str, n: int) -> None:
-    """Refuse n when some prime divides it twice."""
-    if any(e > 1 for _, e in factorize(n)):
+def _check_squarefree(name: str, n: int) -> tuple[tuple[int, int], ...]:
+    """Refuse n when some prime divides it twice; return its prime powers."""
+    powers = factorize(n)
+    if any(e > 1 for _, e in powers):
         raise ValidationError(f"{name} = {n} is not square-free")
+    return powers
+
+
+def _classify(a: int) -> tuple[StollCase, tuple[int, ...]]:
+    """The case of a Mordell coefficient and the primes of |A|, from one
+    factorization; refuses anything outside the formula."""
+    if a == 0:
+        raise ValidationError("A must be nonzero")
+    primes = tuple(p for p, _ in _check_squarefree("A", a))
+    r = a % 36
+    if r in FAMILY_RESIDUES:
+        return (StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG), primes
+    if r == DIRECT_ONLY_RESIDUE:
+        return (StollCase.NEG5_A_POS if a > 0 else StollCase.NEG5_A_NEG), primes
+    raise ValidationError(
+        f"A = {a} has A mod 36 = {r}; need 1 or 25 (family cases) or 13 (direct case)"
+    )
 
 
 def validate_coefficient(a: int) -> StollCase:
     """Classify a Mordell coefficient, rejecting anything outside the formula."""
-    if a == 0:
-        raise ValidationError("A must be nonzero")
-    _check_squarefree("A", a)
-    r = a % 36
-    if r in FAMILY_RESIDUES:
-        return StollCase.NEG2_8_A_POS if a > 0 else StollCase.NEG2_8_A_NEG
-    if r == DIRECT_ONLY_RESIDUE:
-        return StollCase.NEG5_A_POS if a > 0 else StollCase.NEG5_A_NEG
-    raise ValidationError(
-        f"A = {a} has A mod 36 = {r}; need 1 or 25 (family cases) or 13 (direct case)"
-    )
+    return _classify(a)[0]
 
 
 def _base_discriminant(case: StollCase, a: int) -> int:

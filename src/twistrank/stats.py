@@ -4,12 +4,13 @@ The theoretical side is exact rational arithmetic: the mean-to-proportion
 rearrangement factor (3**(k+1) - 2)/(3**(k+1) - 1), the family density
 constant (1/8) * prod_{p | A} p/((p-1)(p+1)), their product (a certified
 asymptotic lower bound for the density of twists with rank <= 2k), and the
-asymptotic average-dimension bounds 1 (A > 0) and 4/3 (A < 0).  The
-empirical side scans a twist family, aggregates the 3-ranks of its class
-data (from classgroup.compute_class_data) into certified proportions and
-averages, and checks the correspondence D -> D*Delta(A, 1)
-(selmer._base_discriminant) against the progression family it is in
-bijection with.
+asymptotic average-dimension bounds 1 (A > 0) and 4/3 (A < 0).  These
+constants, the twist parameters and Delta(A, 1) come from one family value
+(_Family), which classifies and factors A once.  The empirical side scans a
+twist family, aggregates the 3-ranks of its class data (from
+classgroup.compute_class_data) into certified proportions and averages, and
+checks the correspondence D -> D*Delta(A, 1) (selmer._base_discriminant)
+against the progression family it is in bijection with.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
+from math import prod
 
-from .arith import count_squarefree, exact_log, factorize, squarefree_flags
+from .arith import count_squarefree, exact_log, squarefree_flags
 from .classgroup import ClassData, compute_class_data
 from .discriminants import (
+    MAX_DISCRIMINANT,
     NEGATIVE,
     POSITIVE,
     ProgressionFamily,
@@ -30,7 +34,7 @@ from .discriminants import (
     condition_star,
     enumerate_progression,
 )
-from .selmer import StollCase, TwistRecord, _base_discriminant, _record, validate_coefficient
+from .selmer import StollCase, TwistRecord, _base_discriminant, _classify, _record
 
 
 class EmptyFamilyError(ValueError):
@@ -53,37 +57,79 @@ def proportion_bound_from_mean(mean_bound: Fraction, k: int) -> Fraction:
     return Fraction(cutoff - b, cutoff - 1)
 
 
-def _family_case(a: int) -> StollCase:
-    case = validate_coefficient(a)
-    if case.uses_sqrt_3a:
-        raise ValueError(
-            f"A = {a} is in the direct-evaluation case (A ≡ 13 mod 36); "
-            "family statistics cover A ≡ 1, 25 mod 36 only"
-        )
-    return case
+@dataclass(frozen=True)
+class _Family:
+    """The twist family of A, classified and factored once.  It accepts what
+    validate_coefficient accepts: its progression covers A ≡ 13 mod 36 too,
+    and its parameters and constants refuse that direct-evaluation case."""
+
+    a: int
+    case: StollCase
+    base: int  # Delta(A, 1)
+    primes: tuple[int, ...]
+
+    @classmethod
+    def of(cls, a: int) -> _Family:
+        case, primes = _classify(a)
+        return cls(a, case, _base_discriminant(case, a), primes)
+
+    def _refuse_direct_case(self) -> None:
+        if self.case.uses_sqrt_3a:
+            raise ValueError(
+                f"A = {self.a} is in the direct-evaluation case (A ≡ 13 mod 36); "
+                "family statistics cover A ≡ 1, 25 mod 36 only"
+            )
+
+    def parameters(self, x: int) -> list[int]:
+        self._refuse_direct_case()
+        if x < 1:
+            raise ValueError("X must be a positive integer")
+        check_scan_limit("X", x)
+        d_max = (x - 1) // abs(self.base)
+        flags = squarefree_flags(d_max)
+        return [d for d in range(1, d_max + 1, 12 * abs(self.a)) if flags[d]]
+
+    def progression(self, x: int) -> ProgressionFamily:
+        sign = NEGATIVE if self.base < 0 else POSITIVE
+        return ProgressionFamily(x, self.base, 12 * abs(self.a * self.base), sign)
+
+    def corresponds(self, x: int) -> bool:
+        params = self.parameters(x)
+        image = {d * self.base for d in params}
+        if len(image) != len(params):
+            return False
+        return image == set(enumerate_progression(self.progression(x)))
+
+    @property
+    def density_constant(self) -> Fraction:
+        self._refuse_direct_case()
+        return Fraction(1, 8) * prod(Fraction(p, (p - 1) * (p + 1)) for p in self.primes)
+
+    def certified_density_bound(self, k: int) -> Fraction:
+        return low_rank_factor(k) * self.density_constant
+
+    @property
+    def average_dimension_bound(self) -> Fraction:
+        self._refuse_direct_case()
+        return Fraction(1) if self.a > 0 else Fraction(4, 3)
 
 
 def density_constant(a: int) -> Fraction:
     """Asymptotic density of the twist family inside the square-free integers:
     (1/8) * prod over primes p | A of p / ((p - 1) * (p + 1)), exactly."""
-    _family_case(a)
-    out = Fraction(1, 8)
-    for p, _ in factorize(a):
-        out *= Fraction(p, (p - 1) * (p + 1))
-    return out
+    return _Family.of(a).density_constant
 
 
 def certified_density_bound(a: int, k: int) -> Fraction:
     """Certified asymptotic lower bound for the density, among all square-free
     integers, of twist parameters whose curve gets rank bound <= 2k."""
-    return low_rank_factor(k) * density_constant(a)
+    return _Family.of(a).certified_density_bound(k)
 
 
 def average_dimension_bound(a: int) -> Fraction:
     """Asymptotic upper bound for the family-average Selmer dimension: 1 for
     A > 0 (even branch), 4/3 for A < 0 (odd branch)."""
-    _family_case(a)
-    return Fraction(1) if a > 0 else Fraction(4, 3)
+    return _Family.of(a).average_dimension_bound
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +140,12 @@ def scan_parameters(a: int, x: int) -> list[int]:
     """Twist parameters D for the family at bound X: square-free D ≡ 1 mod 12|A|
     with 0 < D < X/|Delta(A, 1)|; equivalently the D with D*Delta(A, 1) in the
     progression family the correspondence maps onto."""
-    base = _base_discriminant(_family_case(a), a)
-    if x < 1:
-        raise ValueError("X must be a positive integer")
-    check_scan_limit("X", x)
-    d_max = (x - 1) // abs(base)
-    if d_max < 1:
-        return []
-    flags = squarefree_flags(d_max)
-    return [d for d in range(1, d_max + 1, 12 * abs(a)) if flags[d]]
+    return _Family.of(a).parameters(x)
+
+
+#: 3**r | h < |delta| <= MAX_DISCRIMINANT gives r < _MAX_K, so every dimension
+#: parity + 2r is below 2*_MAX_K: k = _MAX_K certifies every twist a scan reaches.
+_MAX_K = next(k for k in count() if 3**k >= MAX_DISCRIMINANT)
 
 
 @dataclass(frozen=True)
@@ -186,11 +229,11 @@ def scan_family(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    case = _family_case(a)
-    base = _base_discriminant(case, a)
-    params = scan_parameters(a, x)
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}, which certifies every twist")
+    family = _Family.of(a)
+    base, params = family.base, family.parameters(x)
     if not params:
-        # |Delta(A, 1)| = 4|A| in the family cases
         raise EmptyFamilyError(
             f"no twist parameters below X/(4|A|) = {x}/{abs(base)}; raise X"
         )
@@ -206,7 +249,7 @@ def scan_family(
     # every statistic depends on a twist through its 3-rank r alone, and
     # selmer._dimension gives it selmer_dim = rank_bound = parity + 2r
     per_rank = Counter(summary.three_rank for summary in data.values())
-    parity = case.dimension_parity
+    parity = family.case.dimension_parity
     per_dim = {parity + 2 * r: m for r, m in per_rank.items()}
     h3_mean = Fraction(sum(3**r * m for r, m in per_rank.items()), n)
     avg_dim = Fraction(sum(dim * m for dim, m in per_dim.items()), n)
@@ -229,13 +272,13 @@ def scan_family(
         certified_proportion_within_family=within,
         theoretical={
             "low_rank_factor": low_rank_factor(k),
-            "density_constant": density_constant(a),
-            "certified_density_bound": certified_density_bound(a, k),
-            "average_dimension_bound": average_dimension_bound(a),
+            "density_constant": family.density_constant,
+            "certified_density_bound": family.certified_density_bound(k),
+            "average_dimension_bound": family.average_dimension_bound,
         },
     )
     return ScanResult(
-        report=report, parameters=params, case=case, class_data=data, new_class_data=fresh
+        report=report, parameters=params, case=family.case, class_data=data, new_class_data=fresh
     )
 
 
@@ -268,19 +311,13 @@ def family_progression(a: int, x: int) -> ProgressionFamily:
     discriminants ≡ Delta(A, 1) mod 12*|A*Delta(A, 1)|, of the sign of
     Delta(A, 1), as D ≡ 1 mod 12|A| maps to D*Delta(A, 1).  For A ≡ 1, 25
     mod 36 that is -4*A mod 48*A**2; refuses an A outside the formula."""
-    base = _base_discriminant(validate_coefficient(a), a)
-    return ProgressionFamily(x, base, 12 * abs(a * base), NEGATIVE if base < 0 else POSITIVE)
+    return _Family.of(a).progression(x)
 
 
 def correspondence_check(a: int, x: int) -> bool:
     """Verify D -> D*Delta(A, 1) maps the twist parameters bijectively onto
     the family_progression(A, X)."""
-    base = _base_discriminant(_family_case(a), a)
-    params = scan_parameters(a, x)
-    image = {d * base for d in params}
-    if len(image) != len(params):
-        return False
-    return image == set(enumerate_progression(family_progression(a, x)))
+    return _Family.of(a).corresponds(x)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,30 @@ def test_scan_refuses_two_paths_that_name_one_file(
     assert Path("x").read_text() == "kept\n" and Path("link").is_symlink()
 
 
+def test_scan_refuses_a_k_past_19_before_any_work(capsys, tmp_path, monkeypatch):
+    import twistrank.cli as cli_mod
+    from twistrank import stats
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "k.ndjson"
+    # k = 19 certifies every twist below the scan limit, and still scans
+    code, out, _ = run(capsys, "scan", "1", "--max-x", "400", "--k", "19", "--cache", str(path))
+    assert code == 0
+    assert sorted(map(int, json.loads(out)["certified_proportion_per_k"])) == list(range(20))
+    path.unlink()
+
+    def no_class_data(*args, **kwargs):
+        raise AssertionError("class data computed for a refused k")
+
+    monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
+    for k in ("20", "9010", "1000000000"):
+        code, out, err = run(capsys, "scan", "1", "--max-x", "400", "--k", k, "--cache", str(path))
+        assert (code, out) == (2, ""), k
+        assert "k must be at most 19" in err, k
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_writes_a_symlinked_cache_through_the_link(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     real = tmp_path / "real"

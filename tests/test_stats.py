@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistrank import classgroup, selmer, stats
+from twistrank import classgroup, discriminants, selmer, stats
 from twistrank.arith import factorize, is_squarefree
 from twistrank.classgroup import (
     analytic_class_number_oracle,
@@ -289,6 +289,41 @@ def test_scan_family_factors_no_twist_parameter(monkeypatch):
     assert calls == factored and set(factored) == {1}
 
 
+@pytest.mark.parametrize("a,x", [(1, 40_000), (-35, 10**6)])
+def test_a_scan_factors_a_once(monkeypatch, a, x):
+    calls = []
+
+    def count(n):
+        calls.append(n)
+        return factorize(n)
+
+    # every module that imports factorize; arith's own is_squarefree is left
+    # out, as there the fundamentality re-check of Delta = 140 (D = 1) factors
+    # |A| * D = 35, which is not a factorization of A
+    for module in (classgroup, discriminants, selmer, stats):
+        if hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", count)
+    res = scan_family(a, x)
+    assert res.report.family_size > 10
+    assert [n for n in calls if abs(n) == abs(a)] == [a]
+
+
+def test_scan_refuses_a_k_past_the_last_row_before_any_work(monkeypatch):
+    # 3**r | h < |delta| <= 10**9 gives r <= 18, so every rank bound is at
+    # most 37 and k = 19 certifies every twist; a larger k only repeats rows
+    rows = scan_family(1, 400, k=19).report.certified_proportion_per_k
+    assert list(rows) == list(range(20))
+    assert rows[19] == rows[1] == Fraction(7, 61)
+
+    def no_sieve(limit):
+        raise AssertionError(f"squarefree_flags({limit}) for a refused k")
+
+    monkeypatch.setattr(stats, "squarefree_flags", no_sieve)
+    for k in (20, 9010, 10**9):
+        with pytest.raises(ValueError, match="^k must be at most 19, which certifies"):
+            scan_family(1, 400, k=k)
+
+
 def test_compute_class_data_parallel_agrees():
     deltas = [-4 * d for d in scan_parameters(1, 2000)]
     assert compute_class_data(deltas, jobs=1) == compute_class_data(deltas, jobs=4)
@@ -438,10 +473,38 @@ def test_family_progression_is_the_image_of_the_sqrt_3a_twists(a, twists):
     assert len(image) == twists
 
 
+#: Every public entry point that takes a coefficient A, at a small X and k.
+FAMILY_ENTRY_POINTS = {
+    "scan_parameters": lambda a: scan_parameters(a, 10**4),
+    "scan_family": lambda a: scan_family(a, 10**4),
+    "density_constant": density_constant,
+    "certified_density_bound": lambda a: certified_density_bound(a, 1),
+    "average_dimension_bound": average_dimension_bound,
+    "correspondence_check": lambda a: correspondence_check(a, 10**4),
+}
+
+
 @pytest.mark.parametrize("a", [0, 2, 49])
 def test_family_progression_refuses_invalid_coefficients(a):
     with pytest.raises(ValidationError):
         family_progression(a, 10**6)
+    # as does every other entry point that takes A
+    for entry in FAMILY_ENTRY_POINTS.values():
+        with pytest.raises(ValidationError):
+            entry(a)
+
+
+@pytest.mark.parametrize("name", FAMILY_ENTRY_POINTS)
+@pytest.mark.parametrize("a", [13, -23])
+def test_family_statistics_refuse_the_direct_case_at_every_entry_point(monkeypatch, a, name):
+    def no_class_data(*args, **kwargs):
+        raise AssertionError("class data computed for a refused A")
+
+    monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    with pytest.raises(ValueError, match=f"^A = {a} is in the direct-evaluation case"):
+        FAMILY_ENTRY_POINTS[name](a)
+    # while the progression covers it: Delta(A, 1) = 12A, modulus 12*|A*12A|
+    assert family_progression(a, 10**4).modulus_n == 144 * a * a
 
 
 def test_nh_mean_frozen_value():
