@@ -4,11 +4,22 @@ For delta < 0 the class group is realized by the unique reduced positive
 definite forms; for delta > 0 the narrow class group is realized by
 rho-cycles of reduced indefinite forms (the narrow and ordinary groups share
 their odd part, which is all the 3-rank machinery consumes).  Composition is
-Dirichlet's.  One routine (_span_summary) serves both signs: it spans the
-whole group from the prime forms of norm p <= sqrt(|delta|/3), or of norm
-p <= sqrt(delta)/2 and the negated principal form when delta > 0, entering
-each new class by its reduced form (by walking its rho-cycle when
-delta > 0), so h is the size of the span and no form is enumerated.
+Dirichlet's, with one modular inverse for a square or a product of forms
+with coprime leading coefficients (_mul).  One routine (_span_summary)
+serves both signs: it spans the whole group from the prime forms of norm
+p <= sqrt(|delta|/3), or of norm p <= sqrt(delta)/2 and the negated
+principal form when delta > 0, entering each new class by its reduced form,
+so h is the size of the span and no form is enumerated.  When delta > 0 a
+class x is entered by walking its rho-cycle, and that one walk also numbers
+x**-1, x*sigma and x**-1*sigma, sigma the class of the negated principal
+form, whose cycles are the images (c, b, a), (-a, b, -c) and (-c, b, -a) of
+the forms (a, b, c) of x (_RhoIndex): (c, b, a) lies in x**-1 by
+(x, y) -> (-y, x), and each image is reduced, as reducedness depends only
+on |a|, b and |c| and is symmetric in |a| and |c|, since
+4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).  A prime p is passed over
+before its square root is taken once a spanned class holds a reduced form
+led by p, since the only such forms with p <= sqrt(delta)/2 are the prime
+forms of norm p and their inverses.
 When 9 does not divide h, Lagrange settles the 3-torsion in _span_summary:
 1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
 Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
@@ -34,7 +45,7 @@ subgroup.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
@@ -322,11 +333,34 @@ def _definite_class_numbers(deltas: list[int]) -> list[int]:
 def _mul(
     t1: tuple[int, int, int], t2: tuple[int, int, int], delta: int, s: int
 ) -> tuple[int, int, int]:
-    """Reduced product of two reduced forms; s = isqrt(delta) when delta > 0."""
-    # Dirichlet's united-form identity holds whatever the signs of a1 and a2,
-    # and proper equivalence is narrow equivalence, so forms led by a < 0
-    # compose as they are.
-    return _reduce_raw(*_compose_raw(*t1, *t2, delta), delta, s)
+    """Reduced product of two reduced forms; s = isqrt(delta) when delta > 0.
+
+    Dirichlet's united forms (Cohen, GTM 138, §5.4) fix the product's b3
+    mod 2*a3 by b3 ≡ b1 mod 2*a1/d, b3 ≡ b2 mod 2*a2/d and
+    b3**2 ≡ delta mod 4*a3, with d = gcd(a1, a2, (b1 + b2)/2) and
+    a3 = a1*a2/d**2.  Two cases need one modular inverse (pow, in C):
+    - gcd(a1, a2) = 1: b3 = b2 + 2*a2*k with k ≡ (b1 - b2)/2 * a2**-1 mod a1;
+    - a square, with d = gcd(a, b) and a' = a/d: b3 = b + 2*a'*k with
+      k ≡ -c * (b/d)**-1 mod a', as then 4*a'*(d*c + k*b) ≡ 0 mod 4*a'**2.
+    Any other pair goes through _compose_raw.  Both identities hold whatever
+    the signs of a1 and a2 (so inverses are taken mod |a|), and proper
+    equivalence is narrow equivalence, so forms led by a < 0 compose as
+    they are.
+    """
+    a1, b1, c1 = t1
+    a2, b2, _ = t2
+    if t1 == t2:
+        d = gcd(a1, b1)
+        m = a1 // d
+        k = -c1 * pow(b1 // d, -1, abs(m))
+        a3, b3 = m * m, b1 + 2 * m * k
+    elif gcd(a1, a2) == 1:
+        k = (b1 - b2) // 2 * pow(a2, -1, abs(a1)) % a1
+        a3, b3 = a1 * a2, b2 + 2 * a2 * k
+    else:
+        return _reduce_raw(*_compose_raw(*t1, *t2, delta), delta, s)
+    b3 %= 2 * a3
+    return _reduce_raw(a3, b3, (b3 * b3 - delta) // (4 * a3), delta, s)
 
 
 def _power(t: tuple[int, int, int], e: int, delta: int, s: int) -> tuple[int, int, int]:
@@ -409,7 +443,9 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     return size // len(cubes)
 
 
-def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
+def _prime_forms(
+    delta: int, known: Callable[[int], bool] | None = None
+) -> Iterator[tuple[int, int, int]]:
     """Reduced prime forms (p, b, (b*b - delta)/4p), for the primes p <= amax
     with (delta/p) != -1, in increasing order of p; when delta > 0 they are
     followed by the reduced negated principal form (-1, b, (delta - b*b)/4).
@@ -419,9 +455,11 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
     form (a, b, c) with 0 < |a| <= amax, and that form is a product of prime
     forms and their inverses for the p dividing |a|, times the negated
     principal form when a < 0 (for delta > 0, see the comment above
-    _span_summary).  When delta > 0, 2p <= s = isqrt(delta), so the window
+    _principal_class).  When delta > 0, 2p <= s = isqrt(delta), so the window
     s + 1 - 2p <= b <= s holds exactly one b of each class mod 2p, and the
-    form with that b is reduced as built.
+    form with that b is reduced as built.  A prime p with known(p) true is
+    passed over before its square root is taken; known is asked when p is
+    reached, so it sees what the forms yielded before p have spanned.
     """
     check_scan_limit("|delta|", abs(delta))
     s = isqrt(delta) if delta > 0 else 0
@@ -429,6 +467,8 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
     for p in _primes():
         if p > amax:
             break
+        if known is not None and known(p):
+            continue
         if p == 2:
             b = next((b for b in range(4) if (b * b - delta) % 8 == 0), None)
         else:
@@ -450,33 +490,85 @@ def _prime_forms(delta: int) -> Iterator[tuple[int, int, int]]:
 class _RhoIndex(dict):
     """Class index (narrow when delta > 0) of the reduced forms of one delta.
 
-    Looking up a form not entered yet enters it under the next class number:
-    alone when delta < 0, as a reduced definite form is the only reduced form
-    of its class, and with every form of its rho-cycle, walked from it, when
+    Looking up a form not indexed yet gives it a new class number: alone when
+    delta < 0, as a reduced definite form is the only reduced form of its
+    class, and with every form of its rho-cycle, walked from it, when
     delta > 0.  So index[f] names the class of any reduced form f.
+
+    With images (the span's index), one walk numbers up to four classes.  For
+    sigma the class of the negated principal form, the images (c, b, a),
+    (-a, b, -c) and (-c, b, -a) of a reduced form (a, b, c) of a class x are
+    reduced forms of x**-1, x*sigma and x**-1*sigma:
+    - (c, b, a) lies in x**-1, the class of (a, -b, c), by (x, y) -> (-y, x);
+    - (-a, b, -c) lies in x*sigma: it is the united-form product of (a, b, c)
+      with (-1, b, -a*c), a form of sigma;
+    - reducedness, |sqrt(delta) - 2|a|| < b < sqrt(delta), depends only on
+      |a|, b and |c|, and is symmetric in |a| and |c|, since
+      4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).
+    The three maps are commuting involutions, and the reduced forms of a
+    class are one cycle, so each maps the cycle of x onto the whole cycle of
+    its image class.  The walk of x therefore numbers x and every image class
+    that is not x itself (an image of the walked form lies in the walked
+    cycle exactly when x = x**-1, sigma = 1 or x**2 = sigma).  A later lookup
+    of a form of an image class finds one of its own images in the walked
+    cycle and takes that class's number, so no image cycle is walked.
+    led[p] names a class that holds a reduced form led by p > 0: x for the
+    forms (p, b, c) of x, and x*sigma for its forms (-p, b, c).  Without
+    images (the brute-force oracle's index) a lookup walks one class.
     """
 
-    def __init__(self, delta: int, s: int):
+    def __init__(self, delta: int, s: int, images: bool = False):
         super().__init__()
-        self.delta, self.s, self.size = delta, s, 0
+        self.delta, self.s, self.size, self.images = delta, s, 0, images
+        self.led: dict[int, int] = {}
+        # class number -> (the class numbers of x, x**-1, x*sigma and
+        # x**-1*sigma for the walked class x that numbered it, and the
+        # position of this class among those four)
+        self._orbits: dict[int, tuple[tuple[int, int, int, int], int]] = {}
 
     def __missing__(self, f: tuple[int, int, int]) -> int:
         cid, delta, s = self.size, self.delta, self.s
         if delta < 0:
             self[f] = cid
-        else:
-            # A reduced form (a, b, c) has |c| <= s, as c leads its reduced
-            # rho-neighbour and every reduced form has |a| < sqrt(delta), so
-            # each step is _rho_raw's branch for |c| <= s.
-            g = f
-            while g not in self:
-                self[g] = cid
-                _, b, c = g
-                r = s - (s + b) % (2 * abs(c))
-                g = c, r, (r * r - delta) // (4 * c)
-            if g != f:
-                raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
-        self.size += 1
+            self.size += 1
+            return cid
+        a0, b0, c0 = f
+        images = (c0, b0, a0), (-a0, b0, -c0), (-c0, b0, -a0)
+        if self.images:
+            # image e of a form of the class at position k is a form of the
+            # class at position e ^ k: the involutions compose like XOR on
+            # 1 (inverse), 2 (sigma) and 3 (both)
+            for e, g in enumerate(images, 1):
+                k = self.get(g)
+                if k is not None:
+                    numbers, at = self._orbits[k]
+                    self[f] = numbers[e ^ at]
+                    return numbers[e ^ at]
+        # A reduced form (a, b, c) has |c| <= s, as c leads its reduced
+        # rho-neighbour and every reduced form has |a| < sqrt(delta), so each
+        # step is _rho_raw's branch for |c| <= s.
+        leads, g = [], f
+        while g not in self:
+            self[g] = cid
+            _, b, c = g
+            leads.append(c)
+            r = s - (s + b) % (2 * abs(c))
+            g = c, r, (r * r - delta) // (4 * c)
+        if g != f:
+            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
+        if not self.images:
+            self.size += 1
+            return cid
+        # the positions whose image class is x itself form a subgroup H of
+        # {0, 1, 2, 3} under XOR; positions in one coset of H name one class
+        h = [0] + [e for e, g in enumerate(images, 1) if g in self]
+        coset = [min(e ^ x for x in h) for e in range(4)]
+        firsts = sorted(set(coset))
+        numbers = tuple(cid + firsts.index(k) for k in coset)
+        for k in firsts:
+            self._orbits[numbers[k]] = numbers, k
+        self.size += len(firsts)
+        self.led.update((c, cid) if c > 0 else (-c, numbers[2]) for c in leads)
         return cid
 
 
@@ -493,17 +585,37 @@ class _RhoIndex(dict):
 # the prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
 # p <= a <= isqrt(delta/4).  So the classes of the forms from _prime_forms
 # generate the group, and adjoining them all to the principal class lists it.
+# Each class is entered by walking its cycle, and that walk also numbers up
+# to three more classes (_RhoIndex): the images (c, b, a), (-a, b, -c) and
+# (-c, b, -a) of the forms (a, b, c) of x are the cycles of x**-1, x*sigma
+# and x**-1*sigma, as (c, b, a) is (a, -b, c) under (x, y) -> (-y, x), and
+# reducedness is symmetric in |a| and |c|, since
+# 4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).
+#
+# Why a prime p whose led class is spanned is passed over.  A reduced form
+# (p, b, c) with p <= isqrt(delta/4) has 2p <= s, so sqrt(delta) - 2p < b <= s:
+# b lies in the window where _prime_forms builds p's prime form, and
+# b*b ≡ delta mod 4p puts b in the class of b_p or -b_p mod 2p.  So the
+# only reduced forms led by p are the prime forms of norm p, of the classes
+# P and P**-1.  Once the span, a group, holds the class index.led[p], it
+# holds P and P**-1, and p's prime form would not enlarge it: the forms that
+# enlarge the span are the same with and without the skip.  The test asks
+# the span (seen), not the index, which also numbers the classes x*sigma
+# beside each walked x before sigma, the last form, is spanned.
 
 
 def _principal_class(delta: int, s: int):
-    """The identity's reduced form and the class key of reduced forms.
+    """The identity's reduced form, the class key of reduced forms, and the
+    class index's led (see _RhoIndex) when delta > 0.
 
     A reduced definite form is its own class key, so no class index is built
-    when delta < 0.
+    when delta < 0, and led is None.
     """
     one = _reduce_raw(*principal_form(delta), delta, s)
-    key = (lambda f: f) if delta < 0 else _RhoIndex(delta, s).__getitem__
-    return one, key
+    if delta < 0:
+        return one, (lambda f: f), None
+    index = _RhoIndex(delta, s, images=True)
+    return one, index.__getitem__, index.led
 
 
 def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
@@ -512,6 +624,9 @@ def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
     h is the (narrow) class number if known.  If not, the whole group is
     spanned from the prime forms first, its size is h, and the prime forms
     that enlarged it, which generate it, go on to span the 3-Sylow subgroup.
+    When delta > 0, a prime whose reduced forms already lie in a spanned
+    class is passed over before its square root is taken (see the comment
+    above _principal_class).
     If 9 does not divide h, Lagrange settles the 3-torsion: 1 when 3 does
     not divide h, and 3 when 3 || h, as the 3-Sylow subgroup then has order
     3 and is C3.  So a known h with 9 not dividing it builds no form at all.
@@ -519,14 +634,17 @@ def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
     s = isqrt(delta) if delta > 0 else 0
     spanned = h is None
     if spanned:
-        one, key = _principal_class(delta, s)
+        one, key, led = _principal_class(delta, s)
         group, seen = [one], {key(one)}
-        gens = [g for g in _prime_forms(delta) if _adjoin(group, seen, g, delta, s, key)]
+        known = None if led is None else (lambda p: led.get(p) in seen)
+        gens = [
+            g for g in _prime_forms(delta, known) if _adjoin(group, seen, g, delta, s, key)
+        ]
         h = len(group)
     if h % 9:
         return summary_from_counts(delta, h, 3 if h % 3 == 0 else 1)
     if not spanned:
-        one, key = _principal_class(delta, s)
+        one, key, _ = _principal_class(delta, s)
         gens = _prime_forms(delta)
     torsion = _sylow_three_torsion(delta, s, h, gens, one, key)
     return summary_from_counts(delta, h, torsion)
@@ -751,7 +869,9 @@ def _classes(
     """Partition the sorted reduced forms into classes (rho-cycles when delta > 0).
 
     Returns the least form of each class, the class index of every form and
-    the identity's index.
+    the identity's index.  Each lookup walks one rho-cycle only (the index
+    has no images), so the oracle shares neither the span's image cycles nor
+    its prime skip.
     """
     index = _RhoIndex(delta, s)
     reps = []

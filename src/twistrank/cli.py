@@ -18,7 +18,6 @@ import time
 from fractions import Fraction
 
 from . import cache as cache_mod
-from .arith import is_squarefree
 from .classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
@@ -32,7 +31,7 @@ from .discriminants import (
     condition_star,
     enumerate_progression,
 )
-from .selmer import _dimension, twist_record
+from .selmer import NotSquareFree, ValidationError, _dimension, twist_record
 from .stats import (
     _MAX_K,
     correspondence_check,
@@ -180,12 +179,19 @@ def _verify_correspondence(x: int) -> tuple[bool, str]:
 def _verify_condition(limit: int) -> tuple[bool, str]:
     checked = 0
     for a in [*range(1, limit), *range(-1, -limit, -1)]:
-        if a % 36 in (1, 13, 25) and is_squarefree(a):
-            # the condition is on (m, N) alone, so any bound X will do
+        if a % 36 not in (1, 13, 25):
+            continue
+        # the condition is on (m, N) alone, so any bound X will do; A is
+        # factored once, by the family itself
+        try:
             family = family_progression(a, 1)
-            if not condition_star(family.residue_m, family.modulus_n):
-                return False, f"condition fails for A = {a}"
-            checked += 1
+        except NotSquareFree:
+            continue
+        except ValidationError as exc:
+            return False, f"A = {a} refused: {exc}"
+        if not condition_star(family.residue_m, family.modulus_n):
+            return False, f"condition fails for A = {a}"
+        checked += 1
     return True, f"{checked} coefficients with |A| < {limit}"
 
 

@@ -25,6 +25,10 @@ class ValidationError(ValueError):
     """Input outside the formula's reach; the message names the failing clause."""
 
 
+class NotSquareFree(ValidationError):
+    """A coefficient or parameter that some prime divides twice."""
+
+
 class StollCase(Enum):
     """Which branch of the dimension formula applies, by -A mod 9 and sign of A."""
 
@@ -52,7 +56,7 @@ def _check_squarefree(name: str, n: int) -> tuple[tuple[int, int], ...]:
     """Refuse n when some prime divides it twice; return its prime powers."""
     powers = factorize(n)
     if any(e > 1 for _, e in powers):
-        raise ValidationError(f"{name} = {n} is not square-free")
+        raise NotSquareFree(f"{name} = {n} is not square-free")
     return powers
 
 

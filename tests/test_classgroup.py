@@ -10,6 +10,7 @@ against explicit multiplication tables.
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,7 @@ from twistrank.classgroup import (
     _primes,
     _reduce_definite_raw,
     _reduce_indefinite_raw,
+    _reduce_raw,
     _rho_raw,
     _RhoIndex,
     _span_summary,
@@ -385,6 +387,34 @@ def test_compose_negative_leading_forms_directly():
                 assert index[_mul(f, g, delta, s)] == index[want], (delta, f, g)
 
 
+def test_mul_matches_general_composition_on_prime_forms(monkeypatch):
+    # every ordered pair of the prime forms and the principal form, squares
+    # included, of every fundamental |delta| <= 2000, compared by class
+    compose = classgroup._compose_raw
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(classgroup, "_compose_raw", counted)
+    branches = Counter()
+    for delta in negative_fundamentals(2000) + positive_fundamentals(2000):
+        s = math.isqrt(delta) if delta > 0 else 0
+        _, index, _ = _classes(delta, s)
+        forms = [*_prime_forms(delta), _reduce_raw(*principal_form(delta), delta, s)]
+        for f, g in itertools.product(forms, repeat=2):
+            want = _reduce_raw(*compose(*f, *g, delta), delta, s)
+            before = len(fallbacks)
+            got = _mul(f, g, delta, s)
+            branch = "square" if f == g else "coprime" if math.gcd(f[0], g[0]) == 1 else "gcd > 1"
+            assert (len(fallbacks) > before) == (branch == "gcd > 1"), (delta, f, g)
+            assert index[got] == index[want], (delta, f, g)
+            branches[branch] += 1
+    assert sum(branches.values()) == 35814
+    assert min(branches[b] for b in ("square", "coprime", "gcd > 1")) > 0, branches
+
+
 def test_is_equivalent_partitions_reduced_forms():
     # distinct reduced definite forms are inequivalent: f * g**-1 is not
     # the identity
@@ -565,7 +595,7 @@ def test_negated_principal_form_reaches_the_classes_no_prime_form_does(monkeypat
     full = {delta: class_count(delta) for delta in positive_fundamentals(3000)}
     prime_forms = classgroup._prime_forms
 
-    def without_last_form(delta):
+    def without_last_form(delta, known=None):
         return iter(list(prime_forms(delta))[:-1])
 
     monkeypatch.setattr(classgroup, "_prime_forms", without_last_form)
@@ -663,7 +693,7 @@ def test_known_h_prime_to_9_agrees_with_the_span_and_the_brute_force():
 def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     # h(-3299) = 27: the 3-Sylow subgroup is the whole group
     assert class_group_summary(-3299).class_number == 27
-    monkeypatch.setattr(classgroup, "_prime_forms", lambda delta: iter(()))
+    monkeypatch.setattr(classgroup, "_prime_forms", lambda delta, known=None: iter(()))
     # with h known (the sweep's route) the 3-Sylow span stalls loudly
     with pytest.raises(ArithmeticError, match="stalled"):
         _span_summary(-3299, 27)
@@ -678,6 +708,143 @@ def test_rho_index_refuses_a_walk_that_does_not_close():
     index = _RhoIndex(delta, s)
     # as if the rho-neighbour (-1, 15, 1) of the principal form were in another class
     index[_rho_raw(*one, delta, s)] = 1
+    with pytest.raises(ArithmeticError, match="did not close"):
+        index[one]
+
+
+def negated_principal(delta: int) -> tuple[int, int, int]:
+    """The reduced form (-1, b, .) of the class sigma of the negated principal form."""
+    s = math.isqrt(delta)
+    b = s - (s - delta) % 2
+    return -1, b, (delta - b * b) // 4
+
+
+def span_index(monkeypatch, delta):
+    """The class index the prime-form span of delta > 0 built."""
+    built = []
+
+    class Recorded(_RhoIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(classgroup, "_RhoIndex", Recorded)
+    h = class_group_summary(delta).class_number
+    monkeypatch.undo()
+    (index,) = built
+    assert index.images
+    return index, h
+
+
+def test_span_index_partitions_the_reduced_forms_like_the_oracle(monkeypatch):
+    # every positive fundamental delta <= 10**4 and the 15 real fields of the
+    # A = -35 family at X = 10**6: the span numbers every class, and keys the
+    # reduced forms into the classes of the one-class-per-walk oracle
+    family = [140 * d for d in scan_parameters(-35, 10**6)]
+    assert len(family) == 15
+    kinds = Counter()
+    for delta in positive_fundamentals(10**4) + family:
+        s = math.isqrt(delta)
+        index, h = span_index(monkeypatch, delta)
+        reps, oracle, identity = _classes(delta, s)
+        assert index.size == h == len(reps), delta
+        pairs = {(index[f], oracle[f]) for f in reduced_forms(delta)}
+        assert len(pairs) == len({i for i, _ in pairs}) == len(reps), delta
+        # keying every reduced form numbered no class the span had not
+        assert index.size == h
+        # the image positions (1 inverse, 2 sigma, 3 both) that name x itself
+        for numbers, at in index._orbits.values():
+            if at == 0:
+                kinds[frozenset(e for e in range(1, 4) if numbers[e] == numbers[0])] += 1
+        sigma_is_one = index[negated_principal(delta)] == index[reps[identity]]
+        kinds["sigma = 1" if sigma_is_one else "sigma != 1"] += 1
+    # x ambiguous, sigma = 1, x**2 = sigma, all three, and four distinct classes
+    for kind in ({1}, {2}, {3}, {1, 2, 3}, set()):
+        assert kinds[frozenset(kind)] > 0, (kind, kinds)
+    assert kinds["sigma = 1"] > 0 and kinds["sigma != 1"] > 0
+
+
+@pytest.mark.parametrize("delta,sigma_is_one", [(229, True), (12, False), (21, False)])
+def test_span_index_places_the_negated_principal_form(monkeypatch, delta, sigma_is_one):
+    s = math.isqrt(delta)
+    index, _ = span_index(monkeypatch, delta)
+    one = _reduce_raw(*principal_form(delta), delta, s)
+    negated = negated_principal(delta)
+    assert (index[negated] == index[one]) == sigma_is_one
+    _, oracle, _ = _classes(delta, s)
+    assert (oracle[negated] == oracle[one]) == sigma_is_one
+
+
+def test_span_skips_the_root_of_a_prime_whose_class_is_spanned(monkeypatch):
+    # the A = -35 family at X = 10**6: the span takes a square root for no
+    # more than the odd primes p <= sqrt(delta)/2, each once, fewer in all,
+    # and still finds every class
+    roots = []
+    sqrt_mod_prime = classgroup._sqrt_mod_prime
+
+    def counted(x, p):
+        roots.append(p)
+        return sqrt_mod_prime(x, p)
+
+    monkeypatch.setattr(classgroup, "_sqrt_mod_prime", counted)
+    taken = primes = 0
+    for d in scan_parameters(-35, 10**6):
+        delta = 140 * d
+        roots.clear()
+        h = class_group_summary(delta).class_number
+        odd = [p for p in _primes() if 2 < p <= math.isqrt(delta // 4)]
+        assert roots == sorted(set(roots)) and set(roots) <= set(odd), delta
+        assert h == len(_classes(delta, math.isqrt(delta))[0]), delta
+        taken, primes = taken + len(roots), primes + len(odd)
+    assert taken < primes
+
+
+def test_span_skips_only_prime_forms_that_would_not_enlarge_it(monkeypatch):
+    # the forms that enlarge the span, and so generate the 3-Sylow span, are
+    # the same with and without the skip: a skipped p's class is spanned
+    # already.  Asking the index instead of the span would skip a p whose
+    # class x*sigma is numbered beside a walked x before sigma is spanned.
+    enlarging = []
+    adjoin = classgroup._adjoin
+
+    def recorded(group, seen, y, delta, s, key):
+        grew = adjoin(group, seen, y, delta, s, key)
+        if grew:
+            enlarging.append(y)
+        return grew
+
+    monkeypatch.setattr(classgroup, "_adjoin", recorded)
+    prime_forms = classgroup._prime_forms
+    family = [140 * d for d in scan_parameters(-35, 10**6)]
+    for delta in positive_fundamentals(3000) + family:
+        enlarging.clear()
+        with_skip = class_group_summary(delta)
+        skipped = list(enlarging)
+        enlarging.clear()
+        monkeypatch.setattr(classgroup, "_prime_forms", lambda d, known=None: prime_forms(d))
+        assert class_group_summary(delta) == with_skip
+        monkeypatch.setattr(classgroup, "_prime_forms", prime_forms)
+        assert skipped == enlarging, delta
+
+
+def test_prime_forms_pass_over_known_primes():
+    delta = 140 * 37
+    every = list(_prime_forms(delta))
+    least = every[0][0]
+    passed = list(_prime_forms(delta, lambda p: p == least))
+    assert passed == every[1:]
+    # the negated principal form is no prime form, and always comes last
+    assert list(_prime_forms(delta, lambda p: True)) == every[-1:]
+
+
+def test_rho_index_with_images_refuses_a_walk_that_does_not_close():
+    # the principal cycle of 17 is (1, 3, -2), (-2, 1, 2), (2, 3, -1),
+    # (-1, 3, 2), (2, 1, -2), (-2, 3, 1); (-2, 1, 2) is none of the images
+    # (-2, 3, 1), (-1, 3, 2), (2, 3, -1) of its first form
+    delta, s, one = 17, 4, (1, 3, -2)
+    index = _RhoIndex(delta, s, images=True)
+    # as if (-2, 1, 2) were in another class
+    index[-2, 1, 2] = 1
     with pytest.raises(ArithmeticError, match="did not close"):
         index[one]
 

@@ -606,7 +606,7 @@ def test_verify_catches_an_incomplete_real_span(capsys, monkeypatch):
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     prime_forms = classgroup._prime_forms
 
-    def without_least_prime(delta):
+    def without_least_prime(delta, known=None):
         # a real class group spanned without its least prime form
         forms = prime_forms(delta)
         if delta > 0:
@@ -619,6 +619,43 @@ def test_verify_catches_an_incomplete_real_span(capsys, monkeypatch):
     assert "PASS analytic class numbers" in out
     assert "FAIL group structures: class number mismatch at delta = 12\n" in out
     assert out.endswith("5/6 suites passed (full)\n")
+
+
+def test_verify_condition_factors_each_coefficient_once(monkeypatch):
+    from twistrank import selmer
+    from twistrank.cli import _verify_condition
+
+    factored = []
+    factorize = selmer.factorize
+
+    def counted(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(selmer, "factorize", counted)
+    assert _verify_condition(2000) == (True, "301 coefficients with |A| < 2000")
+    # every A ≡ 1, 13, 25 mod 36 with |A| < 2000 once, square-free or not
+    candidates = [a for a in range(-1999, 2000) if a and a % 36 in (1, 13, 25)]
+    assert sorted(factored) == candidates
+
+
+def test_verify_condition_fails_on_any_other_refusal(capsys, monkeypatch):
+    from twistrank import cli
+    from twistrank.selmer import ValidationError
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    family_progression = cli.family_progression
+
+    def refuses_37(a, x):
+        if a == 37:
+            raise ValidationError("A = 37 refused for this test")
+        return family_progression(a, x)
+
+    monkeypatch.setattr(cli, "family_progression", refuses_37)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "FAIL progression condition: A = 37 refused: A = 37 refused for this test\n" in out
+    assert out.endswith("5/6 suites passed (quick)\n")
 
 
 def test_verify_quarantines_corrupt_cache(capsys, tmp_path):
