@@ -4,26 +4,42 @@ Each line is an object {"delta": ..., "h": ..., "three_torsion": ...} with
 keys in sorted order.  A line in exactly that form is parsed by one pattern
 (_CANONICAL); any other line, a valid one with other key order or spacing
 included, goes through json.loads.  Every line is re-validated: delta must be
-a discriminant (nonzero, 0 or 1 mod 4, not a square) and the 3-torsion a power
-of 3 dividing h.  Fundamentality is not re-checked, since factoring each delta
-would cost more than the whole load.
+a discriminant (nonzero, 0 or 1 mod 4, not a square), h positive and the
+3-torsion a power of 3 dividing h, with one exact_log per distinct torsion
+value.  Fundamentality is not re-checked, since factoring each delta would
+cost more than the whole load.
+
+One reader (_scan_pairs) makes every check and keeps each entry as its
+(h, 3-torsion) pair; the scan command loads and saves those pairs
+(_load_pairs, _save_pairs) and builds no summary.  load and scan_lines give
+the same entries as ClassGroupSummary values, and save takes them.
 
 The cache only ever gains entries; rewrites go through a temporary file and
 an atomic rename, so a crash can never leave a half-written cache behind, and
 keep the permission bits of the file they replace (a new file gets 0o666 less
 the umask).  A cache reached through a symlink is rewritten at the link's
-target, and the link stays.  Single writer assumed.
+target, and the link stays.  A save holds an exclusive flock on that target
+from its reload to its rename, so concurrent saves each keep the other's
+entries.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
 import stat
-import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 
-from .classgroup import ClassData, ClassGroupSummary, _check_discriminant, summary_from_counts
+from .classgroup import (
+    ClassData,
+    ClassPairs,
+    _check_discriminant,
+    _three_rank,
+    summary_from_counts,
+)
 
 CACHE_ENV_VAR = "TWISTRANK_CACHE"
 
@@ -53,22 +69,59 @@ _INT = r"(-?(?:0|[1-9][0-9]*))"
 _CANONICAL = re.compile(rf'\{{"delta": {_INT}, "h": {_INT}, "three_torsion": {_INT}\}}')
 
 
-def _parse_line(line: str) -> ClassGroupSummary:
-    match = _CANONICAL.fullmatch(line)
-    if match:
-        delta, h, torsion = map(int, match.groups())
-    else:
-        obj = json.loads(line)
-        if not isinstance(obj, dict) or set(obj) != {"delta", "h", "three_torsion"}:
-            raise ValueError("keys must be exactly delta, h, three_torsion")
-        delta, h, torsion = obj["delta"], obj["h"], obj["three_torsion"]
-        for name, v in (("delta", delta), ("h", h), ("three_torsion", torsion)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer")
-    _check_discriminant(delta)
-    # re-derives the 3-rank, so this also rejects torsion values that are not
-    # powers of 3 or do not divide h
-    return summary_from_counts(delta, h, torsion)
+def _parse_json(line: str) -> tuple[int, int, int]:
+    """(delta, h, 3-torsion) of a line that is not in _CANONICAL's form."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or set(obj) != {"delta", "h", "three_torsion"}:
+        raise ValueError("keys must be exactly delta, h, three_torsion")
+    delta, h, torsion = obj["delta"], obj["h"], obj["three_torsion"]
+    for name, v in (("delta", delta), ("h", h), ("three_torsion", torsion)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer")
+    return delta, h, torsion
+
+
+def _scan_pairs(path: str) -> tuple[ClassPairs, list[BadLine]]:
+    """scan_lines with the valid entries as (h, 3-torsion) pairs: the same
+    checks, messages and bad lines, and no summary built."""
+    pairs: ClassPairs = {}
+    bad: list[BadLine] = []
+    ranks: dict[int, int] = {}  # each 3-torsion value checked so far -> its 3-rank
+    fullmatch = _CANONICAL.fullmatch
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                match = fullmatch(line)
+                delta, h, torsion = map(int, match.groups()) if match else _parse_json(line)
+                # A negative delta ≡ 0, 1 mod 4 is a discriminant, and a positive
+                # h divisible by a torsion value in ranks passes every count
+                # check; any other entry takes the full checks, which raise
+                # summary_from_counts's messages (and put a new torsion value
+                # that is a power of 3 into ranks).
+                if delta >= 0 or delta % 4 > 1:
+                    _check_discriminant(delta)
+                if h < 1 or torsion not in ranks or h % torsion:
+                    _three_rank(h, torsion, ranks)
+            except (ValueError, ArithmeticError) as exc:
+                bad.append((lineno, raw.rstrip("\n"), str(exc)))
+                continue
+            pair = h, torsion
+            if pairs.setdefault(delta, pair) != pair:
+                bad.append(
+                    (lineno, raw.rstrip("\n"), f"conflicts with earlier entry for {delta}")
+                )
+    return pairs, bad
+
+
+def _load_pairs(path: str) -> ClassPairs:
+    """load, with each entry as its (h, 3-torsion) pair."""
+    pairs, bad = _scan_pairs(path)
+    if bad:
+        raise CacheCorruption(path, bad)
+    return pairs
 
 
 def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
@@ -79,26 +132,8 @@ def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
     Bytes that are not UTF-8 are read as surrogate escapes, so such a line
     fails to parse like any other corrupt line and keeps its bytes.
     """
-    data: ClassData = {}
-    bad: list[BadLine] = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                summary = _parse_line(line)
-            except (ValueError, ArithmeticError) as exc:
-                bad.append((lineno, raw.rstrip("\n"), str(exc)))
-                continue
-            delta = summary.delta
-            if delta in data and data[delta] != summary:
-                bad.append(
-                    (lineno, raw.rstrip("\n"), f"conflicts with earlier entry for {delta}")
-                )
-                continue
-            data[delta] = summary
-    return data, bad
+    pairs, bad = _scan_pairs(path)
+    return {d: summary_from_counts(d, h, t) for d, (h, t) in pairs.items()}, bad
 
 
 def load(path: str) -> ClassData:
@@ -120,7 +155,11 @@ def _file_mode(path: str) -> int:
         return 0o666 & ~umask
 
 
-def _write_atomic(path: str, data: ClassData) -> None:
+def _write_atomic(path: str, pairs: ClassPairs) -> None:
+    # imported here, as only a rewrite needs it: with the shutil and random it
+    # loads, it costs a process that writes no cache (a warm rescan) about 4 ms
+    import tempfile
+
     # a symlink stays a link: the temporary file and the rename go to its target
     path = os.path.realpath(path)
     directory = os.path.dirname(path)
@@ -130,9 +169,8 @@ def _write_atomic(path: str, data: ClassData) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # the bytes json.dumps(..., sort_keys=True) gives for int values
             fh.writelines(
-                f'{{"delta": {d}, "h": {data[d].class_number}, '
-                f'"three_torsion": {data[d].three_torsion}}}\n'
-                for d in sorted(data)
+                f'{{"delta": {d}, "h": {h}, "three_torsion": {t}}}\n'
+                for d, (h, t) in sorted(pairs.items())
             )
         # mkstemp creates the file 0600, and the rename keeps that mode
         os.chmod(tmp, mode)
@@ -143,20 +181,59 @@ def _write_atomic(path: str, data: ClassData) -> None:
         raise
 
 
+@contextmanager
+def _locked(path: str) -> Iterator[str]:
+    """Hold an exclusive flock on the file that path resolves to, created
+    empty if missing, and give that file's path.
+
+    Every rewrite renames a new file over the target, so a writer that waited
+    on the lock of a replaced file finds the target's inode changed and locks
+    the new one instead: writers that lock one path are serialized.
+    """
+    target = os.path.realpath(path)
+    while True:
+        # read-only suffices for flock, so a read-only cache can still be replaced
+        fd = os.open(target, os.O_RDONLY | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            held = os.fstat(fd)
+            try:
+                current = os.stat(target)
+            except FileNotFoundError:
+                current = None
+        except BaseException:
+            os.close(fd)
+            raise
+        if current is not None and os.path.samestat(held, current):
+            break
+        os.close(fd)
+    try:
+        yield target
+    finally:
+        os.close(fd)
+
+
+def _save_pairs(path: str, pairs: ClassPairs) -> None:
+    """save, given (h, 3-torsion) pairs: the whole reload, merge and rename
+    holds the cache's lock, so concurrent writers keep each other's entries."""
+    with _locked(path) as target:
+        merged = _load_pairs(target)
+        for delta, pair in pairs.items():
+            if merged.setdefault(delta, pair) != pair:
+                raise CacheCorruption(
+                    path, [(0, "", f"new entry for {delta} conflicts with stored value")]
+                )
+        _write_atomic(target, merged)
+
+
 def save(path: str, data: ClassData) -> None:
     """Write the cache atomically, entries sorted by discriminant.
 
     Entries already on disk are preserved: the stored file becomes the union
-    of the existing valid entries and data.
+    of the existing valid entries and data.  Concurrent savers to one cache
+    are serialized by an exclusive lock on its file.
     """
-    merged = load(path) if os.path.exists(path) else {}
-    for delta, summary in data.items():
-        if delta in merged and merged[delta] != summary:
-            raise CacheCorruption(
-                path, [(0, "", f"new entry for {delta} conflicts with stored value")]
-            )
-        merged[delta] = summary
-    _write_atomic(path, merged)
+    _save_pairs(path, {d: (s.class_number, s.three_torsion) for d, s in data.items()})
 
 
 def quarantine(path: str) -> tuple[int, int]:
@@ -166,10 +243,10 @@ def quarantine(path: str) -> tuple[int, int]:
     atomically; the original bad lines, bytes that are not UTF-8 included,
     stay in the side file.
     """
-    data, bad = scan_lines(path)
+    pairs, bad = _scan_pairs(path)
     if bad:
         with open(path + ".quarantined", "a", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw, reason in bad:
                 fh.write(f"# line {lineno}: {reason}\n{raw}\n")
-        _write_atomic(path, data)
-    return len(data), len(bad)
+        _write_atomic(path, pairs)
+    return len(pairs), len(bad)

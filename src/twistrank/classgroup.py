@@ -5,7 +5,7 @@ definite forms; for delta > 0 the narrow class group is realized by
 rho-cycles of reduced indefinite forms (the narrow and ordinary groups share
 their odd part, which is all the 3-rank machinery consumes).  Composition is
 Dirichlet's, with one modular inverse for a square or a product of forms
-with coprime leading coefficients (_mul).  One routine (_span_summary)
+with coprime leading coefficients (_mul).  One routine (_span_counts)
 serves both signs: it spans the whole group from the prime forms of norm
 p <= sqrt(|delta|/3), or of norm p <= sqrt(delta)/2 and the negated
 principal form when delta > 0, entering each new class by its reduced form,
@@ -20,7 +20,7 @@ on |a|, b and |c| and is symmetric in |a| and |c|, since
 before its square root is taken once a spanned class holds a reduced form
 led by p, since the only such forms with p <= sqrt(delta)/2 are the prime
 forms of norm p and their inverses.
-When 9 does not divide h, Lagrange settles the 3-torsion in _span_summary:
+When 9 does not divide h, Lagrange settles the 3-torsion in _span_counts:
 1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
 Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
 v >= 2 (_sylow_three_torsion): as 3 as soon as one generator's
@@ -30,9 +30,11 @@ by the cubes of the generators of S, so no class is cubed one by one.  The
 class numbers of many negative discriminants can instead come from one
 numpy sweep over the reduced forms of their window, building no form; the
 3-Sylow span then starts from the known h, and only where 9 | h.
-compute_class_data makes that choice for a set of discriminants (the sweep
-where _sweep_pays, class_group_summary for the rest), in a process pool
-when jobs > 1.  Two
+_class_counts makes that choice for a set of discriminants (the sweep
+where _sweep_pays, the whole span for the rest), in a process pool when
+jobs > 1, and returns h and the 3-torsion as two integer arrays in the order
+of its input; compute_class_data builds one summary per discriminant from
+them, and a scan builds none.  Two
 independent oracles cross-check the class numbers: the exact finite
 character sum behind the analytic class number formula, its character built
 from the prime discriminants of delta rather than from any table the span
@@ -45,9 +47,11 @@ subgroup.
 from __future__ import annotations
 
 import os
+from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -84,6 +88,10 @@ class ClassGroupSummary:
 
 #: Validated class-group summaries keyed by discriminant.
 ClassData = dict[int, ClassGroupSummary]
+
+#: Validated (class number, 3-torsion) pairs keyed by discriminant: class data
+#: with no summary built.
+ClassPairs = dict[int, tuple[int, int]]
 
 
 class ExtraUnitsDiscriminant(ValueError):
@@ -259,7 +267,7 @@ def _sweep_window(ns: list[int]) -> tuple[int, int, int]:
 # numpy pass over the b candidates and one over the count window, plus a
 # fixed cost of about 2**15 cells.  Spanning one negative delta alone costs
 # about sqrt|delta| units more than spanning its 3-Sylow subgroup from a known
-# h (_span_summary(delta) against _span_summary(delta, h)).  Measured on a
+# h (_span_counts(delta) against _span_counts(delta, h)).  Measured on a
 # 2-core x86 host (Python 3.11, numpy 2.4) over the A = 1, 37 and 61
 # families, X = 10**5 to 4*10**6: 1.2 to 2.1 ns per cell and 1.5 to 1.9 us per
 # unit, so a unit is worth about 1000 cells.
@@ -399,7 +407,7 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
 
     With h = 3**v * m, v >= 2 and 3 not dividing m, the 3-torsion lies in the
     3-Sylow subgroup S, the image of x -> x**m (v <= 1 is settled by
-    _span_summary before any form is built).  The y = g**m, for g drawn from
+    _span_counts before any form is built).  The y = g**m, for g drawn from
     reduced forms that generate the group, are taken in turn, skipping each
     y whose class is already in S.
     If y**(3**(v-1)) is not the identity, y has order |S|, so S is cyclic
@@ -618,8 +626,8 @@ def _principal_class(delta: int, s: int):
     return one, index.__getitem__, index.led
 
 
-def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
-    """Summary of a fundamental discriminant of either sign, from prime forms.
+def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
+    """(h, 3-torsion) of a fundamental discriminant of either sign, from prime forms.
 
     h is the (narrow) class number if known.  If not, the whole group is
     spanned from the prime forms first, its size is h, and the prime forms
@@ -642,12 +650,37 @@ def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
         ]
         h = len(group)
     if h % 9:
-        return summary_from_counts(delta, h, 3 if h % 3 == 0 else 1)
+        return h, 3 if h % 3 == 0 else 1
     if not spanned:
         one, key, _ = _principal_class(delta, s)
         gens = _prime_forms(delta)
-    torsion = _sylow_three_torsion(delta, s, h, gens, one, key)
-    return summary_from_counts(delta, h, torsion)
+    return h, _sylow_three_torsion(delta, s, h, gens, one, key)
+
+
+def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
+    """_span_counts as a validated summary."""
+    return summary_from_counts(delta, *_span_counts(delta, h))
+
+
+def _three_rank(class_number: int, three_torsion: int, ranks: dict[int, int]) -> int:
+    """The 3-rank of stored (h, 3-torsion) counts, refusing a pair that no
+    class group has: h must be positive, and the 3-torsion a power of 3 that
+    divides h.  ranks maps each torsion value already checked to its 3-rank,
+    so exact_log runs once per distinct value, however many pairs share it.
+    """
+    if class_number < 1:
+        raise ValueError(f"class number {class_number} must be positive")
+    rank = ranks.get(three_torsion)
+    if rank is None:
+        rank = exact_log(three_torsion, 3)
+        if rank is None:
+            raise ArithmeticError(f"3-torsion count {three_torsion} is not a power of 3")
+        ranks[three_torsion] = rank
+    if class_number % three_torsion:
+        raise ArithmeticError(
+            f"3-torsion {three_torsion} does not divide h = {class_number}"
+        )
+    return rank
 
 
 def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> ClassGroupSummary:
@@ -657,46 +690,45 @@ def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> Cl
     is a power of 3 dividing h) are re-checked, so a corrupted pair cannot
     silently enter a dimension computation.
     """
-    if class_number < 1:
-        raise ValueError(f"class number {class_number} must be positive")
-    rank = exact_log(three_torsion, 3)
-    if rank is None:
-        raise ArithmeticError(f"3-torsion count {three_torsion} is not a power of 3")
-    if class_number % three_torsion:
-        raise ArithmeticError(
-            f"3-torsion {three_torsion} does not divide h = {class_number}"
-        )
     return ClassGroupSummary(
         delta=delta,
         class_number=class_number,
         three_torsion=three_torsion,
-        three_rank=rank,
+        three_rank=_three_rank(class_number, three_torsion, {}),
     )
+
+
+def _check_fundamental(delta: int) -> None:
+    check_scan_limit("|delta|", abs(delta))
+    if not is_fundamental(delta):
+        raise ValueError(f"{delta} is not a fundamental discriminant")
 
 
 def class_group_summary(delta: int) -> ClassGroupSummary:
     """Class number and 3-torsion of the (narrow, if delta > 0) class group.
 
     For either sign the whole group is spanned from prime forms first
-    (_span_summary, _prime_forms), so h is the size of the span and no form
+    (_span_counts, _prime_forms), so h is the size of the span and no form
     is enumerated; the 3-torsion is then counted inside the 3-Sylow subgroup
     (_sylow_three_torsion).
     """
-    check_scan_limit("|delta|", abs(delta))
-    if not is_fundamental(delta):
-        raise ValueError(f"{delta} is not a fundamental discriminant")
+    _check_fundamental(delta)
     return _span_summary(delta)
 
 
-def _summary(task: tuple[int, int | None]) -> ClassGroupSummary:
-    """Summary of one discriminant, from its class number when the sweep gave one."""
+def _counts(task: tuple[int, int | None]) -> tuple[int, int]:
+    """(h, 3-torsion) of one discriminant, from its class number when the sweep gave one."""
     delta, h = task
-    # class_group_summary's fundamentality re-check (~10 us) is the only guard for delta > 0.
-    return class_group_summary(delta) if h is None else _span_summary(delta, h)
+    if h is None:
+        # the fundamentality re-check (~10 us) is the only guard for delta > 0
+        _check_fundamental(delta)
+    return _span_counts(delta, h)
 
 
-def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
-    """Class-group summary for each discriminant, optionally in parallel.
+def _class_counts(deltas: list[int], jobs: int = 1) -> tuple[array, array]:
+    """h and the 3-torsion of each of the distinct discriminants deltas, as
+    two array('q') in the order of deltas: compute_class_data's work, with
+    no summary built and no dict keyed by discriminant.
 
     When one sweep over their window is cheaper than spanning each alone,
     the negative discriminants take their class numbers from that sweep.
@@ -705,22 +737,39 @@ def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
     """
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
-    todo = sorted(set(deltas))
-    negative = [d for d in todo if d < 0]
-    swept = {}
+    negative = [d for d in deltas if d < 0]
     if _sweep_pays(negative):
-        swept = dict(zip(negative, _definite_class_numbers(negative)))
-    tasks = [(d, swept.get(d)) for d in todo]
-    jobs = min(jobs, len(todo), os.cpu_count() or 1)
-    if jobs == 1 or len(todo) < 8:
-        return dict(zip(todo, map(_summary, tasks)))
-    # imported here, as only a pool needs it: loading it costs every other
-    # process (--jobs 1, a warm rescan, classgroup, twist, verify) about 10 ms
-    import multiprocessing
+        swept = iter(_definite_class_numbers(negative))
+        tasks = zip(deltas, [next(swept) if d < 0 else None for d in deltas])
+    else:
+        tasks = zip(deltas, repeat(None))
+    jobs = min(jobs, len(deltas), os.cpu_count() or 1)
+    if jobs == 1 or len(deltas) < 8:
+        counts = map(_counts, tasks)
+    else:
+        # imported here, as only a pool needs it: loading it costs every other
+        # process (--jobs 1, a warm rescan, classgroup, twist, verify) about 10 ms
+        import multiprocessing
 
-    chunk = max(1, len(todo) // (jobs * 8))
-    with multiprocessing.Pool(jobs) as pool:
-        return dict(zip(todo, pool.map(_summary, tasks, chunksize=chunk)))
+        chunk = max(1, len(deltas) // (jobs * 8))
+        with multiprocessing.Pool(jobs) as pool:
+            counts = pool.map(_counts, tasks, chunksize=chunk)
+    class_numbers, three_torsion = array("q"), array("q")
+    for h, torsion in counts:
+        class_numbers.append(h)
+        three_torsion.append(torsion)
+    return class_numbers, three_torsion
+
+
+def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
+    """Class-group summary for each discriminant, optionally in parallel.
+
+    The summaries are _class_counts's counts for the distinct discriminants,
+    sorted, each rebuilt by summary_from_counts; they do not depend on jobs.
+    """
+    todo = sorted(set(deltas))
+    counts = zip(todo, *_class_counts(todo, jobs))
+    return {d: summary_from_counts(d, h, torsion) for d, h, torsion in counts}
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +941,7 @@ def brute_force_group_structure(delta: int) -> list[int]:
 
     The classes come from enumerating every reduced form (_classes; their
     rho-cycles when delta > 0), independent of the span for both signs
-    (_span_summary, which class_group_summary uses) and of its 3-Sylow
+    (_span_counts, which class_group_summary uses) and of its 3-Sylow
     count.  Orders are found by cyclic walks: from each class x whose order
     is still unknown, the powers x, x**2, ... are composed until the walk
     reaches the identity at x**n, so n = ord(x), and every class on the walk

@@ -8,16 +8,15 @@ identical, regardless of --jobs or of a warm versus cold cache.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
-import random
 import sys
 import time
 from fractions import Fraction
 
 from . import cache as cache_mod
+from .arith import exact_log
 from .classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
@@ -34,10 +33,11 @@ from .discriminants import (
 from .selmer import NotSquareFree, ValidationError, _dimension, twist_record
 from .stats import (
     _MAX_K,
+    ScanResult,
+    _scan_family,
     correspondence_check,
     family_progression,
     rearrangement_check,
-    scan_family,
 )
 
 CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
@@ -105,26 +105,35 @@ def cmd_scan(args: argparse.Namespace) -> int:
             if key in named:
                 raise ValueError(f"{named[key]} and {name} path {target} name one file")
             named[key] = f"{name} path {target}"
-    supplied = cache_mod.load(path) if path and os.path.exists(path) else {}
-    result = scan_family(
-        args.A, args.max_x, k=args.k, jobs=args.jobs, class_data=supplied
-    )
-    if path and result.new_class_data:
-        cache_mod.save(path, result.new_class_data)
+    known = cache_mod._load_pairs(path) if path and os.path.exists(path) else {}
+    result = _scan_family(args.A, args.max_x, k=args.k, jobs=args.jobs, known=known)
+    if path and result.new_pairs:
+        cache_mod._save_pairs(path, result.new_pairs)
     text = json.dumps(result.report.to_json_dict(), indent=2, sort_keys=True)
     print(text)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            # class_data is in scan order, one discriminant per D
-            for d, (delta, s) in zip(result.parameters, result.class_data.items()):
-                dim = _dimension(result.case, delta, s)
-                writer.writerow([d, delta, s.class_number, s.three_rank, dim, dim])
+        _write_trace(args.trace, result)
     return 0
+
+
+def _write_trace(path: str, result: ScanResult) -> None:
+    """The per-twist CSV, one row per D in scan order, from the class-data
+    arrays.  The bytes are csv.writer's: CRLF line ends, and no quoting, as
+    no field holds a comma, quote or line break."""
+    case, base = result.case, result.base
+    # h3_rank, selmer_dim and rank_bound depend on a row through its 3-torsion
+    tails = {}
+    for torsion in set(result.three_torsion):
+        r = exact_log(torsion, 3)
+        dim = _dimension(case, r)
+        tails[torsion] = f",{r},{dim},{dim}\r\n"
+    rows = zip(result.parameters, result.class_numbers, result.three_torsion)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(f"{d},{d * base},{h}{tails[t]}" for d, h, t in rows)
 
 
 def cmd_progression(args: argparse.Namespace) -> int:
@@ -196,6 +205,9 @@ def _verify_condition(limit: int) -> tuple[bool, str]:
 
 
 def _verify_rearrangement(trials: int) -> tuple[bool, str]:
+    # imported here, as only this suite needs it (about 1 ms for every scan)
+    import random
+
     rng = random.Random(20260823)
     for trial in range(trials):
         n = rng.randint(1, 60)

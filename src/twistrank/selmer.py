@@ -160,13 +160,11 @@ def twist_record(a: int, d: int, *, summary: ClassGroupSummary | None = None) ->
     return _record(case, a, d, delta, summary)
 
 
-def _dimension(case: StollCase, delta: int, summary: ClassGroupSummary) -> int:
+def _dimension(case: StollCase, three_rank: int) -> int:
     """Selmer dimension, parity + 2 * r, of a twist in `case` whose field has
-    discriminant delta and class-group summary `summary`; it is also the
-    twist's rank bound.  The one dimension rule behind records and traces."""
-    if summary.delta != delta:
-        raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
-    return case.dimension_parity + 2 * summary.three_rank
+    3-rank r; it is also the twist's rank bound.  The one dimension rule
+    behind records, scan statistics and traces."""
+    return case.dimension_parity + 2 * three_rank
 
 
 def _record(
@@ -174,7 +172,9 @@ def _record(
 ) -> TwistRecord:
     """The record of a twist already certified to be in `case` with field
     discriminant delta; the one builder behind twist_record and ScanResult.records."""
-    dim = _dimension(case, delta, summary)
+    if summary.delta != delta:
+        raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
+    dim = _dimension(case, summary.three_rank)
     # E_D: y**2 = x**3 + B with B = -A*D**3 is sixth-power free, as A and D are
     # square-free and coprime, so E_D has nontrivial rational torsion exactly
     # when B is 1, -432, a cube or a square.  B is a cube only if A = 1, as

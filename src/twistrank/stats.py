@@ -7,15 +7,20 @@ asymptotic lower bound for the density of twists with rank <= 2k), and the
 asymptotic average-dimension bounds 1 (A > 0) and 4/3 (A < 0).  These
 constants, the twist parameters and Delta(A, 1) come from one family value
 (_Family), which classifies and factors A once.  The empirical side scans a
-twist family, aggregates the 3-ranks of its class data (from
-classgroup.compute_class_data) into certified proportions and averages, and
-checks the correspondence D -> D*Delta(A, 1) (selmer._base_discriminant)
+twist family and keeps its class data as two integer arrays in scan order, h
+and the 3-torsion (from classgroup._class_counts, or from validated pairs a
+caller supplies); it counts the twists per 3-torsion value and folds those
+counts, through the 3-rank, into certified proportions and averages, so a
+scan builds no summary or record per twist.  ScanResult gives the class data
+as ClassGroupSummary dicts, and the records, only when they are read.  The
+correspondence D -> D*Delta(A, 1) (selmer._base_discriminant) is checked
 against the progression family it is in bijection with.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +29,13 @@ from itertools import count
 from math import prod
 
 from .arith import count_squarefree, exact_log, squarefree_flags
-from .classgroup import ClassData, compute_class_data
+from .classgroup import (
+    ClassData,
+    ClassPairs,
+    _class_counts,
+    compute_class_data,
+    summary_from_counts,
+)
 from .discriminants import (
     MAX_DISCRIMINANT,
     NEGATIVE,
@@ -34,7 +45,7 @@ from .discriminants import (
     condition_star,
     enumerate_progression,
 )
-from .selmer import StollCase, TwistRecord, _base_discriminant, _classify, _record
+from .selmer import StollCase, TwistRecord, _base_discriminant, _classify, _dimension, _record
 
 
 class EmptyFamilyError(ValueError):
@@ -189,14 +200,43 @@ class FamilyReport:
 @dataclass(frozen=True)
 class ScanResult:
     """A family scan: its report, its twist parameters D in scan order, their
-    case, the class data of their discriminants (in the same order) and the
-    part of that data this scan computed."""
+    case and Delta(A, 1), and the class data of their discriminants
+    D * Delta(A, 1) in the same order, as two integer arrays (h and the
+    3-torsion) and one flag per D, 1 where this scan computed the entry
+    rather than taking it from the class data it was given."""
 
     report: FamilyReport
     parameters: list[int]
     case: StollCase
-    class_data: ClassData
-    new_class_data: ClassData
+    base: int
+    class_numbers: array
+    three_torsion: array
+    computed: bytes
+
+    @cached_property
+    def class_data(self) -> ClassData:
+        """Each twist's discriminant -> its ClassGroupSummary, in scan order,
+        built on first access: no statistic, report, trace or cache reads it."""
+        base = self.base
+        return {
+            d * base: summary_from_counts(d * base, h, torsion)
+            for d, h, torsion in zip(self.parameters, self.class_numbers, self.three_torsion)
+        }
+
+    @cached_property
+    def new_pairs(self) -> ClassPairs:
+        """The (h, 3-torsion) pairs this scan computed, sorted by discriminant."""
+        base = self.base
+        rows = zip(self.parameters, self.class_numbers, self.three_torsion, self.computed)
+        return dict(sorted((d * base, (h, torsion)) for d, h, torsion, new in rows if new))
+
+    @cached_property
+    def new_class_data(self) -> ClassData:
+        """The summaries of new_pairs, built on first access."""
+        return {
+            delta: summary_from_counts(delta, h, torsion)
+            for delta, (h, torsion) in self.new_pairs.items()
+        }
 
     @cached_property
     def records(self) -> list[TwistRecord]:
@@ -227,6 +267,13 @@ def scan_family(
     discriminant; anything missing is computed (in parallel when jobs > 1)
     and reported back in new_class_data.
     """
+    known = {d: (s.class_number, s.three_torsion) for d, s in (class_data or {}).items()}
+    return _scan_family(a, x, k=k, jobs=jobs, known=known)
+
+
+def _scan_family(a: int, x: int, *, k: int, jobs: int, known: ClassPairs) -> ScanResult:
+    """scan_family, given the class data it may reuse as validated (h, 3-torsion)
+    pairs (cache._load_pairs), so that no summary is built."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > _MAX_K:
@@ -237,23 +284,33 @@ def scan_family(
         raise EmptyFamilyError(
             f"no twist parameters below X/(4|A|) = {x}/{abs(base)}; raise X"
         )
+    n = len(params)
     # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1,
     # so delta = D * Delta(A, 1) by _base_discriminant's rule, as _certify_twist finds.
     deltas = [d * base for d in params]
-    supplied = class_data or {}
-    fresh = compute_class_data([d for d in deltas if d not in supplied], jobs=jobs)
-    data = {d: supplied[d] if d in supplied else fresh[d] for d in deltas}
-    n = len(params)
+    if known:
+        computed = bytes(d not in known for d in deltas)
+        fresh = zip(*_class_counts([d for d in deltas if d not in known], jobs=jobs))
+        class_numbers, three_torsion = array("q"), array("q")
+        for delta, new in zip(deltas, computed):
+            h, torsion = next(fresh) if new else known[delta]
+            class_numbers.append(h)
+            three_torsion.append(torsion)
+    else:
+        # nothing supplied: the computed arrays are the class data, with no
+        # second copy made (at X = 10**8 that is 1.9 million twists)
+        computed = b"\1" * n
+        class_numbers, three_torsion = _class_counts(deltas, jobs=jobs)
     # the square-free D with D * |Delta(A, 1)| < X
     squarefree_count = count_squarefree(-(-x // abs(base)))
     # every statistic depends on a twist through its 3-rank r alone, and
-    # selmer._dimension gives it selmer_dim = rank_bound = parity + 2r
-    per_rank = Counter(summary.three_rank for summary in data.values())
-    parity = family.case.dimension_parity
-    per_dim = {parity + 2 * r: m for r, m in per_rank.items()}
+    # selmer._dimension gives it selmer_dim = rank_bound = parity + 2r; the
+    # 3-torsion values are validated powers of 3, counted once each
+    per_rank = {exact_log(t, 3): m for t, m in Counter(three_torsion).items()}
+    per_dim = {_dimension(family.case, r): m for r, m in per_rank.items()}
     h3_mean = Fraction(sum(3**r * m for r, m in per_rank.items()), n)
     avg_dim = Fraction(sum(dim * m for dim, m in per_dim.items()), n)
-    k_hi = max(k, max(per_rank) + parity)
+    k_hi = max(k, max(per_rank) + family.case.dimension_parity)
     per_k: dict[int, Fraction] = {}
     within: dict[int, Fraction] = {}
     for kk in range(k_hi + 1):
@@ -278,7 +335,13 @@ def scan_family(
         },
     )
     return ScanResult(
-        report=report, parameters=params, case=family.case, class_data=data, new_class_data=fresh
+        report=report,
+        parameters=params,
+        case=family.case,
+        base=base,
+        class_numbers=class_numbers,
+        three_torsion=three_torsion,
+        computed=computed,
     )
 
 

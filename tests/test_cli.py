@@ -5,6 +5,7 @@ checks compare exact output strings across --jobs values and cache states.
 """
 
 import csv
+import io
 import json
 import os
 import re
@@ -162,6 +163,9 @@ def test_scan_trace_rows_equal_certified_records(capsys, tmp_path, monkeypatch, 
     assert header == ["D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound"]
     params = scan_parameters(a, x)
     assert len(rows) == len(params) > 10
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(header)
     for row, d in zip(rows, params):
         # each twist certified from scratch, its class group computed alone
         s = twistrank.class_group_summary(_certify_twist(a, d)[1])
@@ -171,6 +175,45 @@ def test_scan_trace_rows_equal_certified_records(capsys, tmp_path, monkeypatch, 
             rec.selmer_dim, rec.rank_bound,
         ]
         assert row == [str(v) for v in expected]
+        writer.writerow(expected)
+    # the bytes too are those csv.writer writes for these rows
+    with open(trace, "rb") as fh:
+        assert fh.read() == reference.getvalue().encode()
+
+
+@pytest.mark.parametrize("a,x", [(1, 4000), (-35, 10**6)])
+def test_scan_builds_no_class_group_summary(capsys, tmp_path, monkeypatch, a, x):
+    from twistrank.classgroup import ClassGroupSummary
+
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    built = []
+    init = ClassGroupSummary.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassGroupSummary, "__init__", counted)
+    path = str(tmp_path / "c.ndjson")
+    report, trace = str(tmp_path / "r.json"), str(tmp_path / "t.csv")
+    # cold: the class data are computed and saved
+    code, cold, _ = run(capsys, "scan", str(a), "--max-x", str(x), "--cache", path)
+    assert (code, built) == (0, [])
+    # warm, with every output: the class data are loaded, folded and traced
+    code, warm, _ = run(
+        capsys, "scan", str(a), "--max-x", str(x), "--cache", path,
+        "--report", report, "--trace", trace,
+    )
+    assert (code, warm, built) == (0, cold, [])
+    # cache.load still gives summaries, in the file's order, sorted by delta,
+    # and they are the summaries each twist's class group gives alone
+    data = cache.load(path)
+    n = json.loads(cold)["family_size"]
+    assert len(built) == len(data) == n > 10
+    deltas = sorted(d * twistrank.twist_record(a, 1).field_discriminant
+                    for d in twistrank.scan_parameters(a, x))
+    assert list(data) == deltas
+    assert list(data.values()) == [twistrank.class_group_summary(d) for d in deltas]
 
 
 def test_scan_and_verify_refuse_a_directory_path_before_any_work(
@@ -183,6 +226,7 @@ def test_scan_and_verify_refuse_a_directory_path_before_any_work(
         raise AssertionError("class data computed before the path was checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     for flag, name in (("--cache", "cache"), ("--report", "report"), ("--trace", "trace")):
@@ -214,6 +258,7 @@ def test_scan_refuses_two_paths_that_name_one_file(
         raise AssertionError("class data computed before the paths were checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -257,6 +302,7 @@ def test_scan_refuses_a_k_past_19_before_any_work(capsys, tmp_path, monkeypatch)
         raise AssertionError("class data computed for a refused k")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
     for k in ("20", "9010", "1000000000"):
         code, out, err = run(capsys, "scan", "1", "--max-x", "400", "--k", k, "--cache", str(path))
@@ -306,6 +352,7 @@ def no_class_data(*args, **kwargs):
     raise AssertionError("class data computed before the cache path was checked")
 
 twistrank.cli.compute_class_data = twistrank.stats.compute_class_data = no_class_data
+twistrank.stats._class_counts = no_class_data
 sys.exit(twistrank.cli.main(sys.argv[1:]))
 """
 
@@ -359,6 +406,7 @@ def test_scan_refuses_a_cache_in_a_missing_directory_before_any_work(
         raise AssertionError("class data computed before the cache path was checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     missing = tmp_path / "nodir"
     code, out, err = run(
         capsys, "scan", "1", "--max-x", "40000", "--cache", str(missing / "c.ndjson")
@@ -562,18 +610,17 @@ def test_verify_checks_the_class_numbers_scans_use(capsys, monkeypatch):
 
 def test_verify_checks_the_3_torsion_scans_use(capsys, monkeypatch):
     from twistrank import classgroup
-    from twistrank.classgroup import ClassGroupSummary
 
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
-    summary = classgroup._span_summary
+    counts = classgroup._span_counts
 
     def trivial_torsion_at_minus_23(delta, h=None):
         # h(-23) = 3 and its 3-torsion is 3, not 1
         if delta == -23:
-            return ClassGroupSummary(delta, h, 1, 0)
-        return summary(delta, h)
+            return h, 1
+        return counts(delta, h)
 
-    monkeypatch.setattr(classgroup, "_span_summary", trivial_torsion_at_minus_23)
+    monkeypatch.setattr(classgroup, "_span_counts", trivial_torsion_at_minus_23)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "PASS analytic class numbers" in out

@@ -200,6 +200,29 @@ def test_scan_family_negative_branch():
     assert res.report.theoretical["average_dimension_bound"] == Fraction(4, 3)
 
 
+@pytest.mark.parametrize("a,x", [(1, 40_000), (-35, 10**6)])
+def test_scan_class_data_views_keep_their_values_and_order(a, x):
+    # the dicts a scan gave before its class data became arrays: every twist's
+    # summary in scan order, and the computed ones sorted by discriminant
+    deltas = [_certify_twist(a, d)[1] for d in scan_parameters(a, x)]
+    expected = {delta: class_group_summary(delta) for delta in deltas}
+    cold = scan_family(a, x)
+    assert list(cold.class_data.items()) == list(expected.items())
+    assert list(cold.new_class_data.items()) == sorted(expected.items())
+    assert cold.computed == b"\1" * len(deltas) > b""
+    # half of the class data supplied: the rest is computed, and is all that is new
+    supplied = dict(list(expected.items())[::2])
+    warm = scan_family(a, x, class_data=supplied)
+    assert list(warm.class_data.items()) == list(expected.items())
+    assert list(warm.new_class_data.items()) == sorted(
+        (d, s) for d, s in expected.items() if d not in supplied
+    )
+    assert bytes(d not in supplied for d in deltas) == warm.computed
+    assert warm.report == cold.report
+    assert list(warm.class_numbers) == [s.class_number for s in expected.values()]
+    assert list(warm.three_torsion) == [s.three_torsion for s in expected.values()]
+
+
 def test_scan_family_empty():
     with pytest.raises(EmptyFamilyError):
         scan_family(1, 4)
@@ -501,6 +524,7 @@ def test_family_statistics_refuse_the_direct_case_at_every_entry_point(monkeypat
         raise AssertionError("class data computed for a refused A")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
+    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     with pytest.raises(ValueError, match=f"^A = {a} is in the direct-evaluation case"):
         FAMILY_ENTRY_POINTS[name](a)
     # while the progression covers it: Delta(A, 1) = 12A, modulus 12*|A*12A|
