@@ -34,11 +34,11 @@ _class_counts makes that choice for a set of discriminants (the sweep
 where _sweep_pays, the whole span for the rest), in a process pool when
 jobs > 1, and returns h and the 3-torsion as two integer arrays in the order
 of its input; compute_class_data builds one summary per discriminant from
-them, and a scan builds none.  Two
-independent oracles cross-check the class numbers: the exact finite
-character sum behind the analytic class number formula, its character built
-from the prime discriminants of delta rather than from any table the span
-shares, and elementary divisors recovered from the orders of the classes of
+them, and neither a scan nor verify builds one.  Two independent oracles
+cross-check the class numbers: the exact finite character sum behind the
+analytic class number formula, its character built from the prime
+discriminants of delta rather than from any table the span shares, and
+elementary divisors recovered from the orders of the classes of
 every reduced form (listed by a plain double loop over (a, b), one partition
 into classes for both signs), found by walking the powers of each cyclic
 subgroup.
@@ -251,16 +251,16 @@ def _sqrt_mod_prime(x: int, p: int) -> int | None:
 # Class numbers of many negative discriminants in one sweep
 
 
-def _sweep_window(ns: list[int]) -> tuple[int, int, int]:
-    """(n0, M, L) for the sweep over the |delta| in ns: n0 = min ns, M = gcd of
-    the n - n0 (1 for a single n), and L the number of n ≡ n0 mod M in
-    [n0, max ns]."""
-    n0 = min(ns)
+def _sweep_window(deltas: list[int]) -> tuple[int, int, int]:
+    """(n0, M, L) for the sweep over the n = |delta|, delta in deltas (all
+    negative): n0 = min n, M = gcd of the n - n0 (1 for a single n), and L the
+    number of n ≡ n0 mod M in [n0, max n]."""
+    top = max(deltas)
     m = 0
-    for n in ns:
-        m = gcd(m, n - n0)
+    for delta in deltas:
+        m = gcd(m, top - delta)
     m = m or 1
-    return n0, m, (max(ns) - n0) // m + 1
+    return -top, m, (top - min(deltas)) // m + 1
 
 
 # One sweep costs about a_max * (a_max + L + 2**15) cells: for each a, one
@@ -278,13 +278,12 @@ def _sweep_pays(deltas: list[int]) -> bool:
     """Whether one sweep is cheaper than spanning each negative delta alone."""
     if len(deltas) < 2:
         return False
-    ns = [-d for d in deltas]
-    a_max = isqrt(max(ns) // 3)
-    cells = a_max * (a_max + _sweep_window(ns)[2] + 2**15)
-    return cells <= _SWEEP_CELLS_PER_UNIT * sum(isqrt(n) for n in ns)
+    a_max = isqrt(-min(deltas) // 3)
+    cells = a_max * (a_max + _sweep_window(deltas)[2] + 2**15)
+    return cells <= _SWEEP_CELLS_PER_UNIT * sum(isqrt(-d) for d in deltas)
 
 
-def _definite_class_numbers(deltas: list[int]) -> list[int]:
+def _definite_class_numbers(deltas: list[int]) -> array:
     """Class numbers of negative fundamental discriminants, by one sweep over
     the reduced forms of the whole window (after Buell's class-number tables).
 
@@ -297,22 +296,25 @@ def _definite_class_numbers(deltas: list[int]) -> list[int]:
     cumulative sum along the class count them all; no form is built.  Every
     form of a fundamental discriminant is primitive, so the count is h.
     Fundamentality is checked against one square-free sieve, as in
-    enumerate_progression.  Memory is O(L + a) for the window length L, and
-    with n <= MAX_DISCRIMINANT no int64 intermediate reaches 2**60 (the
-    largest is a product of two residues mod M < 10**9).
+    enumerate_progression.  The class numbers come back as an array('q') in
+    the order of deltas, gathered through one int64 index array, so no list
+    of one Python int per delta is built.  Memory is O(L + a) for the window
+    length L plus 8 bytes per delta, and with n <= MAX_DISCRIMINANT no int64
+    intermediate reaches 2**60 (the largest is a product of two residues mod
+    M < 10**9).
     """
     import numpy as np
 
-    ns = [-d for d in deltas]
-    check_scan_limit("|delta|", max(ns))
+    n_max = -min(deltas)
+    check_scan_limit("|delta|", n_max)
     # _is_fundamental asks about n itself when n is odd and about n/4 when not.
-    squarefree = squarefree_flags(max(n if n % 2 else n // 4 for n in ns)).__getitem__
+    squarefree = squarefree_flags(max(-d if d % 2 else -d // 4 for d in deltas)).__getitem__
     for delta in deltas:
         if delta >= 0 or not _is_fundamental(delta, squarefree):
             raise ValueError(f"{delta} is not a fundamental discriminant")
-    n0, m, length = _sweep_window(ns)
+    n0, m, length = _sweep_window(deltas)
     counts = np.zeros(length, dtype=np.int64)
-    for a in range(1, isqrt(max(ns) // 3) + 1):
+    for a in range(1, isqrt(n_max // 3) + 1):
         g = gcd(4 * a, m)
         step, stride = m // g, 4 * a // g
         b = np.arange(1 - a, a + 1, dtype=np.int64)
@@ -332,7 +334,12 @@ def _definite_class_numbers(deltas: list[int]) -> list[int]:
         first = np.bincount(start - base, minlength=rows * stride).reshape(rows, stride)
         np.cumsum(first, axis=0, out=first)
         counts[base:] += first.ravel()[: length - base]
-    return counts[[(n - n0) // m for n in ns]].tolist()
+    # the window index (n - n0) / M of each delta
+    index = np.array(deltas, dtype=np.int64)
+    index += n0
+    np.negative(index, out=index)
+    index //= m
+    return array("q", counts[index].tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -784,48 +791,77 @@ _ORACLE_LIMIT = 10**7
 _BLOCK = 2**18
 
 
-# chi_d2 over one period |d2| for the 2-part d2 of a fundamental discriminant.
+# chi_d2 over one period |d2| for the 2-part d2 != 1 of a fundamental discriminant.
 _CHI_2_PART = {
-    1: (1,),
     -4: (0, 1, 0, -1),
     8: (0, 1, 0, -1, 0, -1, 0, 1),
     -8: (0, 1, 0, 1, 0, -1, 0, -1),
 }
 
+# Odd primes up to this bound keep their Legendre table for the process: at
+# most 445 tables, 642,867 bytes.  Every prime factor of a |delta| the oracle
+# accepts but the largest is at most this bound, so at most one table per
+# call is built and dropped.
+_LEGENDRE_MEMO_BOUND = isqrt(_ORACLE_LIMIT)
 
-def _kronecker_table(delta: int) -> np.ndarray:
+
+def _legendre_table(q: int) -> np.ndarray:
+    """(t|q) for 0 <= t < q, q an odd prime, as int8, by marking the squares mod q."""
+    import numpy as np
+
+    legendre = np.full(q, -1, dtype=np.int8)
+    legendre[0] = 0
+    for start in range(1, (q + 1) // 2, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, (q + 1) // 2), dtype=np.int64)
+        k *= k
+        k %= q
+        legendre[k] = 1
+    return legendre
+
+
+@cache
+def _small_legendre_table(q: int) -> np.ndarray:
+    """_legendre_table(q) for q <= _LEGENDRE_MEMO_BOUND, built once and read-only."""
+    table = _legendre_table(q)
+    table.flags.writeable = False
+    return table
+
+
+def _kronecker_table(
+    delta: int, factors: tuple[tuple[int, int], ...] | None = None
+) -> np.ndarray:
     """chi[t] = kronecker(delta, t) for 0 <= t < |delta|, delta fundamental.
 
     A fundamental delta is a product of prime discriminants,
     delta = d2 * prod q*, with q* = +-q = 1 mod 4 for each odd prime q | delta
     and d2 in {1, -4, 8, -8}, so chi(t) = chi_d2(t) * prod (t|q).  Each
-    period q or |d2| divides |delta|: viewing chi as rows of that length, one
-    in-place multiply per prime applies its Legendre table, built by marking
-    the squares mod q, to every row.  No table of the span is shared:
+    period q or |d2| divides |delta|: chi starts as np.tile of the first
+    factor's table, and viewing chi as rows of each further period, one
+    in-place multiply applies that factor's table to every row.  factors is
+    factorize(|delta|) when the caller has it, so |delta| is factored once.
+    The Legendre table of q is built by marking the squares mod q; for
+    q <= _LEGENDRE_MEMO_BOUND it is kept for the process, read-only, and a
+    larger one is dropped with the call.  No table of the span is shared:
     neither arith.kronecker nor the prime list (_primes) is used, only
     factorize (trial division).  chi is int8, one byte per t.
     """
     import numpy as np
 
     n = abs(delta)
-    chi = np.ones(n, dtype=np.int8)
-    odd = 1
-    for q, _ in factorize(n):
+    odd, tables = 1, []
+    for q, _ in factorize(n) if factors is None else factors:
         if q == 2:
             continue
         odd *= q if q % 4 == 1 else -q
-        legendre = np.full(q, -1, dtype=np.int8)
-        legendre[0] = 0
-        for start in range(1, (q + 1) // 2, _BLOCK):
-            k = np.arange(start, min(start + _BLOCK, (q + 1) // 2), dtype=np.int64)
-            k *= k
-            k %= q
-            legendre[k] = 1
-        rows = chi.reshape(-1, q)
-        rows *= legendre
+        small = q <= _LEGENDRE_MEMO_BOUND
+        tables.append(_small_legendre_table(q) if small else _legendre_table(q))
     d2 = delta // odd
-    rows = chi.reshape(-1, abs(d2))
-    rows *= np.array(_CHI_2_PART[d2], dtype=np.int8)
+    if d2 != 1:
+        tables.insert(0, np.array(_CHI_2_PART[d2], dtype=np.int8))
+    chi = np.tile(tables[0], n // len(tables[0]))
+    for table in tables[1:]:
+        rows = chi.reshape(-1, len(table))
+        rows *= table
     return chi
 
 
@@ -835,20 +871,24 @@ def analytic_class_number_oracle(delta: int) -> int:
     Evaluates h = w * sqrt|delta| / (2*pi) * L(1, chi) through the exact
     finite character sum  h = |sum_{t=1}^{|delta|-1} t * chi(t)| / |delta|
     (unit count w = 2), a route fully independent of form reduction and
-    composition.  chi = (delta|.) is filled by _kronecker_table from the
-    prime discriminants of delta: one Legendre table per odd prime q | delta,
-    built by marking the squares mod q, and the character mod 4 or 8 of the
-    2-part, each multiplied in place over the whole period with no per-t
-    loop.  The sum covers exactly one character period and is checked for
-    exact integrality; anything else fails loudly.
+    composition.  |delta| is factored once: its odd part's exponents decide
+    fundamentality (through discriminants._is_fundamental, as is_fundamental
+    does), and its primes feed _kronecker_table, which fills chi = (delta|.)
+    from the prime discriminants of delta: one Legendre table per odd prime
+    q | delta and the character mod 4 or 8 of the 2-part, each multiplied in
+    place over the whole period with no per-t loop.  The sum covers exactly
+    one character period and is checked for exact integrality; anything
+    else fails loudly.
 
     Time is O(|delta|); memory is one byte per unit of |delta| for the int8
     chi plus one per unit of the largest prime q | delta for its Legendre
-    table, and no table outlives the call.  Measured with tracemalloc (numpy
-    loaded, 2-CPU Xeon, Python 3.11, numpy 2.4): delta = -999,995 peaks at
-    5.0 MiB in about 0.015 s, -9,999,995 (q = 1,999,999) at 13.5 MiB in
-    0.06 s, and the prime -9,999,991 at 23.1 MiB in 0.11 s.  |delta| > 10**7
-    is refused with ValueError before any table is built.
+    table.  A table with q > isqrt(10**7) = 3,162 does not outlive the call;
+    the smaller ones are kept for the process, read-only, at most 445 tables
+    and 642,867 bytes.  Measured with tracemalloc (numpy loaded, 2-CPU Xeon,
+    Python 3.11, numpy 2.4): delta = -999,995 peaks at 5.0 MiB in about
+    0.008 s, -9,999,995 (q = 1,999,999) at 13.5 MiB in 0.03 s, and the prime
+    -9,999,991 at 19.1 MiB in 0.08 s.  |delta| > 10**7 is refused with
+    ValueError before any table is built.
     """
     import numpy as np
 
@@ -856,12 +896,15 @@ def analytic_class_number_oracle(delta: int) -> int:
         raise ValueError("the analytic oracle handles negative discriminants only")
     if -delta > _ORACLE_LIMIT:
         raise ValueError(f"|delta| exceeds the analytic oracle's limit {_ORACLE_LIMIT}")
-    if not is_fundamental(delta):
+    n = -delta
+    factors = factorize(n)
+    # _is_fundamental asks whether n or n/4 is square-free; both have n's odd part
+    odd_squarefree = all(e == 1 for q, e in factors if q > 2)
+    if not _is_fundamental(delta, lambda m: odd_squarefree and m % 4 != 0):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     if delta in (-3, -4):
         raise ExtraUnitsDiscriminant(delta)
-    n = -delta
-    chi = _kronecker_table(delta)
+    chi = _kronecker_table(delta, factors)
     total = 0
     for start in range(0, n, _BLOCK):
         block = chi[start : start + _BLOCK]

@@ -405,11 +405,13 @@ def rearrangement_check(values, mean_bound, k: int) -> RearrangementCheck:
     values = list(values)
     if not values:
         raise ValueError("values must be nonempty")
-    for v in values:
+    # each distinct value once, in list order, so a refusal names the first bad one
+    for v in dict.fromkeys(values):
         if exact_log(v, 3) is None:
             raise ValueError(f"value {v} is not a positive power of 3")
     mean = Fraction(sum(values), len(values))
-    small = Fraction(sum(1 for v in values if v <= 3**k), len(values))
+    top = 3**k
+    small = Fraction(sum(1 for v in values if v <= top), len(values))
     bound = proportion_bound_from_mean(mean_bound, k)
     holds = mean > mean_bound or small >= bound
     return RearrangementCheck(

@@ -7,9 +7,12 @@ torsion count is checked against cubing every class, and group structure
 against explicit multiplication tables.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
+from array import array
 from collections import Counter
 
 import pytest
@@ -47,7 +50,13 @@ from twistrank.classgroup import (
     _sqrt_mod_prime,
     _sweep_window,
 )
-from twistrank.discriminants import MAX_DISCRIMINANT, is_fundamental
+from twistrank.discriminants import (
+    MAX_DISCRIMINANT,
+    NEGATIVE,
+    ProgressionFamily,
+    enumerate_progression,
+    is_fundamental,
+)
 from twistrank.stats import scan_family, scan_parameters
 
 
@@ -290,8 +299,8 @@ def test_reduced_forms_refuses_past_the_oracle_limit():
 def test_sweep_matches_enumeration_on_every_fundamental():
     # odd and even |delta| mix, so the window modulus is 1
     deltas = negative_fundamentals(2 * 10**4 - 1)
-    assert _sweep_window([-d for d in deltas])[1] == 1
-    assert _definite_class_numbers(deltas) == [len(reduced_forms(d)) for d in deltas]
+    assert _sweep_window(deltas)[1] == 1
+    assert _definite_class_numbers(deltas) == array("q", [len(reduced_forms(d)) for d in deltas])
 
 
 def test_sweep_matches_the_span_on_twist_families():
@@ -304,10 +313,10 @@ def test_sweep_matches_the_span_on_twist_families():
         [-4 * 37 * d for d in scan_parameters(37, 2 * 10**5)],
         [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
     ):
-        assert _sweep_window([-d for d in deltas])[1] > 1
-        assert _definite_class_numbers(deltas) == [
-            _span_summary(d).class_number for d in deltas
-        ]
+        assert _sweep_window(deltas)[1] > 1
+        assert _definite_class_numbers(deltas) == array(
+            "q", [_span_summary(d).class_number for d in deltas]
+        )
 
 
 def test_sweep_rejects_non_fundamental():
@@ -950,6 +959,86 @@ def test_analytic_oracle_refuses_above_ten_million(monkeypatch):
     monkeypatch.setattr(classgroup, "_primes", no_prime_list)
     with pytest.raises(ValueError, match="limit 10000000"):
         analytic_class_number_oracle(-10_000_003)
+
+
+class TableBuilt(Exception):
+    """Raised in place of building chi: the oracle's refusals all come first."""
+
+
+def test_analytic_oracle_refuses_what_is_fundamental_refuses(monkeypatch):
+    # |delta| is factored once, and that factorization decides fundamentality
+    def no_table(delta, factors=None):
+        raise TableBuilt
+
+    monkeypatch.setattr(classgroup, "_kronecker_table", no_table)
+    for delta in range(-1, -20_001, -1):
+        if delta in (-3, -4):
+            with pytest.raises(ExtraUnitsDiscriminant):
+                analytic_class_number_oracle(delta)
+        elif is_fundamental(delta):
+            with pytest.raises(TableBuilt):
+                analytic_class_number_oracle(delta)
+        else:
+            with pytest.raises(ValueError) as info:
+                analytic_class_number_oracle(delta)
+            assert str(info.value) == f"{delta} is not a fundamental discriminant"
+
+
+def test_analytic_oracle_builds_each_small_legendre_table_once(monkeypatch):
+    # the 3,041 discriminants of verify --level full
+    deltas = [
+        d for d in enumerate_progression(ProgressionFamily(10**4, 0, 1, NEGATIVE))
+        if d not in (-3, -4)
+    ]
+    assert len(deltas) == 3041
+    built = Counter()
+    build = classgroup._legendre_table
+
+    def counted(q):
+        built[q] += 1
+        return build(q)
+
+    monkeypatch.setattr(classgroup, "_legendre_table", counted)
+    classgroup._small_legendre_table.cache_clear()
+    for delta in deltas:
+        analytic_class_number_oracle(delta)
+    small = {q for d in deltas for q, _ in factorize(d) if 2 < q <= 3162}
+    assert {q for q, n in built.items() if q <= 3162} == small
+    assert all(built[q] == 1 for q in small)
+    # every table of a larger prime is built once per discriminant it divides
+    for q, n in built.items():
+        if q > 3162:
+            assert n == sum(d % q == 0 for d in deltas), q
+
+
+def test_memoized_legendre_tables_are_read_only():
+    assert classgroup._LEGENDRE_MEMO_BOUND == 3162
+    table = classgroup._small_legendre_table(7)
+    assert table.tolist() == [0, 1, 1, -1, 1, -1, -1]
+    with pytest.raises(ValueError):
+        table[1] = -1
+    assert classgroup._small_legendre_table(7) is table
+    # chi is built on top of such tables, and stays writable itself
+    assert _kronecker_table(-7).flags.writeable
+
+
+def test_large_legendre_tables_do_not_outlive_the_call(monkeypatch):
+    refs = []
+    build = classgroup._legendre_table
+
+    def tracked(q):
+        table = build(q)
+        refs.append((q, weakref.ref(table)))
+        return table
+
+    monkeypatch.setattr(classgroup, "_legendre_table", tracked)
+    h = class_group_summary(-999_995).class_number
+    # -999,995 = -5 * 199,999: only the table of 199,999 is past the memo bound
+    assert analytic_class_number_oracle(-999_995) == h
+    gc.collect()
+    large = [(q, ref) for q, ref in refs if q > 3162]
+    assert [q for q, _ in large] == [199_999]
+    assert all(ref() is None for _, ref in large)
 
 
 # ---------------------------------------------------------------------------

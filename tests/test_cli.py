@@ -219,15 +219,16 @@ def test_scan_builds_no_class_group_summary(capsys, tmp_path, monkeypatch, a, x)
 def test_scan_and_verify_refuse_a_directory_path_before_any_work(
     capsys, tmp_path, monkeypatch
 ):
-    import twistrank.cli as cli_mod
-    from twistrank import stats
+    from twistrank import classgroup, stats
 
     def no_class_data(*args, **kwargs):
         raise AssertionError("class data computed before the path was checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
     monkeypatch.setattr(stats, "_class_counts", no_class_data)
-    monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
+    # the verify suites' class data
+    monkeypatch.setattr(classgroup, "_definite_class_numbers", no_class_data)
+    monkeypatch.setattr(classgroup, "_class_counts", no_class_data)
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     for flag, name in (("--cache", "cache"), ("--report", "report"), ("--trace", "trace")):
         code, out, err = run(capsys, "scan", "1", "--max-x", "40000", flag, str(tmp_path))
@@ -251,7 +252,6 @@ def test_scan_and_verify_refuse_a_directory_path_before_any_work(
 def test_scan_refuses_two_paths_that_name_one_file(
     capsys, tmp_path, monkeypatch, first, second
 ):
-    import twistrank.cli as cli_mod
     from twistrank import stats
 
     def no_class_data(*args, **kwargs):
@@ -259,7 +259,6 @@ def test_scan_refuses_two_paths_that_name_one_file(
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
     monkeypatch.setattr(stats, "_class_counts", no_class_data)
-    monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     one, other = first[2:], second[2:]
@@ -287,7 +286,6 @@ def test_scan_refuses_two_paths_that_name_one_file(
 
 
 def test_scan_refuses_a_k_past_19_before_any_work(capsys, tmp_path, monkeypatch):
-    import twistrank.cli as cli_mod
     from twistrank import stats
 
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
@@ -303,7 +301,6 @@ def test_scan_refuses_a_k_past_19_before_any_work(capsys, tmp_path, monkeypatch)
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
     monkeypatch.setattr(stats, "_class_counts", no_class_data)
-    monkeypatch.setattr(cli_mod, "compute_class_data", no_class_data)
     for k in ("20", "9010", "1000000000"):
         code, out, err = run(capsys, "scan", "1", "--max-x", "400", "--k", k, "--cache", str(path))
         assert (code, out) == (2, ""), k
@@ -346,13 +343,14 @@ def test_scan_writes_a_symlinked_cache_through_the_link(capsys, tmp_path, monkey
 # and exits with main's exit code.
 NO_CLASS_DATA_PROBE = """
 import sys
-import twistrank.cli, twistrank.stats
+import twistrank.classgroup, twistrank.cli, twistrank.stats
 
 def no_class_data(*args, **kwargs):
     raise AssertionError("class data computed before the cache path was checked")
 
-twistrank.cli.compute_class_data = twistrank.stats.compute_class_data = no_class_data
-twistrank.stats._class_counts = no_class_data
+twistrank.stats.compute_class_data = twistrank.stats._class_counts = no_class_data
+twistrank.classgroup._definite_class_numbers = no_class_data
+twistrank.classgroup._class_counts = no_class_data
 sys.exit(twistrank.cli.main(sys.argv[1:]))
 """
 
@@ -645,6 +643,20 @@ def test_verify_enumerates_each_structure_discriminant_once(monkeypatch):
     # only the brute-force oracle enumerates: the class data of the 607
     # positive delta come from the prime-form span, the 611 negative from the sweep
     assert len(calls) == len(set(calls)) == 1218
+
+
+def test_verify_class_group_suites_build_no_summary(monkeypatch):
+    from twistrank import classgroup
+    from twistrank.cli import _verify_analytic, _verify_structure
+
+    def no_summary(*args, **kwargs):
+        raise AssertionError("a ClassGroupSummary was built")
+
+    monkeypatch.setattr(classgroup, "ClassGroupSummary", no_summary)
+    assert _verify_analytic(2000) == (
+        True, "609 discriminants, form count = analytic class number"
+    )
+    assert _verify_structure(2000)[0]
 
 
 def test_verify_catches_an_incomplete_real_span(capsys, monkeypatch):

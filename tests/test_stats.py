@@ -599,15 +599,31 @@ def test_rearrangement_randomized_with_exact_mean():
 
 
 def test_rearrangement_rejects_bad_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^values must be nonempty$"):
         rearrangement_check([], 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^value 2 is not a positive power of 3$"):
         rearrangement_check([1, 2], 2, 0)
+    # the first bad value in list order is named
+    with pytest.raises(ValueError, match="^value 6 is not a positive power of 3$"):
+        rearrangement_check([1, 6, 3, 5], 2, 0)
     with pytest.raises(ValueError):
         rearrangement_check([1, -3], 2, 0)
     with pytest.raises(ValueError):
         rearrangement_check([1, 0], 2, 0)
 
+
+def test_rearrangement_checks_each_distinct_value_once(monkeypatch):
+    logs = []
+    exact_log = stats.exact_log
+
+    def counted(n, p):
+        logs.append(n)
+        return exact_log(n, p)
+
+    monkeypatch.setattr(stats, "exact_log", counted)
+    chk = rearrangement_check([9, 1, 1, 3, 9, 1, 27, 3], Fraction(6), 1)
+    assert logs == [9, 1, 3, 27]
+    assert chk.small_fraction == Fraction(5, 8) and chk.sample_mean == Fraction(54, 8)
 
 # ---------------------------------------------------------------------------
 # Average Selmer dimension in the family report
