@@ -16,10 +16,16 @@ form, whose cycles are the images (c, b, a), (-a, b, -c) and (-c, b, -a) of
 the forms (a, b, c) of x (_RhoIndex): (c, b, a) lies in x**-1 by
 (x, y) -> (-y, x), and each image is reduced, as reducedness depends only
 on |a|, b and |c| and is symmetric in |a| and |c|, since
-4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).  A prime p is passed over
-before its square root is taken once a spanned class holds a reduced form
-led by p, since the only such forms with p <= sqrt(delta)/2 are the prime
-forms of norm p and their inverses.
+4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).  The mirror
+iota: (a, b, c) -> (c, b, a) conjugates the rho step to its inverse on
+reduced forms, so when x = x**-1 it reverses the cycle of x onto itself
+about two axes (a form (a, b, a), or two neighbours that are each other's
+mirror images), and the walk stores only the forms between them, at most
+half the cycle and one form more.  A prime p is passed over before its
+square root is taken once a spanned class holds a reduced form led by p,
+since the only such forms with p <= sqrt(delta)/2 are the prime forms of
+norm p and their inverses, and for either sign an inert prime,
+(delta/p) = -1, is passed over by Euler's criterion, one pow.
 When 9 does not divide h, Lagrange settles the 3-torsion in _span_counts:
 1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
 Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
@@ -474,7 +480,9 @@ def _prime_forms(
     s + 1 - 2p <= b <= s holds exactly one b of each class mod 2p, and the
     form with that b is reduced as built.  A prime p with known(p) true is
     passed over before its square root is taken; known is asked when p is
-    reached, so it sees what the forms yielded before p have spanned.
+    reached, so it sees what the forms yielded before p have spanned.  An
+    odd p with (delta/p) = -1 is passed over by Euler's criterion, one pow,
+    so every square root taken exists.
     """
     check_scan_limit("|delta|", abs(delta))
     s = isqrt(delta) if delta > 0 else 0
@@ -486,6 +494,9 @@ def _prime_forms(
             continue
         if p == 2:
             b = next((b for b in range(4) if (b * b - delta) % 8 == 0), None)
+        elif pow(delta, (p - 1) // 2, p) == p - 1:
+            # (delta/p) = -1 by Euler's criterion: p is inert, with no root
+            continue
         else:
             r = _sqrt_mod_prime(delta, p)
             b = None if r is None else r if (r - delta) % 2 == 0 else p - r
@@ -502,12 +513,52 @@ def _prime_forms(
         yield -1, b, (delta - b * b) // 4
 
 
+# For the subgroup H of the image positions {0, 1, 2, 3} (XOR) whose class is
+# the walked x itself, given as the bitmask of its positions 1, 2 and 3: the
+# class of each position as an offset from the first new class number, one
+# per coset of H, and the first position of each coset.
+_COSETS = {
+    0b000: ((0, 1, 2, 3), (0, 1, 2, 3)),
+    0b001: ((0, 0, 1, 1), (0, 2)),
+    0b010: ((0, 1, 0, 1), (0, 1)),
+    0b100: ((0, 1, 1, 0), (0, 1)),
+    0b111: ((0, 0, 0, 0), (0,)),
+}
+
+
+def _rho_arc(
+    a: int, b: int, c: int, delta: int, s: int, forms: list, stop: tuple[int, int, int]
+) -> bool:
+    """Append the rho-successors of the reduced form (a, b, c) to forms, up
+    to an axis of the mirror (a, b, c) -> (c, b, a) (True) or up to stop,
+    not appended (False).
+
+    An axis is a form (a, b, a), appended, or a form that is the mirror
+    image of the one before it, not appended.  Either puts the mirror image
+    of a form of the cycle in the cycle, so only the cycle of a self-inverse
+    class has axes.  Each step is _rho_raw's branch for |c| <= s, as in
+    _RhoIndex.
+    """
+    while True:
+        r = s - (s + b) % (2 * abs(c))
+        n = (r * r - delta) // (4 * c)
+        if r == b and n == a:
+            return True
+        a, b, c = c, r, n
+        g = a, b, c
+        if g == stop:
+            return False
+        forms.append(g)
+        if a == c:
+            return True
+
+
 class _RhoIndex(dict):
     """Class index (narrow when delta > 0) of the reduced forms of one delta.
 
     Looking up a form not indexed yet gives it a new class number: alone when
     delta < 0, as a reduced definite form is the only reduced form of its
-    class, and with every form of its rho-cycle, walked from it, when
+    class, and with the forms of its rho-cycle, walked from it, when
     delta > 0.  So index[f] names the class of any reduced form f.
 
     With images (the span's index), one walk numbers up to four classes.  For
@@ -526,10 +577,28 @@ class _RhoIndex(dict):
     that is not x itself (an image of the walked form lies in the walked
     cycle exactly when x = x**-1, sigma = 1 or x**2 = sigma).  A later lookup
     of a form of an image class finds one of its own images in the walked
-    cycle and takes that class's number, so no image cycle is walked.
+    cycle and takes that class's number, so no image cycle is walked; the
+    looked-up form is not stored.
+    The mirror iota: (a, b, c) -> (c, b, a) satisfies iota*rho*iota =
+    rho**-1 on reduced forms: for rho(a, b, c) = (c, r, c'), the form
+    rho(c', r, c) is led by c, and its middle coefficient is ≡ -r ≡ b
+    mod 2|c| and lies in the window (s - 2|c|, s] that holds b, so it is
+    (c, b, a).  When x = x**-1, iota therefore reverses the cycle of x onto
+    itself, and the cycle has two axes, each a form (a, b, a), which iota
+    fixes, or two neighbours that are each other's mirror images.  Neither
+    occurs in the cycle of a class with x != x**-1.  The walk stops at the
+    first axis it meets, goes on from the rho-neighbour of the mirror image
+    of its first form (the mirror image of the way back from that form) to
+    the second axis (_rho_arc).  So it stores at most l/2 + 1 of the
+    cycle's l forms, one for each form of an arc between the axes: the form
+    itself or its mirror image.  Every other form of the cycle is the mirror
+    image of a stored form, which the image lookup finds.
     led[p] names a class that holds a reduced form led by p > 0: x for the
-    forms (p, b, c) of x, and x*sigma for its forms (-p, b, c).  Without
-    images (the brute-force oracle's index) a lookup walks one class.
+    forms (p, b, c) of x, and x*sigma for its forms (-p, b, c).  The c of
+    the stored forms and the a of the first one lead every form of a cycle
+    walked in halves, as the c of a form is the a of its rho-neighbour and
+    of its mirror image.  Without images (the brute-force oracle's index) a
+    lookup walks and stores one whole cycle.
     """
 
     def __init__(self, delta: int, s: int, images: bool = False):
@@ -547,43 +616,60 @@ class _RhoIndex(dict):
             self[f] = cid
             self.size += 1
             return cid
-        a0, b0, c0 = f
-        images = (c0, b0, a0), (-a0, b0, -c0), (-c0, b0, -a0)
-        if self.images:
-            # image e of a form of the class at position k is a form of the
-            # class at position e ^ k: the involutions compose like XOR on
-            # 1 (inverse), 2 (sigma) and 3 (both)
-            for e, g in enumerate(images, 1):
-                k = self.get(g)
-                if k is not None:
-                    numbers, at = self._orbits[k]
-                    self[f] = numbers[e ^ at]
-                    return numbers[e ^ at]
-        # A reduced form (a, b, c) has |c| <= s, as c leads its reduced
-        # rho-neighbour and every reduced form has |a| < sqrt(delta), so each
-        # step is _rho_raw's branch for |c| <= s.
-        leads, g = [], f
-        while g not in self:
-            self[g] = cid
-            _, b, c = g
-            leads.append(c)
-            r = s - (s + b) % (2 * abs(c))
-            g = c, r, (r * r - delta) // (4 * c)
-        if g != f:
-            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
         if not self.images:
+            # A reduced form (a, b, c) has |c| <= s, as c leads its reduced
+            # rho-neighbour and every reduced form has |a| < sqrt(delta), so
+            # each step is _rho_raw's branch for |c| <= s.
+            g = f
+            while g not in self:
+                self[g] = cid
+                _, b, c = g
+                r = s - (s + b) % (2 * abs(c))
+                g = c, r, (r * r - delta) // (4 * c)
+            if g != f:
+                raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
             self.size += 1
             return cid
-        # the positions whose image class is x itself form a subgroup H of
-        # {0, 1, 2, 3} under XOR; positions in one coset of H name one class
-        h = [0] + [e for e, g in enumerate(images, 1) if g in self]
-        coset = [min(e ^ x for x in h) for e in range(4)]
-        firsts = sorted(set(coset))
-        numbers = tuple(cid + firsts.index(k) for k in coset)
+        a0, b0, c0 = f
+        images = (c0, b0, a0), (-a0, b0, -c0), (-c0, b0, -a0)
+        # image e of a form of the class at position k is a form of the class
+        # at position e ^ k: the involutions compose like XOR on 1 (inverse),
+        # 2 (sigma) and 3 (both).  f itself is not stored, so the walked
+        # halves of self-inverse cycles stay halves.
+        for e, g in enumerate(images, 1):
+            k = self.get(g)
+            if k is not None:
+                numbers, at = self._orbits[k]
+                return numbers[e ^ at]
+        size = len(self)
+        forms = [f]
+        mirrored = a0 == c0 or _rho_arc(a0, b0, c0, delta, s, forms, f)
+        if mirrored:
+            # x = x**-1: the walk met one axis of the mirror, and the arc
+            # from the mirror image of f runs to the other one
+            _rho_arc(c0, b0, a0, delta, s, forms, f)
+        self.update(zip(forms, repeat(cid)))
+        if len(self) != size + len(forms):
+            raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
+        # the image positions whose class is x itself, as a bitmask of 1, 2,
+        # 3; a cycle walked in halves holds the sigma image of f exactly when
+        # it stores that image or its mirror image, the image 3
+        if mirrored:
+            mask = 7 if images[1] in self or images[2] in self else 1
+        else:
+            mask = 2 if images[1] in self else 4 if images[2] in self else 0
+        offsets, firsts = _COSETS[mask]
+        numbers = tuple([cid + k for k in offsets])
         for k in firsts:
             self._orbits[numbers[k]] = numbers, k
         self.size += len(firsts)
-        self.led.update((c, cid) if c > 0 else (-c, numbers[2]) for c in leads)
+        # the c of each stored form leads its rho-neighbour (in x) and, as
+        # the a of its mirror image, a form of x**-1; with a0 they are the
+        # leads of every form of the cycle
+        sigma = numbers[2]
+        led = self.led
+        led.update((c, cid) if c > 0 else (-c, sigma) for _, _, c in forms)
+        led[abs(a0)] = cid if a0 > 0 else sigma
         return cid
 
 
@@ -616,7 +702,24 @@ class _RhoIndex(dict):
 # holds P and P**-1, and p's prime form would not enlarge it: the forms that
 # enlarge the span are the same with and without the skip.  The test asks
 # the span (seen), not the index, which also numbers the classes x*sigma
-# beside each walked x before sigma, the last form, is spanned.
+# beside each walked x before sigma, the last form, is spanned.  An inert p,
+# (delta/p) = -1, has no prime form at all; Euler's criterion,
+# delta**((p-1)/2) ≡ -1 mod p, passes it over before Tonelli-Shanks.
+#
+# Why a self-inverse class is walked in halves.  With iota the mirror
+# (a, b, c) -> (c, b, a), iota*rho*iota = rho**-1 on reduced forms (see
+# _RhoIndex).  If x = x**-1, iota maps the cycle of x onto itself, as a
+# reflection i -> k - i of the positions of its l forms, and a reflection of
+# a cycle has two axes: a position it fixes, a form (a, b, a), or a pair of
+# neighbours it swaps, each the mirror image of the other.  An axis puts the
+# mirror image of a form of the cycle in the cycle, so it shows x = x**-1.
+# The walk from f goes forward to the first axis and then, from the
+# rho-neighbour of iota(f), forward to the second: that second leg is the
+# mirror image of the way back from f.  The forms it stores are, each as
+# itself or as its mirror image, the forms of one arc between the axes, at
+# most l/2 + 1 of them; a form of the other arc has its mirror image
+# stored, so the lookup through that image names x.  A cycle with no axis
+# is walked whole and is back at f after l steps.
 
 
 def _principal_class(delta: int, s: int):

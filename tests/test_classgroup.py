@@ -858,6 +858,69 @@ def test_rho_index_with_images_refuses_a_walk_that_does_not_close():
         index[one]
 
 
+def test_span_walks_self_inverse_cycles_between_their_mirror_axes(monkeypatch):
+    # every positive fundamental delta <= 10**4 and the A = -35 family at
+    # X = 10**6, against the one-class-per-walk oracle: the span stores at
+    # most l/2 + 1 of the l forms of a self-inverse class, all l of any other
+    # class it walks, and a class that leads p for each p in led
+    family = [140 * d for d in scan_parameters(-35, 10**6)]
+    halved = whole = 0
+    for delta in positive_fundamentals(10**4) + family:
+        s = math.isqrt(delta)
+        index, _ = span_index(monkeypatch, delta)
+        stored = set(index)
+        _, oracle, _ = _classes(delta, s)
+        cycles = {}
+        for f, k in oracle.items():
+            cycles.setdefault(k, []).append(f)
+        for cycle in cycles.values():
+            a, b, c = cycle[0]
+            kept = [f for f in cycle if f in stored]
+            if oracle[c, b, a] == oracle[a, b, c]:
+                # x = x**-1: whatever is not stored has its mirror stored
+                assert len(kept) <= len(cycle) / 2 + 1, (delta, cycle[0])
+                if kept:
+                    assert all(f in stored or (f[2], f[1], f[0]) in stored for f in cycle)
+                    halved += len(kept) < len(cycle)
+            else:
+                assert len(kept) in (0, len(cycle)), (delta, cycle[0])
+                whole += len(kept) == len(cycle)
+        # keying every reduced form stores none of them
+        named = {index[f]: oracle[f] for f in oracle}
+        assert set(index) == stored, delta
+        for p in _primes():
+            if p > math.isqrt(delta // 4):
+                break
+            led = [f for f in oracle if f[0] == p]
+            if led:
+                classes = {oracle[f] for f in led} | {oracle[c, b, a] for a, b, c in led}
+                assert named[index.led[p]] in classes, (delta, p)
+    assert halved > 0 and whole > 0
+
+
+def test_span_takes_no_square_root_of_an_inert_prime(monkeypatch):
+    # Euler's criterion passes over each p with (delta/p) = -1 before
+    # Tonelli-Shanks, so every root the span takes exists
+    roots = []
+    sqrt_mod_prime = classgroup._sqrt_mod_prime
+
+    def counted(x, p):
+        root = sqrt_mod_prime(x, p)
+        roots.append((x, p, root))
+        return root
+
+    monkeypatch.setattr(classgroup, "_sqrt_mod_prime", counted)
+    family = [140 * d for d in scan_parameters(-35, 10**6)]
+    taken = 0
+    for delta in positive_fundamentals(3000) + family:
+        roots.clear()
+        class_group_summary(delta)
+        assert all(x == delta and kronecker(delta, p) != -1 for x, p, _ in roots), delta
+        assert None not in [root for *_, root in roots], delta
+        taken += len(roots)
+    assert taken > 0
+
+
 @pytest.mark.parametrize("delta", [-999_999_995, 999_999_997])
 def test_class_group_summary_bounded_memory_at_limit(delta):
     # the fundamental discriminants nearest MAX_DISCRIMINANT = 10**9
