@@ -9,10 +9,9 @@ a discriminant (nonzero, 0 or 1 mod 4, not a square), h positive and the
 value.  Fundamentality is not re-checked, since factoring each delta would
 cost more than the whole load.
 
-One reader (_scan_pairs) makes every check and keeps each entry as its
-(h, 3-torsion) pair; the scan command loads and saves those pairs
-(_load_pairs, _save_pairs) and builds no summary.  load and scan_lines give
-the same entries as ClassGroupSummary values, and save takes them.
+One reader (scan_lines) makes every check and keeps each entry as its
+(h, 3-torsion) pair, the class data a scan takes and gives (load, save); no
+summary is built.
 
 The cache only ever gains entries; rewrites go through a temporary file and
 an atomic rename, so a crash can never leave a half-written cache behind, and
@@ -33,13 +32,7 @@ import stat
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from .classgroup import (
-    ClassData,
-    ClassPairs,
-    _check_discriminant,
-    _three_rank,
-    summary_from_counts,
-)
+from .classgroup import ClassData, _check_discriminant, _three_rank
 
 CACHE_ENV_VAR = "TWISTRANK_CACHE"
 
@@ -81,10 +74,15 @@ def _parse_json(line: str) -> tuple[int, int, int]:
     return delta, h, torsion
 
 
-def _scan_pairs(path: str) -> tuple[ClassPairs, list[BadLine]]:
-    """scan_lines with the valid entries as (h, 3-torsion) pairs: the same
-    checks, messages and bad lines, and no summary built."""
-    pairs: ClassPairs = {}
+def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
+    """Read a cache, keeping valid entries and collecting invalid lines.
+
+    Later duplicates of a discriminant must agree with the first occurrence;
+    a conflicting duplicate is reported as corrupt rather than resolved.
+    Bytes that are not UTF-8 are read as surrogate escapes, so such a line
+    fails to parse like any other corrupt line and keeps its bytes.
+    """
+    pairs: ClassData = {}
     bad: list[BadLine] = []
     ranks: dict[int, int] = {}  # each 3-torsion value checked so far -> its 3-rank
     fullmatch = _CANONICAL.fullmatch
@@ -116,32 +114,12 @@ def _scan_pairs(path: str) -> tuple[ClassPairs, list[BadLine]]:
     return pairs, bad
 
 
-def _load_pairs(path: str) -> ClassPairs:
-    """load, with each entry as its (h, 3-torsion) pair."""
-    pairs, bad = _scan_pairs(path)
+def load(path: str) -> ClassData:
+    """Load a cache, raising CacheCorruption if any line fails validation."""
+    pairs, bad = scan_lines(path)
     if bad:
         raise CacheCorruption(path, bad)
     return pairs
-
-
-def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
-    """Read a cache, keeping valid entries and collecting invalid lines.
-
-    Later duplicates of a discriminant must agree with the first occurrence;
-    a conflicting duplicate is reported as corrupt rather than resolved.
-    Bytes that are not UTF-8 are read as surrogate escapes, so such a line
-    fails to parse like any other corrupt line and keeps its bytes.
-    """
-    pairs, bad = _scan_pairs(path)
-    return {d: summary_from_counts(d, h, t) for d, (h, t) in pairs.items()}, bad
-
-
-def load(path: str) -> ClassData:
-    """Load a cache, raising CacheCorruption if any line fails validation."""
-    data, bad = scan_lines(path)
-    if bad:
-        raise CacheCorruption(path, bad)
-    return data
 
 
 def _file_mode(path: str) -> int:
@@ -155,7 +133,7 @@ def _file_mode(path: str) -> int:
         return 0o666 & ~umask
 
 
-def _write_atomic(path: str, pairs: ClassPairs) -> None:
+def _write_atomic(path: str, pairs: ClassData) -> None:
     # imported here, as only a rewrite needs it: with the shutil and random it
     # loads, it costs a process that writes no cache (a warm rescan) about 4 ms
     import tempfile
@@ -213,27 +191,22 @@ def _locked(path: str) -> Iterator[str]:
         os.close(fd)
 
 
-def _save_pairs(path: str, pairs: ClassPairs) -> None:
-    """save, given (h, 3-torsion) pairs: the whole reload, merge and rename
-    holds the cache's lock, so concurrent writers keep each other's entries."""
+def save(path: str, data: ClassData) -> None:
+    """Write the cache atomically, entries sorted by discriminant.
+
+    Entries already on disk are preserved: the stored file becomes the union
+    of the existing valid entries and data.  The whole reload, merge and
+    rename holds an exclusive lock on the cache's file, so concurrent savers
+    keep each other's entries.
+    """
     with _locked(path) as target:
-        merged = _load_pairs(target)
-        for delta, pair in pairs.items():
+        merged = load(target)
+        for delta, pair in data.items():
             if merged.setdefault(delta, pair) != pair:
                 raise CacheCorruption(
                     path, [(0, "", f"new entry for {delta} conflicts with stored value")]
                 )
         _write_atomic(target, merged)
-
-
-def save(path: str, data: ClassData) -> None:
-    """Write the cache atomically, entries sorted by discriminant.
-
-    Entries already on disk are preserved: the stored file becomes the union
-    of the existing valid entries and data.  Concurrent savers to one cache
-    are serialized by an exclusive lock on its file.
-    """
-    _save_pairs(path, {d: (s.class_number, s.three_torsion) for d, s in data.items()})
 
 
 def quarantine(path: str) -> tuple[int, int]:
@@ -243,7 +216,7 @@ def quarantine(path: str) -> tuple[int, int]:
     atomically; the original bad lines, bytes that are not UTF-8 included,
     stay in the side file.
     """
-    pairs, bad = _scan_pairs(path)
+    pairs, bad = scan_lines(path)
     if bad:
         with open(path + ".quarantined", "a", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw, reason in bad:

@@ -36,11 +36,11 @@ by the cubes of the generators of S, so no class is cubed one by one.  The
 class numbers of many negative discriminants can instead come from one
 numpy sweep over the reduced forms of their window, building no form; the
 3-Sylow span then starts from the known h, and only where 9 | h.
-_class_counts makes that choice for a set of discriminants (the sweep
-where _sweep_pays, the whole span for the rest), in a process pool when
-jobs > 1, and returns h and the 3-torsion as two integer arrays in the order
-of its input; compute_class_data builds one summary per discriminant from
-them, and neither a scan nor verify builds one.  Two independent oracles
+compute_class_data makes that choice for a set of discriminants (the
+sweep where _sweep_pays, the whole span for the rest), in a process pool
+when jobs > 1, and returns h and the 3-torsion as two integer arrays in the
+order of its input, building no summary: a ClassGroupSummary is the answer
+for one discriminant (class_group_summary).  Two independent oracles
 cross-check the class numbers: the exact finite character sum behind the
 analytic class number formula, its character built from the prime
 discriminants of delta rather than from any table the span shares, and
@@ -92,12 +92,8 @@ class ClassGroupSummary:
     three_rank: int
 
 
-#: Validated class-group summaries keyed by discriminant.
-ClassData = dict[int, ClassGroupSummary]
-
-#: Validated (class number, 3-torsion) pairs keyed by discriminant: class data
-#: with no summary built.
-ClassPairs = dict[int, tuple[int, int]]
+#: Validated (class number, 3-torsion) pairs keyed by discriminant.
+ClassData = dict[int, tuple[int, int]]
 
 
 class ExtraUnitsDiscriminant(ValueError):
@@ -767,11 +763,6 @@ def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
     return h, _sylow_three_torsion(delta, s, h, gens, one, key)
 
 
-def _span_summary(delta: int, h: int | None = None) -> ClassGroupSummary:
-    """_span_counts as a validated summary."""
-    return summary_from_counts(delta, *_span_counts(delta, h))
-
-
 def _three_rank(class_number: int, three_torsion: int, ranks: dict[int, int]) -> int:
     """The 3-rank of stored (h, 3-torsion) counts, refusing a pair that no
     class group has: h must be positive, and the 3-torsion a power of 3 that
@@ -823,7 +814,7 @@ def class_group_summary(delta: int) -> ClassGroupSummary:
     (_sylow_three_torsion).
     """
     _check_fundamental(delta)
-    return _span_summary(delta)
+    return summary_from_counts(delta, *_span_counts(delta))
 
 
 def _counts(task: tuple[int, int | None]) -> tuple[int, int]:
@@ -835,10 +826,9 @@ def _counts(task: tuple[int, int | None]) -> tuple[int, int]:
     return _span_counts(delta, h)
 
 
-def _class_counts(deltas: list[int], jobs: int = 1) -> tuple[array, array]:
+def compute_class_data(deltas: list[int], jobs: int = 1) -> tuple[array, array]:
     """h and the 3-torsion of each of the distinct discriminants deltas, as
-    two array('q') in the order of deltas: compute_class_data's work, with
-    no summary built and no dict keyed by discriminant.
+    two array('q') in the order of deltas, optionally in parallel.
 
     When one sweep over their window is cheaper than spanning each alone,
     the negative discriminants take their class numbers from that sweep.
@@ -869,17 +859,6 @@ def _class_counts(deltas: list[int], jobs: int = 1) -> tuple[array, array]:
         class_numbers.append(h)
         three_torsion.append(torsion)
     return class_numbers, three_torsion
-
-
-def compute_class_data(deltas: list[int], jobs: int = 1) -> ClassData:
-    """Class-group summary for each discriminant, optionally in parallel.
-
-    The summaries are _class_counts's counts for the distinct discriminants,
-    sorted, each rebuilt by summary_from_counts; they do not depend on jobs.
-    """
-    todo = sorted(set(deltas))
-    counts = zip(todo, *_class_counts(todo, jobs))
-    return {d: summary_from_counts(d, h, torsion) for d, h, torsion in counts}
 
 
 # ---------------------------------------------------------------------------

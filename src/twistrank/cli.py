@@ -34,10 +34,10 @@ from .selmer import NotSquareFree, ValidationError, _dimension, twist_record
 from .stats import (
     _MAX_K,
     ScanResult,
-    _scan_family,
     correspondence_check,
     family_progression,
     rearrangement_check,
+    scan_family,
 )
 
 CSV_COLUMNS = ("D", "delta", "h", "h3_rank", "selmer_dim", "rank_bound")
@@ -105,10 +105,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             if key in named:
                 raise ValueError(f"{named[key]} and {name} path {target} name one file")
             named[key] = f"{name} path {target}"
-    known = cache_mod._load_pairs(path) if path and os.path.exists(path) else {}
-    result = _scan_family(args.A, args.max_x, k=args.k, jobs=args.jobs, known=known)
-    if path and result.new_pairs:
-        cache_mod._save_pairs(path, result.new_pairs)
+    known = cache_mod.load(path) if path and os.path.exists(path) else None
+    result = scan_family(args.A, args.max_x, k=args.k, jobs=args.jobs, class_data=known)
+    if path and result.new_class_data:
+        cache_mod.save(path, result.new_class_data)
     text = json.dumps(result.report.to_json_dict(), indent=2, sort_keys=True)
     print(text)
     if args.report:
@@ -168,7 +168,7 @@ def _verify_structure(limit: int) -> tuple[bool, str]:
         for sign in (NEGATIVE, POSITIVE)
         for d in enumerate_progression(ProgressionFamily(limit + 1, 0, 1, sign))
     ]
-    class_numbers, three_torsion = classgroup._class_counts(deltas)
+    class_numbers, three_torsion = classgroup.compute_class_data(deltas)
     for delta, h, torsion in zip(deltas, class_numbers, three_torsion):
         structure = brute_force_group_structure(delta)
         if math.prod(structure) != h:

@@ -8,12 +8,12 @@ asymptotic average-dimension bounds 1 (A > 0) and 4/3 (A < 0).  These
 constants, the twist parameters and Delta(A, 1) come from one family value
 (_Family), which classifies and factors A once.  The empirical side scans a
 twist family and keeps its class data as two integer arrays in scan order, h
-and the 3-torsion (from classgroup._class_counts, or from validated pairs a
-caller supplies); it counts the twists per 3-torsion value and folds those
-counts, through the 3-rank, into certified proportions and averages, so a
-scan builds no summary or record per twist.  ScanResult gives the class data
-as ClassGroupSummary dicts, and the records, only when they are read.  The
-correspondence D -> D*Delta(A, 1) (selmer._base_discriminant) is checked
+and the 3-torsion (from classgroup.compute_class_data, or from validated
+(h, 3-torsion) pairs a caller supplies, such as cache.load gives); it counts
+the twists per 3-torsion value and folds those counts, through the 3-rank,
+into certified proportions and averages, so a scan builds no summary or
+record per twist.  ScanResult builds the records only when they are read.
+The correspondence D -> D*Delta(A, 1) (selmer._base_discriminant) is checked
 against the progression family it is in bijection with.
 """
 
@@ -29,13 +29,7 @@ from itertools import count
 from math import prod
 
 from .arith import count_squarefree, exact_log, squarefree_flags
-from .classgroup import (
-    ClassData,
-    ClassPairs,
-    _class_counts,
-    compute_class_data,
-    summary_from_counts,
-)
+from .classgroup import ClassData, compute_class_data, summary_from_counts
 from .discriminants import (
     MAX_DISCRIMINANT,
     NEGATIVE,
@@ -214,38 +208,22 @@ class ScanResult:
     computed: bytes
 
     @cached_property
-    def class_data(self) -> ClassData:
-        """Each twist's discriminant -> its ClassGroupSummary, in scan order,
-        built on first access: no statistic, report, trace or cache reads it."""
-        base = self.base
-        return {
-            d * base: summary_from_counts(d * base, h, torsion)
-            for d, h, torsion in zip(self.parameters, self.class_numbers, self.three_torsion)
-        }
-
-    @cached_property
-    def new_pairs(self) -> ClassPairs:
+    def new_class_data(self) -> ClassData:
         """The (h, 3-torsion) pairs this scan computed, sorted by discriminant."""
         base = self.base
         rows = zip(self.parameters, self.class_numbers, self.three_torsion, self.computed)
         return dict(sorted((d * base, (h, torsion)) for d, h, torsion, new in rows if new))
 
     @cached_property
-    def new_class_data(self) -> ClassData:
-        """The summaries of new_pairs, built on first access."""
-        return {
-            delta: summary_from_counts(delta, h, torsion)
-            for delta, (h, torsion) in self.new_pairs.items()
-        }
-
-    @cached_property
     def records(self) -> list[TwistRecord]:
-        """One TwistRecord per D, in scan order, built on first access: no
-        statistic, report or trace reads them."""
-        a, case = self.report.a, self.case
+        """One TwistRecord per D, in scan order, each from a summary of its
+        class data, built on first access: no statistic, report or trace
+        reads them."""
+        a, case, base = self.report.a, self.case, self.base
+        rows = zip(self.parameters, self.class_numbers, self.three_torsion)
         return [
-            _record(case, a, d, delta, summary)
-            for d, (delta, summary) in zip(self.parameters, self.class_data.items())
+            _record(case, a, d, d * base, summary_from_counts(d * base, h, torsion))
+            for d, h, torsion in rows
         ]
 
 
@@ -263,17 +241,10 @@ def scan_family(
 ) -> ScanResult:
     """Scan the twist family of A up to X and aggregate certified statistics.
 
-    class_data may carry previously computed class-group summaries keyed by
-    discriminant; anything missing is computed (in parallel when jobs > 1)
-    and reported back in new_class_data.
+    class_data may carry previously computed, validated (h, 3-torsion) pairs
+    keyed by discriminant (cache.load); anything missing is computed (in
+    parallel when jobs > 1) and reported back in new_class_data.
     """
-    known = {d: (s.class_number, s.three_torsion) for d, s in (class_data or {}).items()}
-    return _scan_family(a, x, k=k, jobs=jobs, known=known)
-
-
-def _scan_family(a: int, x: int, *, k: int, jobs: int, known: ClassPairs) -> ScanResult:
-    """scan_family, given the class data it may reuse as validated (h, 3-torsion)
-    pairs (cache._load_pairs), so that no summary is built."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > _MAX_K:
@@ -288,19 +259,20 @@ def _scan_family(a: int, x: int, *, k: int, jobs: int, known: ClassPairs) -> Sca
     # Each D is square-free by the sieve, and D ≡ 1 mod 12|A| gives gcd(D, 6A) = 1,
     # so delta = D * Delta(A, 1) by _base_discriminant's rule, as _certify_twist finds.
     deltas = [d * base for d in params]
-    if known:
-        computed = bytes(d not in known for d in deltas)
-        fresh = zip(*_class_counts([d for d in deltas if d not in known], jobs=jobs))
+    if class_data:
+        computed = bytes(d not in class_data for d in deltas)
+        missing = [d for d in deltas if d not in class_data]
+        fresh = zip(*compute_class_data(missing, jobs=jobs))
         class_numbers, three_torsion = array("q"), array("q")
         for delta, new in zip(deltas, computed):
-            h, torsion = next(fresh) if new else known[delta]
+            h, torsion = next(fresh) if new else class_data[delta]
             class_numbers.append(h)
             three_torsion.append(torsion)
     else:
         # nothing supplied: the computed arrays are the class data, with no
         # second copy made (at X = 10**8 that is 1.9 million twists)
         computed = b"\1" * n
-        class_numbers, three_torsion = _class_counts(deltas, jobs=jobs)
+        class_numbers, three_torsion = compute_class_data(deltas, jobs=jobs)
     # the square-free D with D * |Delta(A, 1)| < X
     squarefree_count = count_squarefree(-(-x // abs(base)))
     # every statistic depends on a twist through its 3-rank r alone, and
@@ -365,8 +337,8 @@ def nh_mean(family: ProgressionFamily, *, jobs: int = 1) -> Fraction:
     deltas = enumerate_progression(family)
     if not deltas:
         raise EmptyFamilyError("the progression family is empty below the bound")
-    data = compute_class_data(deltas, jobs=jobs)
-    return Fraction(sum(s.three_torsion for s in data.values()), len(deltas))
+    _, three_torsion = compute_class_data(deltas, jobs=jobs)
+    return Fraction(sum(three_torsion), len(deltas))
 
 
 def family_progression(a: int, x: int) -> ProgressionFamily:

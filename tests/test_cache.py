@@ -15,7 +15,7 @@ from twistrank.classgroup import _check_discriminant, summary_from_counts
 
 def entries(*rows):
     """Class data from (delta, h, three_torsion) rows, as the cache holds it."""
-    return {delta: summary_from_counts(delta, h, t) for delta, h, t in rows}
+    return {delta: (h, t) for delta, h, t in rows}
 
 
 def test_save_load_round_trip(tmp_path):
@@ -282,24 +282,19 @@ def test_pair_reader_matches_scan_lines_and_load(tmp_path, form):
             fh.write(form(*row).encode() + b"\n")
         fh.write(NOT_UTF8 + b"\n" + form(-52, 2, 1).encode() + b"\n")
     expected, expected_bad = reference_scan(p)
-    data, bad = cache.scan_lines(p)
-    pairs, pair_bad = cache._scan_pairs(p)
-    assert list(data.items()) == list(expected.items())
+    pairs, bad = cache.scan_lines(p)
     assert list(pairs.items()) == [
         (d, (s.class_number, s.three_torsion)) for d, s in expected.items()
     ]
-    assert bad == pair_bad == expected_bad
+    assert bad == expected_bad
     assert [n for n, _, _ in bad] == [7, 8, *range(9, 23), 24]
     assert list(pairs) == [-244, -4, 140, -3299, 229, -23, -52]
     with pytest.raises(cache.CacheCorruption) as loaded:
         cache.load(p)
-    with pytest.raises(cache.CacheCorruption) as pair_loaded:
-        cache._load_pairs(p)
-    assert loaded.value.bad_lines == pair_loaded.value.bad_lines == expected_bad
-    # with the bad lines quarantined, both loaders give the same entries
+    assert loaded.value.bad_lines == expected_bad
+    # with the bad lines quarantined, load gives the same entries, sorted
     assert cache.quarantine(p) == (7, len(expected_bad))
-    assert cache._load_pairs(p) == pairs
-    assert list(cache.load(p).items()) == sorted(expected.items())
+    assert list(cache.load(p).items()) == sorted(pairs.items())
 
 
 # Saves one entry at a time, from the discriminants -(4k + OFFSET) for k < N,
@@ -307,13 +302,11 @@ def test_pair_reader_matches_scan_lines_and_load(tmp_path, form):
 SAVER = """
 import sys
 from twistrank import cache
-from twistrank.classgroup import summary_from_counts
 
 path, offset, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 sys.stdin.readline()
 for k in range(n):
-    delta = -(4 * k + offset)
-    cache.save(path, {delta: summary_from_counts(delta, 1, 1)})
+    cache.save(path, {-(4 * k + offset): (1, 1)})
 """
 
 
@@ -348,3 +341,19 @@ def test_concurrent_saves_keep_every_writers_entries(tmp_path):
     assert len(offsets) == 3
     assert sorted(data) == sorted(-(4 * k + o) for o in offsets.values() for k in range(n))
     assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["c.ndjson", "link.ndjson"]
+
+
+@pytest.mark.parametrize("a,x", [(1, 40_000), (-35, 10**6)])
+def test_scan_class_data_round_trips_through_the_cache(tmp_path, a, x):
+    from twistrank.stats import scan_family
+
+    p = str(tmp_path / "c.ndjson")
+    cold = scan_family(a, x)
+    cache.save(p, cold.new_class_data)
+    warm = scan_family(a, x, class_data=cache.load(p))
+    n = cold.report.family_size
+    assert warm.report == cold.report
+    assert warm.class_numbers == cold.class_numbers
+    assert warm.three_torsion == cold.three_torsion
+    assert warm.computed == b"\0" * n
+    assert warm.new_class_data == {}

@@ -46,7 +46,7 @@ from twistrank.classgroup import (
     _reduce_raw,
     _rho_raw,
     _RhoIndex,
-    _span_summary,
+    _span_counts,
     _sqrt_mod_prime,
     _sweep_window,
 )
@@ -315,7 +315,7 @@ def test_sweep_matches_the_span_on_twist_families():
     ):
         assert _sweep_window(deltas)[1] > 1
         assert _definite_class_numbers(deltas) == array(
-            "q", [_span_summary(d).class_number for d in deltas]
+            "q", [_span_counts(d)[0] for d in deltas]
         )
 
 
@@ -667,7 +667,7 @@ def test_cyclic_sylow_is_decided_by_one_power(monkeypatch, delta, h, torsion, ad
         return adjoin(*args)
 
     monkeypatch.setattr(classgroup, "_adjoin", counted)
-    s = _span_summary(delta, h)
+    s = summary_from_counts(delta, *_span_counts(delta, h))
     assert (s.class_number, s.three_torsion) == (h, torsion)
     assert bool(calls) == adjoins
 
@@ -682,7 +682,9 @@ def test_known_h_prime_to_9_builds_no_form(monkeypatch, delta, h, torsion):
 
     for name in ("principal_form", "_prime_forms", "_mul"):
         monkeypatch.setattr(classgroup, name, no_forms)
-    assert _span_summary(delta, h) == summary_from_counts(delta, h, torsion)
+    assert summary_from_counts(delta, *_span_counts(delta, h)) == summary_from_counts(
+        delta, h, torsion
+    )
 
 
 def test_known_h_prime_to_9_agrees_with_the_span_and_the_brute_force():
@@ -692,7 +694,7 @@ def test_known_h_prime_to_9_agrees_with_the_span_and_the_brute_force():
             continue
         s = class_group_summary(delta)
         if s.class_number % 9:
-            assert _span_summary(delta, s.class_number) == s
+            assert summary_from_counts(delta, *_span_counts(delta, s.class_number)) == s
             structure = brute_force_group_structure(delta)
             assert s.three_rank == sum(1 for n in structure if n % 3 == 0), delta
             checked += 1
@@ -705,7 +707,7 @@ def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     monkeypatch.setattr(classgroup, "_prime_forms", lambda delta, known=None: iter(()))
     # with h known (the sweep's route) the 3-Sylow span stalls loudly
     with pytest.raises(ArithmeticError, match="stalled"):
-        _span_summary(-3299, 27)
+        summary_from_counts(-3299, *_span_counts(-3299, 27))
     # without h, the span is the group its forms generate, as for delta > 0:
     # here the principal class alone
     assert class_group_summary(-3299).class_number == 1

@@ -18,13 +18,12 @@ import pytest
 
 import twistrank
 from twistrank import cache
-from twistrank.classgroup import summary_from_counts
 from twistrank.cli import main
 
 
 def entries(*rows):
     """Class data from (delta, h, three_torsion) rows, as the cache holds it."""
-    return {delta: summary_from_counts(delta, h, t) for delta, h, t in rows}
+    return {delta: (h, t) for delta, h, t in rows}
 
 
 def run(capsys, *argv):
@@ -205,15 +204,16 @@ def test_scan_builds_no_class_group_summary(capsys, tmp_path, monkeypatch, a, x)
         "--report", report, "--trace", trace,
     )
     assert (code, warm, built) == (0, cold, [])
-    # cache.load still gives summaries, in the file's order, sorted by delta,
-    # and they are the summaries each twist's class group gives alone
+    # cache.load gives (h, 3-torsion) pairs in the file's order, sorted by
+    # delta, and they are the counts each twist's class group gives alone
     data = cache.load(path)
     n = json.loads(cold)["family_size"]
-    assert len(built) == len(data) == n > 10
+    assert built == [] and len(data) == n > 10
     deltas = sorted(d * twistrank.twist_record(a, 1).field_discriminant
                     for d in twistrank.scan_parameters(a, x))
     assert list(data) == deltas
-    assert list(data.values()) == [twistrank.class_group_summary(d) for d in deltas]
+    summaries = [twistrank.class_group_summary(d) for d in deltas]
+    assert list(data.values()) == [(s.class_number, s.three_torsion) for s in summaries]
 
 
 def test_scan_and_verify_refuse_a_directory_path_before_any_work(
@@ -225,10 +225,9 @@ def test_scan_and_verify_refuse_a_directory_path_before_any_work(
         raise AssertionError("class data computed before the path was checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
-    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     # the verify suites' class data
     monkeypatch.setattr(classgroup, "_definite_class_numbers", no_class_data)
-    monkeypatch.setattr(classgroup, "_class_counts", no_class_data)
+    monkeypatch.setattr(classgroup, "compute_class_data", no_class_data)
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     for flag, name in (("--cache", "cache"), ("--report", "report"), ("--trace", "trace")):
         code, out, err = run(capsys, "scan", "1", "--max-x", "40000", flag, str(tmp_path))
@@ -258,7 +257,6 @@ def test_scan_refuses_two_paths_that_name_one_file(
         raise AssertionError("class data computed before the paths were checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
-    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     one, other = first[2:], second[2:]
@@ -300,7 +298,6 @@ def test_scan_refuses_a_k_past_19_before_any_work(capsys, tmp_path, monkeypatch)
         raise AssertionError("class data computed for a refused k")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
-    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     for k in ("20", "9010", "1000000000"):
         code, out, err = run(capsys, "scan", "1", "--max-x", "400", "--k", k, "--cache", str(path))
         assert (code, out) == (2, ""), k
@@ -348,9 +345,9 @@ import twistrank.classgroup, twistrank.cli, twistrank.stats
 def no_class_data(*args, **kwargs):
     raise AssertionError("class data computed before the cache path was checked")
 
-twistrank.stats.compute_class_data = twistrank.stats._class_counts = no_class_data
+twistrank.stats.compute_class_data = no_class_data
 twistrank.classgroup._definite_class_numbers = no_class_data
-twistrank.classgroup._class_counts = no_class_data
+twistrank.classgroup.compute_class_data = no_class_data
 sys.exit(twistrank.cli.main(sys.argv[1:]))
 """
 
@@ -383,7 +380,7 @@ def test_scan_uses_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "scan", "1", "--max-x", "400")
     assert code == 0
     assert os.path.exists(cache_file)
-    assert cache.load(cache_file)[-244] == summary_from_counts(-244, 6, 3)
+    assert cache.load(cache_file)[-244] == (6, 3)
 
 
 def test_scan_rejects_corrupt_cache(capsys, tmp_path):
@@ -404,7 +401,6 @@ def test_scan_refuses_a_cache_in_a_missing_directory_before_any_work(
         raise AssertionError("class data computed before the cache path was checked")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
-    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     missing = tmp_path / "nodir"
     code, out, err = run(
         capsys, "scan", "1", "--max-x", "40000", "--cache", str(missing / "c.ndjson")

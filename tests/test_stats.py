@@ -9,6 +9,7 @@ value from an independent brute-force run.
 import math
 import multiprocessing
 import warnings
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from twistrank.classgroup import (
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
+    summary_from_counts,
 )
 from twistrank.discriminants import (
     NEGATIVE,
@@ -180,17 +182,20 @@ def test_scan_family_frozen_small():
     assert r.certified_proportion_within_family[1] == 1
     assert r.theoretical["certified_density_bound"] == Fraction(1, 16)
     assert [rec.selmer_dim for rec in res.records] == [0, 0, 0, 2, 0, 0, 0]
-    assert set(res.class_data) == {-4, -52, -148, -244, -292, -340, -388}
+    assert set(res.new_class_data) == {-4, -52, -148, -244, -292, -340, -388}
 
 
 def test_scan_family_determinism_across_jobs_and_cache():
     cold = scan_family(1, 2000)
-    warm = scan_family(1, 2000, class_data=cold.class_data)
+    warm = scan_family(1, 2000, class_data=cold.new_class_data)
     parallel = scan_family(1, 2000, jobs=3)
     assert warm.report == cold.report == parallel.report
     assert warm.records == cold.records == parallel.records
     assert warm.new_class_data == {}
-    assert cold.new_class_data == cold.class_data
+    assert cold.new_class_data == {
+        d * cold.base: (h, torsion)
+        for d, h, torsion in zip(cold.parameters, cold.class_numbers, cold.three_torsion)
+    }
 
 
 def test_scan_family_negative_branch():
@@ -202,25 +207,28 @@ def test_scan_family_negative_branch():
 
 @pytest.mark.parametrize("a,x", [(1, 40_000), (-35, 10**6)])
 def test_scan_class_data_views_keep_their_values_and_order(a, x):
-    # the dicts a scan gave before its class data became arrays: every twist's
-    # summary in scan order, and the computed ones sorted by discriminant
+    # every twist's class data in scan order, and the computed ones sorted by
+    # discriminant, equal to what each twist's class group gives alone
     deltas = [_certify_twist(a, d)[1] for d in scan_parameters(a, x)]
-    expected = {delta: class_group_summary(delta) for delta in deltas}
+    expected = {
+        delta: (s.class_number, s.three_torsion)
+        for delta, s in zip(deltas, map(class_group_summary, deltas))
+    }
     cold = scan_family(a, x)
-    assert list(cold.class_data.items()) == list(expected.items())
+    assert list(zip(cold.class_numbers, cold.three_torsion)) == list(expected.values())
     assert list(cold.new_class_data.items()) == sorted(expected.items())
     assert cold.computed == b"\1" * len(deltas) > b""
     # half of the class data supplied: the rest is computed, and is all that is new
     supplied = dict(list(expected.items())[::2])
     warm = scan_family(a, x, class_data=supplied)
-    assert list(warm.class_data.items()) == list(expected.items())
+    assert list(zip(warm.class_numbers, warm.three_torsion)) == list(expected.values())
     assert list(warm.new_class_data.items()) == sorted(
-        (d, s) for d, s in expected.items() if d not in supplied
+        (d, pair) for d, pair in expected.items() if d not in supplied
     )
     assert bytes(d not in supplied for d in deltas) == warm.computed
     assert warm.report == cold.report
-    assert list(warm.class_numbers) == [s.class_number for s in expected.values()]
-    assert list(warm.three_torsion) == [s.three_torsion for s in expected.values()]
+    assert list(warm.class_numbers) == [h for h, _ in expected.values()]
+    assert list(warm.three_torsion) == [torsion for _, torsion in expected.values()]
 
 
 def test_scan_family_empty():
@@ -235,9 +243,10 @@ def test_scan_family_records_equal_certified_records(a, x):
     # the ones the scan trusted.
     res = scan_family(a, x)
     assert len(res.records) == res.report.family_size > 100
-    for rec in res.records:
+    for rec, h, torsion in zip(res.records, res.class_numbers, res.three_torsion):
         assert (rec.case, rec.field_discriminant) == _certify_twist(a, rec.d)
-        assert rec == twist_record(a, rec.d, summary=res.class_data[rec.field_discriminant])
+        summary = summary_from_counts(rec.field_discriminant, h, torsion)
+        assert rec == twist_record(a, rec.d, summary=summary)
     # the statistics, counted once per 3-rank, equal a recount over the records
     r, n = res.report, len(res.records)
     assert r.h3_mean == Fraction(sum(3**rec.three_rank for rec in res.records), n)
@@ -275,7 +284,7 @@ def test_scan_builds_records_only_on_first_access(capsys, monkeypatch, tmp_path)
     assert res.records is records
     assert len(calls) == res.report.family_size
     assert [rec.d for rec in records] == res.parameters == scan_parameters(1, 40_000)
-    assert [rec.field_discriminant for rec in records] == list(res.class_data)
+    assert [rec.field_discriminant for rec in records] == [d * res.base for d in res.parameters]
 
 
 def test_scan_family_factors_no_twist_parameter(monkeypatch):
@@ -347,6 +356,16 @@ def test_scan_refuses_a_k_past_the_last_row_before_any_work(monkeypatch):
             scan_family(1, 400, k=k)
 
 
+def per_delta_class_data(deltas):
+    """compute_class_data's h and 3-torsion arrays, as each discriminant's
+    class group gives them alone."""
+    summaries = list(map(class_group_summary, deltas))
+    return (
+        array("q", [s.class_number for s in summaries]),
+        array("q", [s.three_torsion for s in summaries]),
+    )
+
+
 def test_compute_class_data_parallel_agrees():
     deltas = [-4 * d for d in scan_parameters(1, 2000)]
     assert compute_class_data(deltas, jobs=1) == compute_class_data(deltas, jobs=4)
@@ -394,7 +413,7 @@ def test_compute_class_data_matches_per_delta_summaries():
         [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
         [-3299, 229, -23, 316, -4, 5],
     ):
-        assert compute_class_data(deltas) == {d: class_group_summary(d) for d in deltas}
+        assert compute_class_data(deltas) == per_delta_class_data(deltas)
 
 
 def test_compute_class_data_sweeps_a_family(monkeypatch):
@@ -417,12 +436,13 @@ def test_compute_class_data_far_apart_pair_skips_the_sweep(monkeypatch):
         raise AssertionError("a sweep over two far-apart discriminants")
 
     monkeypatch.setattr(classgroup, "_definite_class_numbers", no_sweep)
-    assert compute_class_data(deltas) == {d: class_group_summary(d) for d in deltas}
+    assert compute_class_data(deltas) == per_delta_class_data(deltas)
 
 
 def test_compute_class_data_matches_the_oracles_at_the_scanned_scale():
     deltas = [-4 * d for d in scan_parameters(1, 4 * 10**5)]
-    data = compute_class_data(deltas)
+    rows = zip(deltas, *compute_class_data(deltas))
+    data = {d: summary_from_counts(d, h, t) for d, h, t in rows}
     sample = [d for d in deltas[::100] if d != -4]
     assert len(sample) == 75
     for delta in sample:
@@ -524,7 +544,6 @@ def test_family_statistics_refuse_the_direct_case_at_every_entry_point(monkeypat
         raise AssertionError("class data computed for a refused A")
 
     monkeypatch.setattr(stats, "compute_class_data", no_class_data)
-    monkeypatch.setattr(stats, "_class_counts", no_class_data)
     with pytest.raises(ValueError, match=f"^A = {a} is in the direct-evaluation case"):
         FAMILY_ENTRY_POINTS[name](a)
     # while the progression covers it: Delta(A, 1) = 12A, modulus 12*|A*12A|
