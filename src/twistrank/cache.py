@@ -94,15 +94,8 @@ def scan_lines(path: str) -> tuple[ClassData, list[BadLine]]:
             try:
                 match = fullmatch(line)
                 delta, h, torsion = map(int, match.groups()) if match else _parse_json(line)
-                # A negative delta ≡ 0, 1 mod 4 is a discriminant, and a positive
-                # h divisible by a torsion value in ranks passes every count
-                # check; any other entry takes the full checks, which raise
-                # summary_from_counts's messages (and put a new torsion value
-                # that is a power of 3 into ranks).
-                if delta >= 0 or delta % 4 > 1:
-                    _check_discriminant(delta)
-                if h < 1 or torsion not in ranks or h % torsion:
-                    _three_rank(h, torsion, ranks)
+                _check_discriminant(delta)
+                _three_rank(h, torsion, ranks)
             except (ValueError, ArithmeticError) as exc:
                 bad.append((lineno, raw.rstrip("\n"), str(exc)))
                 continue

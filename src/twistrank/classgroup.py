@@ -10,22 +10,13 @@ serves both signs: it spans the whole group from the prime forms of norm
 p <= sqrt(|delta|/3), or of norm p <= sqrt(delta)/2 and the negated
 principal form when delta > 0, entering each new class by its reduced form,
 so h is the size of the span and no form is enumerated.  When delta > 0 a
-class x is entered by walking its rho-cycle, and that one walk also numbers
-x**-1, x*sigma and x**-1*sigma, sigma the class of the negated principal
-form, whose cycles are the images (c, b, a), (-a, b, -c) and (-c, b, -a) of
-the forms (a, b, c) of x (_RhoIndex): (c, b, a) lies in x**-1 by
-(x, y) -> (-y, x), and each image is reduced, as reducedness depends only
-on |a|, b and |c| and is symmetric in |a| and |c|, since
-4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).  The mirror
-iota: (a, b, c) -> (c, b, a) conjugates the rho step to its inverse on
-reduced forms, so when x = x**-1 it reverses the cycle of x onto itself
-about two axes (a form (a, b, a), or two neighbours that are each other's
-mirror images), and the walk stores only the forms between them, at most
-half the cycle and one form more.  A prime p is passed over before its
-square root is taken once a spanned class holds a reduced form led by p,
-since the only such forms with p <= sqrt(delta)/2 are the prime forms of
-norm p and their inverses, and for either sign an inert prime,
-(delta/p) = -1, is passed over by Euler's criterion, one pow.
+class x is entered by walking its rho-cycle (_RhoIndex), and that one walk
+also numbers x**-1, x*sigma and x**-1*sigma, sigma the class of the negated
+principal form; the cycle of a self-inverse class is walked only between
+the two axes of its mirror, and a prime whose class is spanned already is
+passed over before its square root is taken.  For either sign an inert
+prime, (delta/p) = -1, is passed over by Euler's criterion, one pow.  The
+proofs are stated once, in the comment above _principal_class.
 When 9 does not divide h, Lagrange settles the 3-torsion in _span_counts:
 1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
 Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
@@ -45,9 +36,10 @@ cross-check the class numbers: the exact finite character sum behind the
 analytic class number formula, its character built from the prime
 discriminants of delta rather than from any table the span shares, and
 elementary divisors recovered from the orders of the classes of
-every reduced form (listed by a plain double loop over (a, b), one partition
-into classes for both signs), found by walking the powers of each cyclic
-subgroup.
+every reduced form (listed by a plain double loop over (a, b), and joined
+into rho-cycles by _rho_raw when delta > 0), found by walking the powers of
+each cyclic subgroup with the reference product _compose_raw, so the oracle
+shares neither _mul nor _RhoIndex with the span.
 """
 
 from __future__ import annotations
@@ -532,8 +524,8 @@ def _rho_arc(
     An axis is a form (a, b, a), appended, or a form that is the mirror
     image of the one before it, not appended.  Either puts the mirror image
     of a form of the cycle in the cycle, so only the cycle of a self-inverse
-    class has axes.  Each step is _rho_raw's branch for |c| <= s, as in
-    _RhoIndex.
+    class has axes.  Each step is _rho_raw's branch for |c| <= s: c leads
+    the reduced rho-neighbour, and every reduced form has |a| < sqrt(delta).
     """
     while True:
         r = s - (s + b) % (2 * abs(c))
@@ -550,56 +542,30 @@ def _rho_arc(
 
 
 class _RhoIndex(dict):
-    """Class index (narrow when delta > 0) of the reduced forms of one delta.
+    """Narrow class index of the reduced forms of one delta > 0, for the span.
 
-    Looking up a form not indexed yet gives it a new class number: alone when
-    delta < 0, as a reduced definite form is the only reduced form of its
-    class, and with the forms of its rho-cycle, walked from it, when
-    delta > 0.  So index[f] names the class of any reduced form f.
-
-    With images (the span's index), one walk numbers up to four classes.  For
-    sigma the class of the negated principal form, the images (c, b, a),
-    (-a, b, -c) and (-c, b, -a) of a reduced form (a, b, c) of a class x are
-    reduced forms of x**-1, x*sigma and x**-1*sigma:
-    - (c, b, a) lies in x**-1, the class of (a, -b, c), by (x, y) -> (-y, x);
-    - (-a, b, -c) lies in x*sigma: it is the united-form product of (a, b, c)
-      with (-1, b, -a*c), a form of sigma;
-    - reducedness, |sqrt(delta) - 2|a|| < b < sqrt(delta), depends only on
-      |a|, b and |c|, and is symmetric in |a| and |c|, since
-      4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).
-    The three maps are commuting involutions, and the reduced forms of a
-    class are one cycle, so each maps the cycle of x onto the whole cycle of
-    its image class.  The walk of x therefore numbers x and every image class
-    that is not x itself (an image of the walked form lies in the walked
-    cycle exactly when x = x**-1, sigma = 1 or x**2 = sigma).  A later lookup
-    of a form of an image class finds one of its own images in the walked
-    cycle and takes that class's number, so no image cycle is walked; the
-    looked-up form is not stored.
-    The mirror iota: (a, b, c) -> (c, b, a) satisfies iota*rho*iota =
-    rho**-1 on reduced forms: for rho(a, b, c) = (c, r, c'), the form
-    rho(c', r, c) is led by c, and its middle coefficient is ≡ -r ≡ b
-    mod 2|c| and lies in the window (s - 2|c|, s] that holds b, so it is
-    (c, b, a).  When x = x**-1, iota therefore reverses the cycle of x onto
-    itself, and the cycle has two axes, each a form (a, b, a), which iota
-    fixes, or two neighbours that are each other's mirror images.  Neither
-    occurs in the cycle of a class with x != x**-1.  The walk stops at the
-    first axis it meets, goes on from the rho-neighbour of the mirror image
-    of its first form (the mirror image of the way back from that form) to
-    the second axis (_rho_arc).  So it stores at most l/2 + 1 of the
-    cycle's l forms, one for each form of an arc between the axes: the form
-    itself or its mirror image.  Every other form of the cycle is the mirror
-    image of a stored form, which the image lookup finds.
+    Looking up a form f not indexed yet walks its rho-cycle and gives the
+    class x of f a new class number, with each class among x**-1, x*sigma
+    and x**-1*sigma that is not x itself, sigma the class of the negated
+    principal form: the images (c, b, a), (-a, b, -c) and (-c, b, -a) of the
+    forms (a, b, c) of x are the cycles of those classes.  A later lookup of
+    a form of an image class finds one of its own images stored and takes
+    that class's number, so no image cycle is walked; the looked-up form is
+    not stored.  The cycle of a self-inverse class is walked only between
+    the two axes of the mirror (a, b, c) -> (c, b, a) (_rho_arc), storing at
+    most l/2 + 1 of its l forms, and a form of the other arc finds its
+    mirror image stored.  So index[f] names the class of any reduced form f.
+    The proofs are in the comment above _principal_class.
     led[p] names a class that holds a reduced form led by p > 0: x for the
     forms (p, b, c) of x, and x*sigma for its forms (-p, b, c).  The c of
     the stored forms and the a of the first one lead every form of a cycle
     walked in halves, as the c of a form is the a of its rho-neighbour and
-    of its mirror image.  Without images (the brute-force oracle's index) a
-    lookup walks and stores one whole cycle.
+    of its mirror image.
     """
 
-    def __init__(self, delta: int, s: int, images: bool = False):
+    def __init__(self, delta: int, s: int):
         super().__init__()
-        self.delta, self.s, self.size, self.images = delta, s, 0, images
+        self.delta, self.s, self.size = delta, s, 0
         self.led: dict[int, int] = {}
         # class number -> (the class numbers of x, x**-1, x*sigma and
         # x**-1*sigma for the walked class x that numbered it, and the
@@ -608,24 +574,6 @@ class _RhoIndex(dict):
 
     def __missing__(self, f: tuple[int, int, int]) -> int:
         cid, delta, s = self.size, self.delta, self.s
-        if delta < 0:
-            self[f] = cid
-            self.size += 1
-            return cid
-        if not self.images:
-            # A reduced form (a, b, c) has |c| <= s, as c leads its reduced
-            # rho-neighbour and every reduced form has |a| < sqrt(delta), so
-            # each step is _rho_raw's branch for |c| <= s.
-            g = f
-            while g not in self:
-                self[g] = cid
-                _, b, c = g
-                r = s - (s + b) % (2 * abs(c))
-                g = c, r, (r * r - delta) // (4 * c)
-            if g != f:
-                raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
-            self.size += 1
-            return cid
         a0, b0, c0 = f
         images = (c0, b0, a0), (-a0, b0, -c0), (-c0, b0, -a0)
         # image e of a form of the class at position k is a form of the class
@@ -682,12 +630,21 @@ class _RhoIndex(dict):
 # the prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
 # p <= a <= isqrt(delta/4).  So the classes of the forms from _prime_forms
 # generate the group, and adjoining them all to the principal class lists it.
-# Each class is entered by walking its cycle, and that walk also numbers up
-# to three more classes (_RhoIndex): the images (c, b, a), (-a, b, -c) and
-# (-c, b, -a) of the forms (a, b, c) of x are the cycles of x**-1, x*sigma
-# and x**-1*sigma, as (c, b, a) is (a, -b, c) under (x, y) -> (-y, x), and
-# reducedness is symmetric in |a| and |c|, since
-# 4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).
+#
+# Why one walk numbers up to four classes (_RhoIndex).  For sigma the class
+# of the negated principal form, the images (c, b, a), (-a, b, -c) and
+# (-c, b, -a) of a reduced form (a, b, c) of a class x are reduced forms of
+# x**-1, x*sigma and x**-1*sigma:
+# - (c, b, a) lies in x**-1, the class of (a, -b, c), by (x, y) -> (-y, x);
+# - (-a, b, -c) lies in x*sigma: it is the united-form product of (a, b, c)
+#   with (-1, b, -a*c), a form of sigma;
+# - reducedness, |sqrt(delta) - 2|a|| < b < sqrt(delta), depends only on
+#   |a|, b and |c|, and is symmetric in |a| and |c|, since
+#   4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).
+# The three maps are commuting involutions, and the reduced forms of a class
+# are one cycle, so each maps the cycle of x onto the whole cycle of its
+# image class.  An image of the walked form lies in the walked cycle exactly
+# when x = x**-1, sigma = 1 or x**2 = sigma.
 #
 # Why a prime p whose led class is spanned is passed over.  A reduced form
 # (p, b, c) with p <= isqrt(delta/4) has 2p <= s, so sqrt(delta) - 2p < b <= s:
@@ -702,20 +659,23 @@ class _RhoIndex(dict):
 # (delta/p) = -1, has no prime form at all; Euler's criterion,
 # delta**((p-1)/2) ≡ -1 mod p, passes it over before Tonelli-Shanks.
 #
-# Why a self-inverse class is walked in halves.  With iota the mirror
-# (a, b, c) -> (c, b, a), iota*rho*iota = rho**-1 on reduced forms (see
-# _RhoIndex).  If x = x**-1, iota maps the cycle of x onto itself, as a
-# reflection i -> k - i of the positions of its l forms, and a reflection of
-# a cycle has two axes: a position it fixes, a form (a, b, a), or a pair of
-# neighbours it swaps, each the mirror image of the other.  An axis puts the
-# mirror image of a form of the cycle in the cycle, so it shows x = x**-1.
-# The walk from f goes forward to the first axis and then, from the
-# rho-neighbour of iota(f), forward to the second: that second leg is the
-# mirror image of the way back from f.  The forms it stores are, each as
-# itself or as its mirror image, the forms of one arc between the axes, at
-# most l/2 + 1 of them; a form of the other arc has its mirror image
-# stored, so the lookup through that image names x.  A cycle with no axis
-# is walked whole and is back at f after l steps.
+# Why a self-inverse class is walked in halves.  The mirror
+# iota: (a, b, c) -> (c, b, a) satisfies iota*rho*iota = rho**-1 on reduced
+# forms: for rho(a, b, c) = (c, r, c'), the form rho(c', r, c) is led by c,
+# and its middle coefficient is ≡ -r ≡ b mod 2|c| and lies in the window
+# (s - 2|c|, s] that holds b, so it is (c, b, a).  If x = x**-1, iota maps
+# the cycle of x onto itself, as a reflection i -> k - i of the positions of
+# its l forms, and a reflection of a cycle has two axes: a position it
+# fixes, a form (a, b, a), or a pair of neighbours it swaps, each the mirror
+# image of the other.  An axis puts the mirror image of a form of the cycle
+# in the cycle, so it shows x = x**-1, and the cycle of a class with
+# x != x**-1 has none.  The walk from f goes forward to the first axis and
+# then, from the rho-neighbour of iota(f), forward to the second: that
+# second leg is the mirror image of the way back from f.  The forms it
+# stores are, each as itself or as its mirror image, the forms of one arc
+# between the axes, at most l/2 + 1 of them; a form of the other arc has its
+# mirror image stored, so the lookup through that image names x.  A cycle
+# with no axis is walked whole and is back at f after l steps.
 
 
 def _principal_class(delta: int, s: int):
@@ -728,7 +688,7 @@ def _principal_class(delta: int, s: int):
     one = _reduce_raw(*principal_form(delta), delta, s)
     if delta < 0:
         return one, (lambda f: f), None
-    index = _RhoIndex(delta, s, images=True)
+    index = _RhoIndex(delta, s)
     return one, index.__getitem__, index.led
 
 
@@ -909,9 +869,7 @@ def _small_legendre_table(q: int) -> np.ndarray:
     return table
 
 
-def _kronecker_table(
-    delta: int, factors: tuple[tuple[int, int], ...] | None = None
-) -> np.ndarray:
+def _kronecker_table(delta: int, factors: tuple[tuple[int, int], ...]) -> np.ndarray:
     """chi[t] = kronecker(delta, t) for 0 <= t < |delta|, delta fundamental.
 
     A fundamental delta is a product of prime discriminants,
@@ -920,7 +878,7 @@ def _kronecker_table(
     period q or |d2| divides |delta|: chi starts as np.tile of the first
     factor's table, and viewing chi as rows of each further period, one
     in-place multiply applies that factor's table to every row.  factors is
-    factorize(|delta|) when the caller has it, so |delta| is factored once.
+    factorize(|delta|), which the caller has, so |delta| is factored once.
     The Legendre table of q is built by marking the squares mod q; for
     q <= _LEGENDRE_MEMO_BOUND it is kept for the process, read-only, and a
     larger one is dropped with the call.  No table of the span is shared:
@@ -931,7 +889,7 @@ def _kronecker_table(
 
     n = abs(delta)
     odd, tables = 1, []
-    for q, _ in factorize(n) if factors is None else factors:
+    for q, _ in factors:
         if q == 2:
             continue
         odd *= q if q % 4 == 1 else -q
@@ -1043,17 +1001,27 @@ def _classes(
     """Partition the sorted reduced forms into classes (rho-cycles when delta > 0).
 
     Returns the least form of each class, the class index of every form and
-    the identity's index.  Each lookup walks one rho-cycle only (the index
-    has no images), so the oracle shares neither the span's image cycles nor
-    its prime skip.
+    the identity's index.  A reduced definite form is its own class; when
+    delta > 0 each form not yet indexed starts a new class, and its whole
+    cycle is walked with _rho_raw.  So the oracle shares neither the span's
+    class index (_RhoIndex) nor its prime skip.  Raises ArithmeticError if a
+    walk runs into a form it did not start from.
     """
-    index = _RhoIndex(delta, s)
+    index: dict[tuple[int, int, int], int] = {}
     reps = []
     for f in reduced_forms(delta):
+        if f in index:
+            continue
         # the forms are sorted, so the first form met of each class is its least
-        if index[f] == len(reps):
-            reps.append(f)
-    index = dict(index)
+        cid = index[f] = len(reps)
+        reps.append(f)
+        if delta > 0:
+            g = _rho_raw(*f, delta, s)
+            while g not in index:
+                index[g] = cid
+                g = _rho_raw(*g, delta, s)
+            if g != f:
+                raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
     return reps, index, index[_reduce_raw(*principal_form(delta), delta, s)]
 
 
@@ -1070,8 +1038,10 @@ def brute_force_group_structure(delta: int) -> list[int]:
     count.  Orders are found by cyclic walks: from each class x whose order
     is still unknown, the powers x, x**2, ... are composed until the walk
     reaches the identity at x**n, so n = ord(x), and every class on the walk
-    takes its order n / gcd(n, k) at once as x**k.  The elementary divisors are then
-    recovered by order counting.  Refuses a class number above 200
+    takes its order n / gcd(n, k) at once as x**k.  Each product is the
+    reference composition _compose_raw, reduced by _reduce_raw, so the
+    oracle cross-checks the span's fast product _mul rather than sharing it.
+    The elementary divisors are then recovered by order counting.  Refuses a class number above 200
     (_BRUTE_FORCE_GUARD) before walking any class.
     """
     s = isqrt(delta) if delta > 0 else 0
@@ -1085,7 +1055,8 @@ def brute_force_group_structure(delta: int) -> list[int]:
             continue
         walk = [i]  # walk[k - 1] is the class of reps[i]**k
         while walk[-1] != identity:
-            walk.append(index[_mul(reps[walk[-1]], reps[i], delta, s)])
+            product = _compose_raw(*reps[walk[-1]], *reps[i], delta)
+            walk.append(index[_reduce_raw(*product, delta, s)])
             if len(walk) > h:
                 raise ArithmeticError("element order exceeded the group size")
         n = len(walk)

@@ -619,11 +619,11 @@ def test_negated_principal_form_reaches_the_classes_no_prime_form_does(monkeypat
         assert class_group_summary(delta).class_number == full[delta], delta
 
 
-def test_rho_index_matches_the_rho_walk():
-    # the inlined rho step of _RhoIndex against iterating _rho_raw
+def test_classes_match_the_rho_walk():
+    # the oracle's classes against the cycles of iterating _rho_raw
     for delta in positive_fundamentals(5000):
         s = math.isqrt(delta)
-        index = _RhoIndex(delta, s)
+        reps, index, _ = _classes(delta, s)
         walked, cycles = set(), 0
         for f in reduced_forms(delta):
             if f in walked:
@@ -636,7 +636,7 @@ def test_rho_index_matches_the_rho_walk():
             walked.update(cycle)
             cycles += 1
         # one class per cycle, and every reduced form in one
-        assert index.size == cycles and set(index) == walked, delta
+        assert len(reps) == cycles and set(index) == walked, delta
 
 
 @pytest.mark.parametrize(
@@ -713,14 +713,21 @@ def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     assert class_group_summary(-3299).class_number == 1
 
 
-def test_rho_index_refuses_a_walk_that_does_not_close():
+def test_classes_refuse_a_walk_that_does_not_close(monkeypatch):
+    # narrow h(229) = 3: as if a form of the second cycle walked from the
+    # sorted reduced forms stepped into the first cycle, already indexed
     delta, s = 229, 15
-    one = (1, 15, -1)
-    index = _RhoIndex(delta, s)
-    # as if the rho-neighbour (-1, 15, 1) of the principal form were in another class
-    index[_rho_raw(*one, delta, s)] = 1
+    reps, index, _ = _classes(delta, s)
+    assert len(reps) == 3
+    cycle = {f for f, k in index.items() if k == 0}
+    into_first = _rho_raw(*reps[0], delta, s)
+
+    def stray(a, b, c, delta, s):
+        return _rho_raw(a, b, c, delta, s) if (a, b, c) in cycle else into_first
+
+    monkeypatch.setattr(classgroup, "_rho_raw", stray)
     with pytest.raises(ArithmeticError, match="did not close"):
-        index[one]
+        _classes(delta, s)
 
 
 def negated_principal(delta: int) -> tuple[int, int, int]:
@@ -743,7 +750,6 @@ def span_index(monkeypatch, delta):
     h = class_group_summary(delta).class_number
     monkeypatch.undo()
     (index,) = built
-    assert index.images
     return index, h
 
 
@@ -853,7 +859,7 @@ def test_rho_index_with_images_refuses_a_walk_that_does_not_close():
     # (-1, 3, 2), (2, 1, -2), (-2, 3, 1); (-2, 1, 2) is none of the images
     # (-2, 3, 1), (-1, 3, 2), (2, 3, -1) of its first form
     delta, s, one = 17, 4, (1, 3, -2)
-    index = _RhoIndex(delta, s, images=True)
+    index = _RhoIndex(delta, s)
     # as if (-2, 1, 2) were in another class
     index[-2, 1, 2] = 1
     with pytest.raises(ArithmeticError, match="did not close"):
@@ -946,7 +952,7 @@ def test_kronecker_table_matches_kronecker():
     assert "kronecker" not in vars(classgroup)
     # odd delta, delta = 4 * (odd) and delta ≡ 0 mod 8 all occur below 2000
     for delta in negative_fundamentals(2000):
-        chi = _kronecker_table(delta)
+        chi = _kronecker_table(delta, factorize(-delta))
         assert chi.tolist() == [kronecker(delta, t) for t in range(-delta)], delta
 
 
@@ -955,7 +961,7 @@ def test_kronecker_table_near_a_million_for_each_two_part():
         assert is_fundamental(delta)
         odd = math.prod(q if q % 4 == 1 else -q for q, _ in factorize(-delta) if q > 2)
         assert delta // odd == two_part, delta
-        chi = _kronecker_table(delta)
+        chi = _kronecker_table(delta, factorize(-delta))
         assert len(chi) == -delta
         for t in [*range(0, -delta, 101), -delta - 1]:
             assert chi[t] == kronecker(delta, t), (delta, t)
@@ -1084,7 +1090,7 @@ def test_memoized_legendre_tables_are_read_only():
         table[1] = -1
     assert classgroup._small_legendre_table(7) is table
     # chi is built on top of such tables, and stays writable itself
-    assert _kronecker_table(-7).flags.writeable
+    assert _kronecker_table(-7, factorize(7)).flags.writeable
 
 
 def test_large_legendre_tables_do_not_outlive_the_call(monkeypatch):
@@ -1190,9 +1196,20 @@ def test_invariant_factors_refuses_orders_of_no_group():
 
 
 def test_brute_force_refuses_a_walk_that_never_closes(monkeypatch):
-    monkeypatch.setattr(classgroup, "_mul", lambda t1, t2, delta, s: t1)
+    monkeypatch.setattr(classgroup, "_compose_raw", lambda a1, b1, c1, *rest: (a1, b1, c1))
     with pytest.raises(ArithmeticError, match="element order exceeded the group size"):
         brute_force_group_structure(-23)
+
+
+@pytest.mark.parametrize("delta,structure", [(32009, [3, 3]), (-3299, [3, 9]), (8761, [27])])
+def test_brute_force_shares_no_product_or_index_with_the_span(monkeypatch, delta, structure):
+    # the oracle checks the span's _mul and _RhoIndex, so it must not call them
+    def refused(*args, **kwargs):
+        raise AssertionError("the brute-force oracle used the span's product or index")
+
+    monkeypatch.setattr(classgroup, "_mul", refused)
+    monkeypatch.setattr(classgroup, "_RhoIndex", refused)
+    assert brute_force_group_structure(delta) == structure
 
 
 def test_brute_force_structure_guard():

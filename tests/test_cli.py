@@ -641,6 +641,23 @@ def test_verify_enumerates_each_structure_discriminant_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 1218
 
 
+def test_verify_catches_a_wrong_square_in_the_span(monkeypatch):
+    # _mul's square branch made to return the inverse square: the brute-force
+    # oracle composes with the reference product, so it reports the fault
+    # instead of sharing it
+    from twistrank import classgroup
+    from twistrank.cli import _verify_structure
+
+    mul = classgroup._mul
+
+    def inverse_square(t1, t2, delta, s):
+        a, b, c = mul(t1, t2, delta, s)
+        return classgroup._reduce_raw(a, -b, c, delta, s) if t1 == t2 else (a, b, c)
+
+    monkeypatch.setattr(classgroup, "_mul", inverse_square)
+    assert _verify_structure(2000) == (False, "class number mismatch at delta = 229")
+
+
 def test_verify_class_group_suites_build_no_summary(monkeypatch):
     from twistrank import classgroup
     from twistrank.cli import _verify_analytic, _verify_structure
