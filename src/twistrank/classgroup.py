@@ -23,7 +23,9 @@ Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
 v >= 2 (_sylow_three_torsion): as 3 as soon as one generator's
 3**(v-1)-th power is not the identity, since that generator then has order
 |S| and S is cyclic, and otherwise as |S| / |S**3|, where S**3 is spanned
-by the cubes of the generators of S, so no class is cubed one by one.  The
+by the cubes of the generators of S, so no class is cubed one by one.  No
+generator whose class squares to the identity (sigma, or a ramified prime's)
+is raised to a power: its image in S is the identity.  The
 class numbers of many negative discriminants can instead come from one
 numpy sweep over the reduced forms of their window, building no form; the
 3-Sylow span then starts from the known h, and only where 9 | h.
@@ -409,8 +411,9 @@ def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> in
     With h = 3**v * m, v >= 2 and 3 not dividing m, the 3-torsion lies in the
     3-Sylow subgroup S, the image of x -> x**m (v <= 1 is settled by
     _span_counts before any form is built).  The y = g**m, for g drawn from
-    reduced forms that generate the group, are taken in turn, skipping each
-    y whose class is already in S.
+    reduced forms that generate the group together with classes of order at
+    most 2 (whose m-th powers are the identity, as m is then even), are
+    taken in turn, skipping each y whose class is already in S.
     If y**(3**(v-1)) is not the identity, y has order |S|, so S is cyclic
     and its 3-torsion is 3, decided by that one power.  If not, y is
     adjoined to the span of S, until |S| = 3**v, and the 3-torsion is
@@ -692,6 +695,21 @@ def _principal_class(delta: int, s: int):
     return one, index.__getitem__, index.led
 
 
+def _squares_to_one(g: tuple[int, int, int], delta: int) -> bool:
+    """Whether g, a form from _prime_forms, is known to have a class of order
+    at most 2: sigma, or the prime form of a ramified prime p | delta, whose
+    square is the class of (p), principal in the narrow sense as p > 0.  When
+    delta < 0, g is reduced, the one reduced form of its class, and the class
+    is its own inverse, as a ramified prime's is, exactly when b = 0, b = a
+    or a = c.
+    """
+    a, b, c = g
+    if delta < 0:
+        return b == 0 or a in (b, c)
+    # sigma is (-1, b, c), and the prime forms of delta > 0 are built led by p
+    return delta % a == 0
+
+
 def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
     """(h, 3-torsion) of a fundamental discriminant of either sign, from prime forms.
 
@@ -704,6 +722,9 @@ def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
     If 9 does not divide h, Lagrange settles the 3-torsion: 1 when 3 does
     not divide h, and 3 when 3 || h, as the 3-Sylow subgroup then has order
     3 and is C3.  So a known h with 9 not dividing it builds no form at all.
+    The 3-Sylow span is handed no form whose class is known to square to the
+    identity (_squares_to_one), and with h known a ramified prime is passed
+    over before its square root is taken.
     """
     s = isqrt(delta) if delta > 0 else 0
     spanned = h is None
@@ -719,7 +740,10 @@ def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
         return h, 3 if h % 3 == 0 else 1
     if not spanned:
         one, key, _ = _principal_class(delta, s)
-        gens = _prime_forms(delta)
+        # a ramified prime's form would be dropped below: pass over it first
+        gens = _prime_forms(delta, lambda p: delta % p == 0)
+    # g**m is the identity when g**2 is, as m, the 3'-part of h, is then even
+    gens = (g for g in gens if not _squares_to_one(g, delta))
     return h, _sylow_three_torsion(delta, s, h, gens, one, key)
 
 

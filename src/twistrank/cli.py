@@ -3,11 +3,16 @@
 All commands are deterministic: given identical flags the bytes on stdout are
 identical, regardless of --jobs or of a warm versus cold cache.  Exit codes:
 0 success, 1 internal failure, 2 validation rejection.
+
+A process enters through run(), which freezes the heap once main() has
+returned, so interpreter teardown collects none of what the command left
+behind; main() leaves the collector alone, as it is also called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -212,7 +217,7 @@ def _verify_rearrangement(trials: int) -> tuple[bool, str]:
     rng = random.Random(20260823)
     for trial in range(trials):
         n = rng.randint(1, 60)
-        values = [3 ** rng.choice((0, 0, 0, 1, 1, 2, 3, 4)) for _ in range(n)]
+        values = rng.choices((1, 1, 1, 3, 3, 9, 27, 81), k=n)
         k = rng.randint(0, 3)
         mean = Fraction(sum(values), n)
         # bound at or above the sample mean: the inequality must hold
@@ -344,5 +349,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """The process entry, of `python -m twistrank.cli` and the `twistrank`
+    script: main(argv), then gc.freeze().  The freeze moves every object the
+    command left behind into the permanent generation, so the collections of
+    interpreter teardown walk none of them (about 8 ms, and 16 ms once numpy
+    is loaded); atexit handlers, the flush of stdout and stderr and module
+    clearing still run, and every file a command writes is closed before
+    main returns.  main itself never touches the collector: the tests and
+    the benchmark's tracer call it in a process that goes on working."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

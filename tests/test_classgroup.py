@@ -713,6 +713,45 @@ def test_sylow_span_refuses_when_prime_forms_run_out(monkeypatch):
     assert class_group_summary(-3299).class_number == 1
 
 
+def test_sylow_span_powers_no_class_of_order_at_most_two(monkeypatch):
+    # the class of a ramified prime, and sigma, square to the identity, so
+    # their m-th powers are the identity too (m, the 3'-part of h, is even
+    # when h is): the 3-Sylow span takes no power of any of them
+    power, sylow = classgroup._power, classgroup._sylow_three_torsion
+    bases, powered = [], set()
+
+    def recorded_power(t, e, delta, s):
+        bases.append(t)
+        return power(t, e, delta, s)
+
+    def checked_sylow(delta, s, h, generators, one, key):
+        bases.clear()
+        torsion = sylow(delta, s, h, generators, one, key)
+        squares_to_one = [t for t in bases if key(_mul(t, t, delta, s)) == key(one)]
+        assert not squares_to_one, (delta, squares_to_one)
+        powered.add(delta)
+        return torsion
+
+    monkeypatch.setattr(classgroup, "_power", recorded_power)
+    monkeypatch.setattr(classgroup, "_sylow_three_torsion", checked_sylow)
+    nines = 0
+    for delta in negative_fundamentals(2000) + positive_fundamentals(2000):
+        s = class_group_summary(delta)
+        nines += s.class_number % 9 == 0
+        # the known-h path, which the sweep takes for every delta < 0
+        assert summary_from_counts(delta, *_span_counts(delta, s.class_number)) == s
+        structure = brute_force_group_structure(delta)
+        assert s.three_rank == sum(1 for n in structure if n % 3 == 0), delta
+    family = [-4 * d for d in scan_parameters(1, 4 * 10**5)]
+    assert classgroup._sweep_pays(family)
+    h, torsion = classgroup.compute_class_data(family)
+    # the A = 1 family has 2 ramified in every delta, and 943 with 9 | h
+    assert sum(1 for d in family if d in powered) == sum(1 for n in h if n % 9 == 0) == 943
+    assert len(powered) == 943 + nines and nines > 30
+    monkeypatch.undo()
+    assert (h, torsion) == classgroup.compute_class_data(family)
+
+
 def test_classes_refuse_a_walk_that_does_not_close(monkeypatch):
     # narrow h(229) = 3: as if a form of the second cycle walked from the
     # sorted reduced forms stepped into the first cycle, already indexed

@@ -5,6 +5,7 @@ checks compare exact output strings across --jobs values and cache states.
 """
 
 import csv
+import gc
 import io
 import json
 import os
@@ -528,6 +529,70 @@ sys.stderr.write(str("twistrank.cache" in sys.modules))
 def test_stats_loads_no_cache_layer(tmp_path):
     # pytest itself has loaded twistrank.cache, so the check needs its own interpreter
     assert fresh_main(tmp_path, STATS_PROBE) == (b"", "False")
+
+
+# ---------------------------------------------------------------------------
+# process entry
+
+
+def written_files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+SCAN_FILES = ["--cache", "c.ndjson", "--report", "r.json", "--trace", "t.csv"]
+ENTRY_RUNS = {
+    # cold, then warm
+    "scan-imag": [["scan", "1", "--max-x", "40000", *SCAN_FILES]] * 2,
+    "scan-real": [["scan", "-35", "--max-x", "1000000"]],
+    "verify": [["verify", "--level", "quick"]],
+    "classgroup-twist": [["classgroup", "-3299"], ["twist", "1", "13"]],
+    "refused": [["scan", "1", "--max-x", "400", "--k", "20", "--cache", "k.ndjson"]],
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_RUNS)
+def test_process_entry_matches_main_in_process(capsys, tmp_path, monkeypatch, name):
+    # python -m twistrank.cli (run, which freezes the heap before teardown)
+    # and main in this process give the same stdout, files and exit code
+    monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
+    child, here = tmp_path / "child", tmp_path / "here"
+    child.mkdir()
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for argv in ENTRY_RUNS[name]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistrank.cli", *argv],
+            capture_output=True, env=fresh_env(), cwd=child, timeout=120,
+        )
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), argv
+        assert written_files(child) == written_files(here), argv
+        # main leaves the collector as it found it
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+    if name == "refused":
+        assert code == 2 and out == "" and written_files(here) == {}
+
+
+# Imports twistrank.cli, calls main, then run; the last line of stderr gives
+# the collector's state after each step, and the exit codes.
+GC_PROBE = """
+import gc, sys
+import twistrank.cli
+states = [(gc.isenabled(), gc.get_freeze_count())]
+codes = [twistrank.cli.main(sys.argv[1:])]
+states.append((gc.isenabled(), gc.get_freeze_count()))
+codes.append(twistrank.cli.run(sys.argv[1:]))
+states.append((gc.isenabled(), gc.get_freeze_count() > 0))
+sys.stderr.write(f"{states} {codes}")
+"""
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    _, states = fresh_main(tmp_path, GC_PROBE, "twist", "1", "13")
+    assert states == "[(True, 0), (True, 0), (True, True)] [0, 0]"
+    # the refused input is frozen too, and keeps its exit code
+    _, states = fresh_main(tmp_path, GC_PROBE, "classgroup", "10")
+    assert states == "[(True, 0), (True, 0), (True, True)] [2, 2]"
 
 
 # ---------------------------------------------------------------------------
