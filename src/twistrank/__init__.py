@@ -4,7 +4,9 @@ The pipeline: enumerate twist parameters in arithmetic progressions of
 fundamental discriminants, compute 3-class groups of the attached quadratic
 fields through binary quadratic forms, convert 3-ranks into Selmer (hence
 rank) bounds, and aggregate family statistics against exact theoretical
-constants.
+constants.  Its records (ClassGroupSummary, TwistRecord, FamilyReport,
+ProgressionFamily, ...) are immutable NamedTuples: _fields, _asdict and
+_replace list, convert and rebuild them.
 """
 
 from .classgroup import (

@@ -49,7 +49,6 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from math import gcd, isqrt
@@ -72,8 +71,7 @@ class Form(NamedTuple):
     c: int
 
 
-@dataclass(frozen=True)
-class ClassGroupSummary:
+class ClassGroupSummary(NamedTuple):
     """Class number and 3-torsion data for one fundamental discriminant.
 
     class_number is the narrow class number when delta > 0; three_torsion is

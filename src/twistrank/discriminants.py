@@ -12,8 +12,8 @@ the pair (m, N), checked here clause by clause.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .arith import factorize, is_squarefree, squarefree_flags
 
@@ -50,27 +50,38 @@ def _is_fundamental(delta: int, squarefree: Callable[[int], bool]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ProgressionFamily:
-    """Fundamental discriminants delta ≡ residue_m mod modulus_n with 0 < |delta| < bound_x.
-
-    The sign field selects N^-(X, m, N) (negative discriminants) or
-    N^+(X, m, N).  The residue is canonicalized into [0, N) on construction.
-    """
-
+class _Progression(NamedTuple):
     bound_x: int
     residue_m: int
     modulus_n: int
     sign: str
 
-    def __post_init__(self) -> None:
-        if self.bound_x < 1:
+
+class ProgressionFamily(_Progression):
+    """Fundamental discriminants delta ≡ residue_m mod modulus_n with 0 < |delta| < bound_x.
+
+    The sign field selects N^-(X, m, N) (negative discriminants) or
+    N^+(X, m, N).  The residue is canonicalized into [0, N) on construction,
+    which _make and _replace go through too.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, bound_x: int, residue_m: int, modulus_n: int, sign: str
+    ) -> ProgressionFamily:
+        if bound_x < 1:
             raise ValueError("bound_x must be a positive integer")
-        if self.modulus_n < 1:
+        if modulus_n < 1:
             raise ValueError("modulus_n must be a positive integer")
-        if self.sign not in (NEGATIVE, POSITIVE):
+        if sign not in (NEGATIVE, POSITIVE):
             raise ValueError(f"sign must be {NEGATIVE!r} or {POSITIVE!r}")
-        object.__setattr__(self, "residue_m", self.residue_m % self.modulus_n)
+        return super().__new__(cls, bound_x, residue_m % modulus_n, modulus_n, sign)
+
+    @classmethod
+    def _make(cls, iterable) -> ProgressionFamily:
+        # the inherited _make, behind _replace, would skip __new__'s checks
+        return cls(*iterable)
 
 
 def enumerate_progression(family: ProgressionFamily) -> list[int]:
@@ -85,12 +96,11 @@ def enumerate_progression(family: ProgressionFamily) -> list[int]:
     return [delta for delta in candidates if _is_fundamental(delta, squarefree)]
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """Outcome of the mean-value congruence condition, naming the first failing clause."""
 
     ok: bool
-    failing_clause: str | None = field(default=None)
+    failing_clause: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok

@@ -12,9 +12,9 @@ discriminant is D * Delta(A, 1) (_base_discriminant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 from .arith import factorize
 from .classgroup import ClassGroupSummary, class_group_summary
@@ -123,8 +123,7 @@ def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None
     return twist_record(a, d, summary=summary).selmer_dim
 
 
-@dataclass(frozen=True)
-class TwistRecord:
+class TwistRecord(NamedTuple):
     """Certified data for one quadratic twist y**2 = x**3 - A*D**3."""
 
     a: int

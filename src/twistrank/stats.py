@@ -22,11 +22,11 @@ from __future__ import annotations
 import warnings
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import prod
+from typing import NamedTuple
 
 from .arith import count_squarefree, exact_log, squarefree_flags
 from .classgroup import ClassData, compute_class_data, summary_from_counts
@@ -62,8 +62,7 @@ def proportion_bound_from_mean(mean_bound: Fraction, k: int) -> Fraction:
     return Fraction(cutoff - b, cutoff - 1)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """The twist family of A, classified and factored once.  It accepts what
     validate_coefficient accepts: its progression covers A ≡ 13 mod 36 too,
     and its parameters and constants refuse that direct-evaluation case."""
@@ -153,8 +152,7 @@ def scan_parameters(a: int, x: int) -> list[int]:
 _MAX_K = next(k for k in count() if 3**k >= MAX_DISCRIMINANT)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """Aggregated scan output with exact rational statistics."""
 
     a: int
@@ -191,14 +189,7 @@ class FamilyReport:
         }
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """A family scan: its report, its twist parameters D in scan order, their
-    case and Delta(A, 1), and the class data of their discriminants
-    D * Delta(A, 1) in the same order, as two integer arrays (h and the
-    3-torsion) and one flag per D, 1 where this scan computed the entry
-    rather than taking it from the class data it was given."""
-
+class _Scan(NamedTuple):
     report: FamilyReport
     parameters: list[int]
     case: StollCase
@@ -206,6 +197,15 @@ class ScanResult:
     class_numbers: array
     three_torsion: array
     computed: bytes
+
+
+class ScanResult(_Scan):
+    """A family scan: its report, its twist parameters D in scan order, their
+    case and Delta(A, 1), and the class data of their discriminants
+    D * Delta(A, 1) in the same order, as two integer arrays (h and the
+    3-torsion) and one flag per D, 1 where this scan computed the entry
+    rather than taking it from the class data it was given.  It declares no
+    __slots__: its instance dict holds the two views once they are read."""
 
     @cached_property
     def new_class_data(self) -> ClassData:
@@ -359,8 +359,7 @@ def correspondence_check(a: int, x: int) -> bool:
 # Rearrangement check
 
 
-@dataclass(frozen=True)
-class RearrangementCheck:
+class RearrangementCheck(NamedTuple):
     sample_mean: Fraction
     small_fraction: Fraction
     bound: Fraction

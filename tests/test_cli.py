@@ -187,13 +187,13 @@ def test_scan_builds_no_class_group_summary(capsys, tmp_path, monkeypatch, a, x)
 
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     built = []
-    init = ClassGroupSummary.__init__
+    new = ClassGroupSummary.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         built.append(args or kwargs)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ClassGroupSummary, "__init__", counted)
+    monkeypatch.setattr(ClassGroupSummary, "__new__", counted)
     path = str(tmp_path / "c.ndjson")
     report, trace = str(tmp_path / "r.json"), str(tmp_path / "t.csv")
     # cold: the class data are computed and saved
@@ -529,6 +529,26 @@ sys.stderr.write(str("twistrank.cache" in sys.modules))
 def test_stats_loads_no_cache_layer(tmp_path):
     # pytest itself has loaded twistrank.cache, so the check needs its own interpreter
     assert fresh_main(tmp_path, STATS_PROBE) == (b"", "False")
+
+
+# Imports twistrank.cli and runs two commands that load no numpy; the last
+# line of stderr lists, after each step, which modules of the dataclass and
+# introspection machinery are loaded.
+INTROSPECTION_PROBE = """
+import sys
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+import twistrank.cli
+loaded = [[m for m in HEAVY if m in sys.modules]]
+for argv in (["scan", "-35", "--max-x", "1000000"], ["classgroup", "229"]):
+    assert twistrank.cli.main(argv) == 0
+    loaded.append([m for m in HEAVY if m in sys.modules])
+sys.stderr.write(str(loaded))
+"""
+
+
+def test_cli_loads_no_dataclass_or_introspection_modules(tmp_path):
+    # the records are NamedTuples, so no command generates record code at import
+    assert fresh_main(tmp_path, INTROSPECTION_PROBE)[1] == "[[], [], []]"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ parity term from the residue case plus twice the 3-rank obtained from the
 brute-force group structure of the twist's field discriminant.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -315,7 +314,7 @@ def test_twist_record_frozen():
 
 def test_twist_record_holds_what_it_prints():
     rec = twist_record(37, 13)
-    fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(TwistRecord)}
+    fields = {name: getattr(rec, name) for name in TwistRecord._fields}
     fields["case"] = rec.case.value
     names = {"a": "A", "d": "D", "field_discriminant": "delta"}
     assert {names.get(name, name): v for name, v in fields.items()} == rec.to_json_dict()
