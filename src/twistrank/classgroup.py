@@ -27,8 +27,9 @@ by the cubes of the generators of S, so no class is cubed one by one.  No
 generator whose class squares to the identity (sigma, or a ramified prime's)
 is raised to a power: its image in S is the identity.  The
 class numbers of many negative discriminants can instead come from one
-numpy sweep over the reduced forms of their window, building no form; the
-3-Sylow span then starts from the known h, and only where 9 | h.
+sweep over the reduced forms of their window, in byte lanes of Python ints
+(_definite_class_numbers), building no form; the 3-Sylow span then starts
+from the known h, and only where 9 | h.
 compute_class_data makes that choice for a set of discriminants (the
 sweep where _sweep_pays, the whole span for the rest), in a process pool
 when jobs > 1, and returns h and the 3-torsion as two integer arrays in the
@@ -47,18 +48,20 @@ shares neither _mul nor _RhoIndex with the span.
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, isqrt
+from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import exact_log, factorize, squarefree_flags, xgcd
 from .discriminants import MAX_DISCRIMINANT, _is_fundamental, check_scan_limit, is_fundamental
 
-# numpy is imported only inside the class-number sweep and the analytic oracle:
-# single class groups, twists and scans of real families never load it.
+# numpy is imported only inside the analytic oracle: class groups, twists and
+# scans of either sign never load it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -257,15 +260,19 @@ def _sweep_window(deltas: list[int]) -> tuple[int, int, int]:
     return -top, m, (top - min(deltas)) // m + 1
 
 
-# One sweep costs about a_max * (a_max + L + 2**15) cells: for each a, one
-# numpy pass over the b candidates and one over the count window, plus a
-# fixed cost of about 2**15 cells.  Spanning one negative delta alone costs
-# about sqrt|delta| units more than spanning its 3-Sylow subgroup from a known
-# h (_span_counts(delta) against _span_counts(delta, h)).  Measured on a
-# 2-core x86 host (Python 3.11, numpy 2.4) over the A = 1, 37 and 61
-# families, X = 10**5 to 4*10**6: 1.2 to 2.1 ns per cell and 1.5 to 1.9 us per
-# unit, so a unit is worth about 1000 cells.
-_SWEEP_CELLS_PER_UNIT = 1000
+# One sweep costs about a_max * (20*a_max + L + 2**11) cells: a cell is one
+# window slot of one a (its byte lane made, read and added), the tail starts,
+# built and counted in Python, cost about 20*a_max**2 cells in all, and each
+# a about 2**11 cells more.  Spanning one negative delta alone
+# costs about sqrt|delta| units more than spanning its 3-Sylow subgroup from
+# a known h (_span_counts(delta) against _span_counts(delta, h)).  Measured
+# on a 2-core x86 host (Python 3.11) over the A = 1, 37, 61, 73 and 97
+# families at X = 10**5 to 10**7 and over scattered discriminants below
+# 10**6: 1.8 ns per cell and 0.84 to 1.44 us per unit (median 1.05), so a
+# unit is worth about 600 cells.  A window of consecutive discriminants
+# (M = 1) has a start for every b, about five times the starts assumed here,
+# and its sweep still pays many times over.
+_SWEEP_CELLS_PER_UNIT = 600
 
 
 def _sweep_pays(deltas: list[int]) -> bool:
@@ -273,8 +280,60 @@ def _sweep_pays(deltas: list[int]) -> bool:
     if len(deltas) < 2:
         return False
     a_max = isqrt(-min(deltas) // 3)
-    cells = a_max * (a_max + _sweep_window(deltas)[2] + 2**15)
+    cells = a_max * (20 * a_max + _sweep_window(deltas)[2] + 2**11)
     return cells <= _SWEEP_CELLS_PER_UNIT * sum(isqrt(-d) for d in deltas)
+
+
+# The 4-byte unsigned typecode of array ("I" wherever int has 32 bits).
+_LANE32 = next(code for code in "IL" if array(code).itemsize == 4)
+
+
+def _tail_starts(a: int, n0: int, m: int, length: int) -> tuple[int, list[int]]:
+    """(stride, starts) for one a of the sweep (_definite_class_numbers).
+
+    starts holds, for each b in (-a, a] whose reduced forms (a, b, c) reach
+    the window n ≡ n0 mod M, the index (n - n0)/M of the first such n; the n
+    of one tail are stride = 4a/g indices apart.  An index of one tail may
+    come out as S < 0, which stands for the tail's first index S mod stride
+    (_definite_class_numbers reduces it), and entries may repeat or lie past
+    the window of length L.
+    """
+    a4 = 4 * a
+    g = gcd(a4, m)
+    step, stride = m // g, a4 // g
+    inv = pow(stride, -1, step)
+    # b and -b share n0 + b*b, so only the b >= 0 are walked, each b for
+    # both: c runs through the class of c0 = (n0 + b*b)/g * inv mod step,
+    # from c = a + t, t = c0 - a mod step, which -b takes too when t > 0
+    # and one step on (one stride on in the window) when t = 0, as -b needs
+    # c > a.  Where n0 + b*b > 4a**2 no n of the class lies below the
+    # window, so its first index S = (4a*(a + t) - n0 - b*b)/M may be < 0.
+    roots = [r for r in range(min(g, a + 1)) if (n0 + r * r) % g == 0]
+    starts: list[int] = []
+    if m <= a:
+        # t depends on b mod M only, so along b = rho + M*j the first index
+        # is S0 - j*(2*rho + M*j): one run per residue rho, built in C
+        for rho in [rho for r in roots for rho in range(r, m, g)]:
+            rhs = n0 + rho * rho
+            t = (rhs // g * inv - a) % step
+            last = (a - rho) // m
+            gaps = range(2 * rho + m, 2 * rho + m + 2 * m * last, 2 * m)
+            run = list(accumulate(gaps, sub, initial=(a4 * (a + t) - rhs) // m))
+            starts += run
+            # -b for the b of the run other than 0 and a
+            twin = run[1 if rho == 0 else 0 : last if rho + last * m == a else last + 1]
+            starts += twin if t else [s + stride for s in twin]
+        return stride, starts
+    for r in roots:
+        for b in range(r, a + 1, g):
+            rhs = n0 + b * b
+            t = (rhs // g * inv - a) % step
+            s = (a4 * (a + t) - rhs) // m
+            if s < length:
+                starts.append(s)
+                if 0 < b < a:
+                    starts.append(s if t else s + stride)
+    return stride, starts
 
 
 def _definite_class_numbers(deltas: list[int]) -> array:
@@ -286,19 +345,33 @@ def _definite_class_numbers(deltas: list[int]) -> array:
     n = 4ac - b*b ≡ n0 mod M exactly when c runs through one class mod M/g,
     and n itself through one class mod 4a*M/g.  The reduced forms (c >= a,
     and c > a when b < 0) of one (a, b) therefore fill a whole tail of that
-    class inside the window, so a bincount of each tail's first n and a
-    cumulative sum along the class count them all; no form is built.  Every
-    form of a fundamental discriminant is primitive, so the count is h.
-    Fundamentality is checked against one square-free sieve, as in
-    enumerate_progression.  The class numbers come back as an array('q') in
-    the order of deltas, gathered through one int64 index array, so no list
-    of one Python int per delta is built.  Memory is O(L + a) for the window
-    length L plus 8 bytes per delta, and with n <= MAX_DISCRIMINANT no int64
-    intermediate reaches 2**60 (the largest is a product of two residues mod
-    M < 10**9).
-    """
-    import numpy as np
+    class inside the window (_tail_starts), and h(n) counts the tails that
+    reach n; no form is built.  Every form of a fundamental discriminant is
+    primitive, so the count is h.  Fundamentality is checked against one
+    square-free sieve, as in enumerate_progression.
 
+    The tails of one a are counted in byte lanes, one per window slot from
+    the first start on: a histogram of the starts, summed down the rows of
+    stride slots as one int per row, until every start is passed; from there
+    each row repeats the column totals.  The lanes of every a are added, as
+    one int (slot L-1 least significant), into an accumulator of 8-bit lanes,
+    while the sum of each a's largest lane stays below 256; before a lane
+    could pass 255 the accumulator is spread into the 32-bit lanes of the
+    total.  No lane carries:
+    - one a adds at most #{b in (-a, a] : b*b ≡ -n mod 4a} to the lane of
+      any n of the window, fundamental or not.  That count is half the
+      number of roots mod 4a (the roots are closed under x -> x + 2a), which
+      is multiplicative over the prime powers of 4a; the largest product of
+      each prime power's most roots is 440 for a <= isqrt(MAX_DISCRIMINANT/3)
+      = 18,257 (at a = 18,150 = 2*3*5**2*11**2, as a loop over every such a
+      shows), so no lane of one a passes 220;
+    - the total lane is at most sum(2a) = a_max*(a_max + 1) < 2**32.
+    A lane past 255 raises ArithmeticError all the same.  The class numbers
+    come back as an array('q') in the order of deltas, gathered from the
+    32-bit lanes with no list of one Python int per delta.  Memory is O(L)
+    bytes for the window length L (the total takes 4L), and no numpy is
+    loaded.
+    """
     n_max = -min(deltas)
     check_scan_limit("|delta|", n_max)
     # _is_fundamental asks about n itself when n is odd and about n/4 when not.
@@ -307,33 +380,55 @@ def _definite_class_numbers(deltas: list[int]) -> array:
         if delta >= 0 or not _is_fundamental(delta, squarefree):
             raise ValueError(f"{delta} is not a fundamental discriminant")
     n0, m, length = _sweep_window(deltas)
-    counts = np.zeros(length, dtype=np.int64)
-    for a in range(1, isqrt(n_max // 3) + 1):
-        g = gcd(4 * a, m)
-        step, stride = m // g, 4 * a // g
-        b = np.arange(1 - a, a + 1, dtype=np.int64)
-        rhs = n0 + b * b
-        ok = rhs % g == 0
-        b, rhs = b[ok], rhs[ok]
-        # c0: the class of c mod step with 4ac ≡ n0 + b*b mod M.
-        c0 = (rhs // g) % step * pow(stride, -1, step) % step
-        lo = np.maximum(a + (b < 0), -(-rhs // (4 * a)))
-        c = lo + (c0 - lo) % step
-        start = (4 * a * c - rhs) // m
-        start = start[start < length]
-        if not start.size:
+    total = acc = bound = 0
+    # largest a first, so that acc grows with the span of each a
+    for a in range(isqrt(n_max // 3), 0, -1):
+        stride, starts = _tail_starts(a, n0, m, length)
+        if starts and min(starts) < 0:
+            starts = [s % stride if s < 0 else s for s in starts]
+        if starts and max(starts) >= length:
+            starts = [s for s in starts if s < length]
+        if not starts:
             continue
-        base = int(start.min())
-        rows = -(-(length - base) // stride)
-        first = np.bincount(start - base, minlength=rows * stride).reshape(rows, stride)
-        np.cumsum(first, axis=0, out=first)
-        counts[base:] += first.ravel()[: length - base]
-    # the window index (n - n0) / M of each delta
-    index = np.array(deltas, dtype=np.int64)
-    index += n0
-    np.negative(index, out=index)
-    index //= m
-    return array("q", counts[index].tobytes())
+        base = min(starts)
+        counts = bytearray((max(starts) - base) // stride * stride + stride)
+        lanes = bytearray()
+        row = 0
+        try:
+            for s in starts:
+                counts[s - base] += 1
+            for i in range(0, len(counts), stride):
+                row += int.from_bytes(counts[i : i + stride], "big")
+                lanes += row.to_bytes(stride, "big")
+            totals = row.to_bytes(stride, "big")
+            if sum(totals) != len(starts):  # a lane carried into the next
+                raise OverflowError
+        except (ValueError, OverflowError):
+            raise ArithmeticError(f"a sweep lane passed 255 at a = {a}") from None
+        span = length - base
+        lanes += totals * -((len(lanes) - span) // stride)
+        del lanes[span:]
+        peak = max(totals)
+        if bound + peak > 255:
+            total += _spread(acc)
+            acc = bound = 0
+        bound += peak
+        acc += int.from_bytes(lanes, "big")
+    total += _spread(acc)
+    lanes32 = array(_LANE32, total.to_bytes(4 * length, "big"))
+    if sys.byteorder == "little":
+        lanes32.byteswap()
+    # the window index (n - n0)/M of each delta
+    index = map(m.__rfloordiv__, map((-n0).__sub__, deltas))
+    return array("q", map(lanes32.__getitem__, index))
+
+
+def _spread(acc: int) -> int:
+    """The 8-bit lanes of acc as 32-bit lanes, in the same order."""
+    size = (acc.bit_length() + 7) // 8
+    wide = bytearray(4 * size)
+    wide[3::4] = acc.to_bytes(size, "big")
+    return int.from_bytes(wide, "big")
 
 
 # ---------------------------------------------------------------------------

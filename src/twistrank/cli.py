@@ -353,11 +353,12 @@ def run(argv=None) -> int:
     """The process entry, of `python -m twistrank.cli` and the `twistrank`
     script: main(argv), then gc.freeze().  The freeze moves every object the
     command left behind into the permanent generation, so the collections of
-    interpreter teardown walk none of them (about 8 ms, and 16 ms once numpy
-    is loaded); atexit handlers, the flush of stdout and stderr and module
-    clearing still run, and every file a command writes is closed before
-    main returns.  main itself never touches the collector: the tests and
-    the benchmark's tracer call it in a process that goes on working."""
+    interpreter teardown walk none of them (about 8 ms, and 16 ms in verify,
+    whose analytic oracle loads numpy); atexit handlers, the flush of stdout
+    and stderr and module clearing still run, and every file a command
+    writes is closed before main returns.  main itself never touches the
+    collector: the tests and the benchmark's tracer call it in a process
+    that goes on working."""
     try:
         return main(argv)
     finally:

@@ -303,8 +303,11 @@ def test_sweep_matches_enumeration_on_every_fundamental():
     assert _definite_class_numbers(deltas) == array("q", [len(reduced_forms(d)) for d in deltas])
 
 
-def test_sweep_matches_the_span_on_twist_families():
+def test_sweep_matches_the_span_on_twist_families(monkeypatch):
     # the span reaches h by composition, not by enumeration
+    spreads = []
+    spread = classgroup._spread
+    monkeypatch.setattr(classgroup, "_spread", lambda acc: spreads.append(acc) or spread(acc))
     family = [-4 * d for d in scan_parameters(1, 2 * 10**5)]
     upper = [d for d in family if d < -18 * 10**4]
     for deltas in (
@@ -314,9 +317,51 @@ def test_sweep_matches_the_span_on_twist_families():
         [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
     ):
         assert _sweep_window(deltas)[1] > 1
+        spreads.clear()
         assert _definite_class_numbers(deltas) == array(
             "q", [_span_counts(d)[0] for d in deltas]
         )
+        if deltas is family:
+            # the per-a lane maxima sum past 255: the 8-bit lanes were
+            # spread into the total inside the loop, not only at its end
+            assert len(spreads) >= 2
+
+
+def test_no_sweep_lane_of_one_a_passes_220():
+    # _definite_class_numbers: one a adds to the lane of n at most
+    # #{b in (-a, a] : b*b ≡ -n mod 4a}, half the roots mod 4a, a count
+    # multiplicative over the prime powers of 4a.  x*x ≡ c mod p has at most
+    # 2 roots for an odd prime p (and 2 divides 4a at least squared); higher
+    # powers are counted root by root.
+    most = {}
+
+    def most_roots(p, e):
+        if e == 1:
+            return 2
+        if (p, e) not in most:
+            q = p**e
+            most[p, e] = max(Counter(x * x % q for x in range(q)).values())
+        return most[p, e]
+
+    a_max = math.isqrt(MAX_DISCRIMINANT // 3)
+    assert max(
+        (math.prod(most_roots(p, e) for p, e in factorize(4 * a)) // 2, a)
+        for a in range(1, a_max + 1)
+    ) == (220, 18150)
+
+
+def test_sweep_refuses_a_lane_past_255(monkeypatch):
+    deltas = [-4 * d for d in scan_parameters(1, 10**4)]
+    for stride, starts in (
+        (1, [0] * 256),  # 256 tails start in one slot
+        (2, [1] * 128 + [3] * 128),  # no slot starts 256, but the row sum reaches it
+        (2, [0] * 128 + [2] * 128),  # ... in the first lane of the row
+    ):
+        monkeypatch.setattr(
+            classgroup, "_tail_starts", lambda a, n0, m, length: (stride, starts)
+        )
+        with pytest.raises(ArithmeticError, match="^a sweep lane passed 255 at a = "):
+            _definite_class_numbers(deltas)
 
 
 def test_sweep_rejects_non_fundamental():

@@ -491,7 +491,7 @@ def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
     def probe(*argv):
         return fresh_main(tmp_path, NUMPY_PROBE, *argv)
 
-    # forms are enumerated in pure Python: only the sweep and the oracle load numpy
+    # forms are enumerated and swept in pure Python: only the analytic oracle loads numpy
     for argv in (
         ["classgroup", "229"],
         ["classgroup", "-23"],
@@ -501,10 +501,39 @@ def test_numpy_loads_only_when_a_class_group_is_computed(tmp_path):
         assert probe(*argv)[1] == "False False 0", argv
     argv = ["scan", "1", "--max-x", "40000", "--cache", str(tmp_path / "c.ndjson")]
     cold, cold_numpy = probe(*argv)
-    assert cold_numpy == "False True 0"  # the sweep computed the class numbers
+    assert cold_numpy == "False False 0"  # the sweep computed the class numbers
     warm, warm_numpy = probe(*argv)
     assert warm_numpy == "False False 0"  # every class number came from the cache
     assert warm == cold
+    assert probe("verify")[1] == "False True 0"  # the analytic oracle's character sums
+
+
+# Runs main(argv) in a fresh interpreter; with a first argument "blocked",
+# any import of numpy raises ImportError.
+MAIN_PROBE = """
+import sys
+if sys.argv.pop(1) == "blocked":
+    sys.modules["numpy"] = None
+import twistrank.cli
+sys.exit(twistrank.cli.main(sys.argv[1:]))
+"""
+
+
+def test_cold_definite_scan_runs_without_numpy(tmp_path):
+    # the class-number sweep is pure Python, so numpy need not even be importable
+    argv = ["scan", "1", "--max-x", "40000", "--cache", "c.ndjson", "--trace", "t.csv"]
+    results = []
+    for mode in ("blocked", "normal"):
+        workdir = tmp_path / mode
+        workdir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN_PROBE, mode, *argv],
+            capture_output=True, env=fresh_env(), cwd=workdir,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append((proc.stdout, written_files(workdir)))
+    assert set(results[0][1]) == {"c.ndjson", "t.csv"}
+    assert results[0] == results[1]
 
 
 def test_multiprocessing_loads_only_for_a_pool(tmp_path):
