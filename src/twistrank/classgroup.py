@@ -31,7 +31,8 @@ sweep over the reduced forms of their window, in byte lanes of Python ints
 (_definite_class_numbers), building no form; the 3-Sylow span then starts
 from the known h, and only where 9 | h.
 compute_class_data makes that choice for a set of discriminants (the
-sweep where _sweep_pays, the whole span for the rest), in a process pool
+sweep over the window _sweep_plan returns, the whole span for the rest),
+after checking every one is fundamental, in a process pool
 when jobs > 1, and returns h and the 3-torsion as two integer arrays in the
 order of its input, building no summary: a ClassGroupSummary is the answer
 for one discriminant (class_group_summary).  Two independent oracles
@@ -275,13 +276,16 @@ def _sweep_window(deltas: list[int]) -> tuple[int, int, int]:
 _SWEEP_CELLS_PER_UNIT = 600
 
 
-def _sweep_pays(deltas: list[int]) -> bool:
-    """Whether one sweep is cheaper than spanning each negative delta alone."""
+def _sweep_plan(deltas: list[int]) -> tuple[int, int, int] | None:
+    """The window (n0, M, L) of the negative deltas (_sweep_window) when one
+    sweep over it is cheaper than spanning each delta alone, else None."""
     if len(deltas) < 2:
-        return False
+        return None
+    window = _sweep_window(deltas)
     a_max = isqrt(-min(deltas) // 3)
-    cells = a_max * (20 * a_max + _sweep_window(deltas)[2] + 2**11)
-    return cells <= _SWEEP_CELLS_PER_UNIT * sum(isqrt(-d) for d in deltas)
+    cells = a_max * (20 * a_max + window[2] + 2**11)
+    units = sum(isqrt(-d) for d in deltas)
+    return window if cells <= _SWEEP_CELLS_PER_UNIT * units else None
 
 
 # The 4-byte unsigned typecode of array ("I" wherever int has 32 bits).
@@ -336,12 +340,13 @@ def _tail_starts(a: int, n0: int, m: int, length: int) -> tuple[int, list[int]]:
     return stride, starts
 
 
-def _definite_class_numbers(deltas: list[int]) -> array:
+def _definite_class_numbers(deltas: list[int], window: tuple[int, int, int]) -> array:
     """Class numbers of negative fundamental discriminants, by one sweep over
-    the reduced forms of the whole window (after Buell's class-number tables).
+    the reduced forms of their window (after Buell's class-number tables).
 
-    With n = |delta| ≡ n0 mod M (see _sweep_window), each a <= sqrt(max n/3)
-    takes every b in (-a, a] with g = gcd(4a, M) dividing n0 + b*b; then
+    window is _sweep_window(deltas), (n0, M, L), which _sweep_plan measured.
+    With n = |delta| ≡ n0 mod M, each a <= sqrt(max n/3) takes every b in
+    (-a, a] with g = gcd(4a, M) dividing n0 + b*b; then
     n = 4ac - b*b ≡ n0 mod M exactly when c runs through one class mod M/g,
     and n itself through one class mod 4a*M/g.  The reduced forms (c >= a,
     and c > a when b < 0) of one (a, b) therefore fill a whole tail of that
@@ -379,7 +384,7 @@ def _definite_class_numbers(deltas: list[int]) -> array:
     for delta in deltas:
         if delta >= 0 or not _is_fundamental(delta, squarefree):
             raise ValueError(f"{delta} is not a fundamental discriminant")
-    n0, m, length = _sweep_window(deltas)
+    n0, m, length = window
     total = acc = bound = 0
     # largest a first, so that acc grows with the span of each a
     for a in range(isqrt(n_max // 3), 0, -1):
@@ -862,11 +867,9 @@ def _three_rank(class_number: int, three_torsion: int, ranks: dict[int, int]) ->
 
 
 def summary_from_counts(delta: int, class_number: int, three_torsion: int) -> ClassGroupSummary:
-    """Rebuild a validated summary from stored (h, 3-torsion) counts.
-
-    Used when reloading cached class data: the structural invariants (torsion
-    is a power of 3 dividing h) are re-checked, so a corrupted pair cannot
-    silently enter a dimension computation.
+    """A validated summary of (h, 3-torsion) counts: the structural
+    invariants (torsion is a power of 3 dividing h) are checked, so a
+    corrupted pair cannot silently enter a dimension computation.
     """
     return ClassGroupSummary(
         delta=delta,
@@ -894,35 +897,33 @@ def class_group_summary(delta: int) -> ClassGroupSummary:
     return summary_from_counts(delta, *_span_counts(delta))
 
 
-def _counts(task: tuple[int, int | None]) -> tuple[int, int]:
-    """(h, 3-torsion) of one discriminant, from its class number when the sweep gave one."""
-    delta, h = task
-    if h is None:
-        # the fundamentality re-check (~10 us) is the only guard for delta > 0
-        _check_fundamental(delta)
-    return _span_counts(delta, h)
-
-
 def compute_class_data(deltas: list[int], jobs: int = 1) -> tuple[array, array]:
     """h and the 3-torsion of each of the distinct discriminants deltas, as
     two array('q') in the order of deltas, optionally in parallel.
 
-    When one sweep over their window is cheaper than spanning each alone,
-    the negative discriminants take their class numbers from that sweep.
+    Every delta is checked to be a fundamental discriminant before any class
+    number is computed.  When one sweep over their window is cheaper than
+    spanning each alone (_sweep_plan), the negative discriminants are checked
+    against the sweep's square-free sieve and take their class numbers from
+    it; every other delta is checked alone (~10 us each).
     The result does not depend on jobs; partitioning only affects wall time,
     and no more workers start than there are discriminants or CPUs.
     """
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
     negative = [d for d in deltas if d < 0]
-    if _sweep_pays(negative):
-        swept = iter(_definite_class_numbers(negative))
-        tasks = zip(deltas, [next(swept) if d < 0 else None for d in deltas])
+    window = _sweep_plan(negative)
+    for delta in deltas:
+        if window is None or delta >= 0:
+            _check_fundamental(delta)
+    if window is None:
+        known = repeat(None)
     else:
-        tasks = zip(deltas, repeat(None))
+        swept = iter(_definite_class_numbers(negative, window))
+        known = (next(swept) if d < 0 else None for d in deltas)
     jobs = min(jobs, len(deltas), os.cpu_count() or 1)
     if jobs == 1 or len(deltas) < 8:
-        counts = map(_counts, tasks)
+        counts = map(_span_counts, deltas, known)
     else:
         # imported here, as only a pool needs it: loading it costs every other
         # process (--jobs 1, a warm rescan, classgroup, twist, verify) about 10 ms
@@ -930,7 +931,7 @@ def compute_class_data(deltas: list[int], jobs: int = 1) -> tuple[array, array]:
 
         chunk = max(1, len(deltas) // (jobs * 8))
         with multiprocessing.Pool(jobs) as pool:
-            counts = pool.map(_counts, tasks, chunksize=chunk)
+            counts = pool.starmap(_span_counts, zip(deltas, known), chunksize=chunk)
     class_numbers, three_torsion = array("q"), array("q")
     for h, torsion in counts:
         class_numbers.append(h)

@@ -160,7 +160,7 @@ def _verify_analytic(limit: int) -> tuple[bool, str]:
     ]
     # the sweep that gives scans their negative-delta class numbers; the
     # 3-torsion is the structure suite's to check
-    swept = classgroup._definite_class_numbers(deltas)
+    swept = classgroup._definite_class_numbers(deltas, classgroup._sweep_window(deltas))
     for delta, h in zip(deltas, swept):
         if h != analytic_class_number_oracle(delta):
             return False, f"mismatch at delta = {delta}"

@@ -17,7 +17,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import factorize
-from .classgroup import ClassGroupSummary, class_group_summary
+from .classgroup import _span_counts, _three_rank
 from .discriminants import check_scan_limit
 
 
@@ -113,14 +113,9 @@ def _certify_twist(a: int, d: int) -> tuple[StollCase, int]:
     return case, delta
 
 
-def selmer_dimension(a: int, d: int, *, summary: ClassGroupSummary | None = None) -> int:
-    """F_3-dimension of the isogeny Selmer group of y**2 = x**3 - A*D**3.
-
-    A precomputed ClassGroupSummary for the twist's field discriminant may be
-    supplied to avoid recomputing the class group; it is checked against the
-    expected discriminant.
-    """
-    return twist_record(a, d, summary=summary).selmer_dim
+def selmer_dimension(a: int, d: int) -> int:
+    """F_3-dimension of the isogeny Selmer group of y**2 = x**3 - A*D**3."""
+    return twist_record(a, d).selmer_dim
 
 
 class TwistRecord(NamedTuple):
@@ -151,12 +146,14 @@ class TwistRecord(NamedTuple):
         }
 
 
-def twist_record(a: int, d: int, *, summary: ClassGroupSummary | None = None) -> TwistRecord:
-    """Full certified record for the pair (A, D): dimension, rank bound, torsion flag."""
+def twist_record(a: int, d: int) -> TwistRecord:
+    """Full certified record for the pair (A, D): dimension, rank bound, torsion flag.
+
+    _certify_twist has proved delta fundamental by _base_discriminant's rule,
+    so its class group is spanned directly, with no second factorization.
+    """
     case, delta = _certify_twist(a, d)
-    if summary is None:
-        summary = class_group_summary(delta)
-    return _record(case, a, d, delta, summary)
+    return _record(case, a, d, delta, _three_rank(*_span_counts(delta), {}))
 
 
 def _dimension(case: StollCase, three_rank: int) -> int:
@@ -166,14 +163,11 @@ def _dimension(case: StollCase, three_rank: int) -> int:
     return case.dimension_parity + 2 * three_rank
 
 
-def _record(
-    case: StollCase, a: int, d: int, delta: int, summary: ClassGroupSummary
-) -> TwistRecord:
+def _record(case: StollCase, a: int, d: int, delta: int, three_rank: int) -> TwistRecord:
     """The record of a twist already certified to be in `case` with field
-    discriminant delta; the one builder behind twist_record and ScanResult.records."""
-    if summary.delta != delta:
-        raise ValueError(f"summary is for delta = {summary.delta}, expected {delta}")
-    dim = _dimension(case, summary.three_rank)
+    discriminant delta, whose class group has the given 3-rank; the one
+    builder behind twist_record and ScanResult.records."""
+    dim = _dimension(case, three_rank)
     # E_D: y**2 = x**3 + B with B = -A*D**3 is sixth-power free, as A and D are
     # square-free and coprime, so E_D has nontrivial rational torsion exactly
     # when B is 1, -432, a cube or a square.  B is a cube only if A = 1, as

@@ -29,7 +29,7 @@ from math import prod
 from typing import NamedTuple
 
 from .arith import count_squarefree, exact_log, squarefree_flags
-from .classgroup import ClassData, compute_class_data, summary_from_counts
+from .classgroup import ClassData, _three_rank, compute_class_data
 from .discriminants import (
     MAX_DISCRIMINANT,
     NEGATIVE,
@@ -216,13 +216,13 @@ class ScanResult(_Scan):
 
     @cached_property
     def records(self) -> list[TwistRecord]:
-        """One TwistRecord per D, in scan order, each from a summary of its
-        class data, built on first access: no statistic, report or trace
-        reads them."""
-        a, case, base = self.report.a, self.case, self.base
+        """One TwistRecord per D, in scan order, each from the 3-rank of its
+        validated class data, built on first access: no statistic, report or
+        trace reads them."""
+        a, case, base, ranks = self.report.a, self.case, self.base, {}
         rows = zip(self.parameters, self.class_numbers, self.three_torsion)
         return [
-            _record(case, a, d, d * base, summary_from_counts(d * base, h, torsion))
+            _record(case, a, d, d * base, _three_rank(h, torsion, ranks))
             for d, h, torsion in rows
         ]
 
@@ -321,7 +321,7 @@ def scan_family(
 # Progression means and the correspondence
 
 
-def nh_mean(family: ProgressionFamily, *, jobs: int = 1) -> Fraction:
+def nh_mean(family: ProgressionFamily) -> Fraction:
     """Exact mean of the 3-torsion count over a progression family.
 
     Warns when the congruence condition on (m, N) fails, since the mean-value
@@ -337,7 +337,7 @@ def nh_mean(family: ProgressionFamily, *, jobs: int = 1) -> Fraction:
     deltas = enumerate_progression(family)
     if not deltas:
         raise EmptyFamilyError("the progression family is empty below the bound")
-    _, three_torsion = compute_class_data(deltas, jobs=jobs)
+    _, three_torsion = compute_class_data(deltas)
     return Fraction(sum(three_torsion), len(deltas))
 
 

@@ -189,8 +189,8 @@ def test_criterion_07_average_dimension(big_scan):
 
 def test_criterion_08_progression_mean_trend():
     """3-torsion means over the -4 mod 48 progression sit in the expected band."""
-    mean_4 = nh_mean(ProgressionFamily(10**4, 44, 48, NEGATIVE), jobs=JOBS)
-    mean_5 = nh_mean(ProgressionFamily(10**5, 44, 48, NEGATIVE), jobs=JOBS)
+    mean_4 = nh_mean(ProgressionFamily(10**4, 44, 48, NEGATIVE))
+    mean_5 = nh_mean(ProgressionFamily(10**5, 44, 48, NEGATIVE))
     ok = mean_4 == Fraction(295, 183)  # frozen, 183 members
     ok = ok and mean_5 == Fraction(3395, 1887)  # frozen, 1887 members
     for mean in (mean_4, mean_5):

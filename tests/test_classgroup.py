@@ -299,8 +299,11 @@ def test_reduced_forms_refuses_past_the_oracle_limit():
 def test_sweep_matches_enumeration_on_every_fundamental():
     # odd and even |delta| mix, so the window modulus is 1
     deltas = negative_fundamentals(2 * 10**4 - 1)
-    assert _sweep_window(deltas)[1] == 1
-    assert _definite_class_numbers(deltas) == array("q", [len(reduced_forms(d)) for d in deltas])
+    window = _sweep_window(deltas)
+    assert window[1] == 1
+    assert _definite_class_numbers(deltas, window) == array(
+        "q", [len(reduced_forms(d)) for d in deltas]
+    )
 
 
 def test_sweep_matches_the_span_on_twist_families(monkeypatch):
@@ -316,9 +319,10 @@ def test_sweep_matches_the_span_on_twist_families(monkeypatch):
         [-4 * 37 * d for d in scan_parameters(37, 2 * 10**5)],
         [-4 * 61 * d for d in scan_parameters(61, 2 * 10**5)],
     ):
-        assert _sweep_window(deltas)[1] > 1
+        window = _sweep_window(deltas)
+        assert window[1] > 1
         spreads.clear()
-        assert _definite_class_numbers(deltas) == array(
+        assert _definite_class_numbers(deltas, window) == array(
             "q", [_span_counts(d)[0] for d in deltas]
         )
         if deltas is family:
@@ -361,14 +365,16 @@ def test_sweep_refuses_a_lane_past_255(monkeypatch):
             classgroup, "_tail_starts", lambda a, n0, m, length: (stride, starts)
         )
         with pytest.raises(ArithmeticError, match="^a sweep lane passed 255 at a = "):
-            _definite_class_numbers(deltas)
+            _definite_class_numbers(deltas, _sweep_window(deltas))
 
 
 def test_sweep_rejects_non_fundamental():
-    with pytest.raises(ValueError, match="^-12 is not a fundamental discriminant$"):
-        _definite_class_numbers([-3, -4, -12, -23])
-    with pytest.raises(ValueError, match="exceeds the scan limit"):
-        _definite_class_numbers([-4, -(MAX_DISCRIMINANT + 3)])
+    for deltas, message in (
+        ([-3, -4, -12, -23], "^-12 is not a fundamental discriminant$"),
+        ([-4, -(MAX_DISCRIMINANT + 3)], "exceeds the scan limit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _definite_class_numbers(deltas, _sweep_window(deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +794,7 @@ def test_sylow_span_powers_no_class_of_order_at_most_two(monkeypatch):
         structure = brute_force_group_structure(delta)
         assert s.three_rank == sum(1 for n in structure if n % 3 == 0), delta
     family = [-4 * d for d in scan_parameters(1, 4 * 10**5)]
-    assert classgroup._sweep_pays(family)
+    assert classgroup._sweep_plan(family) == _sweep_window(family)
     h, torsion = classgroup.compute_class_data(family)
     # the A = 1 family has 2 ramified in every delta, and 943 with 9 | h
     assert sum(1 for d in family if d in powered) == sum(1 for n in h if n % 9 == 0) == 943

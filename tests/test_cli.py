@@ -169,7 +169,7 @@ def test_scan_trace_rows_equal_certified_records(capsys, tmp_path, monkeypatch, 
     for row, d in zip(rows, params):
         # each twist certified from scratch, its class group computed alone
         s = twistrank.class_group_summary(_certify_twist(a, d)[1])
-        rec = twistrank.twist_record(a, d, summary=s)
+        rec = twistrank.twist_record(a, d)
         expected = [
             rec.d, rec.field_discriminant, s.class_number, s.three_rank,
             rec.selmer_dim, rec.rank_bound,
@@ -705,9 +705,9 @@ def test_verify_checks_the_class_numbers_scans_use(capsys, monkeypatch):
     monkeypatch.delenv(cache.CACHE_ENV_VAR, raising=False)
     sweep = classgroup._definite_class_numbers
 
-    def off_by_one(deltas):
+    def off_by_one(deltas, window):
         # h(-1987) = 7: 8 is prime to 3, so the 3-torsion count still runs
-        return [h + (d == -1987) for d, h in zip(deltas, sweep(deltas))]
+        return [h + (d == -1987) for d, h in zip(deltas, sweep(deltas, window))]
 
     monkeypatch.setattr(classgroup, "_definite_class_numbers", off_by_one)
     code, out, _ = run(capsys, "verify")

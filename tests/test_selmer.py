@@ -6,21 +6,23 @@ brute-force group structure of the twist's field discriminant.
 """
 
 import math
+import sys
 
 import pytest
 
-from twistrank import selmer
+from twistrank import arith, selmer
 from twistrank.arith import factorize
 from twistrank.classgroup import (
+    ClassGroupSummary,
     brute_force_group_structure,
     class_group_summary,
-    summary_from_counts,
 )
 from twistrank.selmer import (
     StollCase,
     TwistRecord,
     ValidationError,
     _certify_twist,
+    _dimension,
     _record,
     selmer_dimension,
     twist_record,
@@ -74,10 +76,10 @@ def test_validate_coefficient_rejection_messages():
 def no_class_groups(monkeypatch):
     """Fail any class group computation: a rejected pair must not reach one."""
 
-    def refuse(delta):
+    def refuse(delta, h=None):
         raise AssertionError(f"class group of {delta} computed for a rejected pair")
 
-    monkeypatch.setattr(selmer, "class_group_summary", refuse)
+    monkeypatch.setattr(selmer, "_span_counts", refuse)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +134,33 @@ def test_twist_record_refuses_past_the_scan_limit_before_factoring_d(
             twist_record(a, d)
     # the largest family twist of A = 1 inside the limit still certifies
     assert _certify_twist(1, 249999997)[1] == -999999988
+
+
+def test_twist_record_factors_a_and_d_once_and_builds_no_summary(monkeypatch):
+    # every module attribute bound to factorize reaches one counter, so a
+    # re-check of delta (or of |A|*D) would show as a third factorization
+    factored, built = [], []
+    real_factorize, new = arith.factorize, ClassGroupSummary.__new__
+
+    def counted(n):
+        factored.append(n)
+        return real_factorize(n)
+
+    def counted_summary(cls, *args, **kwargs):
+        built.append(args or kwargs)
+        return new(cls, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "twistrank":
+            for attr, value in list(vars(module).items()):
+                if value is real_factorize:
+                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(ClassGroupSummary, "__new__", counted_summary)
+    for a, d, dim in [(-35, 1, 1), (1, 61, 2), (37, 13, 0), (13, 1, 1), (-23, 13, 0)]:
+        factored.clear()
+        assert twist_record(a, d).selmer_dim == dim, (a, d)
+        assert factored == [a, d], (a, d)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +267,7 @@ def test_selmer_dimension_against_structure_oracle():
 
 def test_selmer_dimension_with_precomputed_summary():
     s = class_group_summary(-244)
-    assert selmer_dimension(1, 61, summary=s) == 2
-    with pytest.raises(ValueError):
-        selmer_dimension(1, 13, summary=s)  # wrong discriminant
+    assert selmer_dimension(1, 61) == _dimension(StollCase.NEG2_8_A_POS, s.three_rank) == 2
 
 
 def test_dimension_parity_matches_case():
@@ -280,7 +307,7 @@ def test_torsion_flag_is_the_theorem_a_not_1():
                 continue
             b = -a * d**3
             assert all(e < 6 for _, e in factorize(b)), (a, d)
-            rec = _record(case, a, d, delta, summary_from_counts(delta, 1, 1))
+            rec = _record(case, a, d, delta, 0)
             assert rec.torsion_trivial is mordell_torsion_is_trivial(b) is (a != 1), (a, d)
             checked += 1
     assert checked > 1000
@@ -331,6 +358,6 @@ def test_twist_record_with_summary_matches_direct():
     for a, d in ((1, 61), (37, 13), (-35, 1)):
         delta = _certify_twist(a, d)[1]
         summary = class_group_summary(delta)
-        rec = twist_record(a, d, summary=summary)
-        assert rec == twist_record(a, d)
+        rec = twist_record(a, d)
+        assert rec == _record(rec.case, a, d, delta, summary.three_rank)
         assert rec.three_rank == summary.three_rank

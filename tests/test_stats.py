@@ -11,12 +11,14 @@ import multiprocessing
 import warnings
 from array import array
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 
 from twistrank import classgroup, discriminants, selmer, stats
 from twistrank.arith import factorize, is_squarefree
 from twistrank.classgroup import (
+    ClassGroupSummary,
     analytic_class_number_oracle,
     brute_force_group_structure,
     class_group_summary,
@@ -29,7 +31,7 @@ from twistrank.discriminants import (
     enumerate_progression,
     is_fundamental,
 )
-from twistrank.selmer import ValidationError, _certify_twist, twist_record
+from twistrank.selmer import ValidationError, _certify_twist, _record, twist_record
 from twistrank.stats import (
     EmptyFamilyError,
     average_dimension_bound,
@@ -231,6 +233,21 @@ def test_scan_class_data_views_keep_their_values_and_order(a, x):
     assert list(warm.three_torsion) == [torsion for _, torsion in expected.values()]
 
 
+def test_scan_records_build_no_summary(monkeypatch):
+    built = []
+    new = ClassGroupSummary.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args or kwargs)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ClassGroupSummary, "__new__", counted)
+    for a, x in ((1, 40_000), (-35, 10**6)):
+        res = scan_family(a, x)
+        assert len(res.records) == res.report.family_size > 1
+    assert built == []
+
+
 def test_scan_family_empty():
     with pytest.raises(EmptyFamilyError):
         scan_family(1, 4)
@@ -238,15 +255,19 @@ def test_scan_family_empty():
 
 @pytest.mark.parametrize("a,x", [(1, 400_000), (-35, 10**7)])
 def test_scan_family_records_equal_certified_records(a, x):
-    # scan_family builds each record without factoring D; twist_record
-    # certifies the pair from scratch, and _certify_twist's case and delta are
-    # the ones the scan trusted.
+    # scan_family builds each record without factoring D; _certify_twist
+    # certifies the pair from scratch, and its case and delta are the ones the
+    # scan trusted.  twist_record, which also computes the class group alone,
+    # agrees on a sample.
     res = scan_family(a, x)
     assert len(res.records) == res.report.family_size > 100
     for rec, h, torsion in zip(res.records, res.class_numbers, res.three_torsion):
-        assert (rec.case, rec.field_discriminant) == _certify_twist(a, rec.d)
-        summary = summary_from_counts(rec.field_discriminant, h, torsion)
-        assert rec == twist_record(a, rec.d, summary=summary)
+        case, delta = _certify_twist(a, rec.d)
+        assert (rec.case, rec.field_discriminant) == (case, delta)
+        summary = summary_from_counts(delta, h, torsion)
+        assert rec == _record(case, a, rec.d, delta, summary.three_rank)
+    for rec in res.records[:: max(1, len(res.records) // 20)]:
+        assert rec == twist_record(a, rec.d)
     # the statistics, counted once per 3-rank, equal a recount over the records
     r, n = res.report, len(res.records)
     assert r.h3_mean == Fraction(sum(3**rec.three_rank for rec in res.records), n)
@@ -386,8 +407,8 @@ def test_compute_class_data_starts_no_more_workers_than_discriminants(monkeypatc
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return list(map(fn, items))
+        def starmap(self, fn, items, chunksize=1):
+            return list(starmap(fn, items))
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     deltas = [-4 * d for d in scan_parameters(1, 2000)]
@@ -432,7 +453,7 @@ def test_compute_class_data_far_apart_pair_skips_the_sweep(monkeypatch):
     deltas = [-4 * 13, -4 * 999_961]
     assert all(map(is_fundamental, deltas))
 
-    def no_sweep(deltas):
+    def no_sweep(deltas, window):
         raise AssertionError("a sweep over two far-apart discriminants")
 
     monkeypatch.setattr(classgroup, "_definite_class_numbers", no_sweep)
@@ -459,9 +480,25 @@ def test_compute_class_data_matches_the_oracles_at_the_scanned_scale():
 
 def test_compute_class_data_rejects_non_fundamental_on_the_sweep_path():
     deltas = [-4 * d for d in scan_parameters(1, 10**5)] + [-12]
-    assert classgroup._sweep_pays(sorted(deltas))
+    assert classgroup._sweep_plan(sorted(deltas)) is not None
     with pytest.raises(ValueError, match="^-12 is not a fundamental discriminant$"):
         compute_class_data(deltas)
+
+
+def test_compute_class_data_checks_every_delta_before_any_class_number(monkeypatch):
+    def no_class_numbers(*args):
+        raise AssertionError("a class number computed before every delta was checked")
+
+    monkeypatch.setattr(classgroup, "_definite_class_numbers", no_class_numbers)
+    monkeypatch.setattr(classgroup, "_span_counts", no_class_numbers)
+    swept = [-4 * d for d in scan_parameters(1, 10**5)]
+    positives = [5, 8, 12, 13, 17, 21, 24, 28, 29]
+    for deltas in (positives + [20], positives + [-12], swept + [229, 20]):
+        bad = deltas[-1]
+        with pytest.raises(ValueError, match=f"^{bad} is not a fundamental discriminant$"):
+            compute_class_data(deltas)
+    # the last batch's negatives were planned for the sweep
+    assert classgroup._sweep_plan(swept) is not None
 
 
 # ---------------------------------------------------------------------------
