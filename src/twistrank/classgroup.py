@@ -1,22 +1,25 @@
 """Class groups of quadratic fields through binary quadratic forms.
 
 For delta < 0 the class group is realized by the unique reduced positive
-definite forms; for delta > 0 the narrow class group is realized by
-rho-cycles of reduced indefinite forms (the narrow and ordinary groups share
-their odd part, which is all the 3-rank machinery consumes).  Composition is
+definite forms; for delta > 0 the ordinary class group is, each class by the
+rho-cycle of a reduced indefinite form (a, b, c) together with that of
+(-a, b, -c).  The narrow class number that every output reports is read off
+the principal cycle (_principal_class): it is h when that cycle holds the
+form (-1, b, .), and 2h when not.  The narrow and ordinary groups share
+their odd part, which is all the 3-rank machinery consumes.  Composition is
 Dirichlet's, with one modular inverse for a square or a product of forms
 with coprime leading coefficients (_mul).  One routine (_span_counts)
 serves both signs: it spans the whole group from the prime forms of norm
-p <= sqrt(|delta|/3), or of norm p <= sqrt(delta)/2 and the negated
-principal form when delta > 0, entering each new class by its reduced form,
-so h is the size of the span and no form is enumerated.  When delta > 0 a
-class x is entered by walking its rho-cycle (_RhoIndex), and that one walk
-also numbers x**-1, x*sigma and x**-1*sigma, sigma the class of the negated
-principal form; the cycle of a self-inverse class is walked only between
-the two axes of its mirror, and a prime whose class is spanned already is
-passed over before its square root is taken.  For either sign an inert
-prime, (delta/p) = -1, is passed over by Euler's criterion, one pow.  The
-proofs are stated once, in the comment above _principal_class.
+p <= sqrt(|delta|/3), or p <= sqrt(delta)/2 when delta > 0, entering each
+new class by its reduced form, so h is the size of the span (times the
+narrow factor when delta > 0) and no form is enumerated.  When delta > 0 a
+class x is entered by walking one of its rho-cycles (_RhoIndex), and that
+one walk also numbers x**-1; the cycle of a narrowly self-inverse class is
+walked only between the two axes of its mirror, and a prime whose class is
+spanned already is passed over before its square root is taken.  For
+either sign an inert prime, (delta/p) = -1, is passed over by Euler's
+criterion, one pow.  The proofs are stated once, in the comment above
+_principal_class.
 When 9 does not divide h, Lagrange settles the 3-torsion in _span_counts:
 1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
 Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
@@ -24,8 +27,8 @@ v >= 2 (_sylow_three_torsion): as 3 as soon as one generator's
 3**(v-1)-th power is not the identity, since that generator then has order
 |S| and S is cyclic, and otherwise as |S| / |S**3|, where S**3 is spanned
 by the cubes of the generators of S, so no class is cubed one by one.  No
-generator whose class squares to the identity (sigma, or a ramified prime's)
-is raised to a power: its image in S is the identity.  The
+generator whose class squares to the identity (a ramified prime's) is
+raised to a power: its image in S is the identity.  The
 class numbers of many negative discriminants can instead come from one
 sweep over the reduced forms of their window, in byte lanes of Python ints
 (_definite_class_numbers), building no form; the 3-Sylow span then starts
@@ -278,14 +281,19 @@ _SWEEP_CELLS_PER_UNIT = 600
 
 def _sweep_plan(deltas: list[int]) -> tuple[int, int, int] | None:
     """The window (n0, M, L) of the negative deltas (_sweep_window) when one
-    sweep over it is cheaper than spanning each delta alone, else None."""
+    sweep over it is cheaper than spanning each delta alone, else None.  The
+    units of the deltas are summed only until they outweigh the cells."""
     if len(deltas) < 2:
         return None
     window = _sweep_window(deltas)
     a_max = isqrt(-min(deltas) // 3)
     cells = a_max * (20 * a_max + window[2] + 2**11)
-    units = sum(isqrt(-d) for d in deltas)
-    return window if cells <= _SWEEP_CELLS_PER_UNIT * units else None
+    units = 0
+    for delta in deltas:
+        units += isqrt(-delta)
+        if _SWEEP_CELLS_PER_UNIT * units >= cells:
+            return window
+    return None
 
 
 # The 4-byte unsigned typecode of array ("I" wherever int has 32 bits).
@@ -504,11 +512,13 @@ def _adjoin(group: list, seen: set, y, delta: int, s: int, key) -> bool:
 
 
 def _sylow_three_torsion(delta: int, s: int, h: int, generators, one, key) -> int:
-    """Number of classes x with x**3 = 1 in a class group of order h, 9 | h.
+    """Number of classes x with x**3 = 1 in a class group of order h, 9 | h,
+    or, when delta > 0, of order h or h/2, h the narrow class number.
 
     With h = 3**v * m, v >= 2 and 3 not dividing m, the 3-torsion lies in the
-    3-Sylow subgroup S, the image of x -> x**m (v <= 1 is settled by
-    _span_counts before any form is built).  The y = g**m, for g drawn from
+    3-Sylow subgroup S, the image of x -> x**m, as m is prime to 3 and a
+    multiple of the group's 3'-part (v <= 1 is settled by _span_counts
+    before any form is built).  The y = g**m, for g drawn from
     reduced forms that generate the group together with classes of order at
     most 2 (whose m-th powers are the identity, as m is then even), are
     taken in turn, skipping each y whose class is already in S.
@@ -557,21 +567,20 @@ def _prime_forms(
     delta: int, known: Callable[[int], bool] | None = None
 ) -> Iterator[tuple[int, int, int]]:
     """Reduced prime forms (p, b, (b*b - delta)/4p), for the primes p <= amax
-    with (delta/p) != -1, in increasing order of p; when delta > 0 they are
-    followed by the reduced negated principal form (-1, b, (delta - b*b)/4).
+    with (delta/p) != -1, in increasing order of p.
 
     amax is isqrt(|delta|/3) when delta < 0 and isqrt(delta/4) when delta > 0.
-    The forms generate the (narrow) class group: every class has a reduced
-    form (a, b, c) with 0 < |a| <= amax, and that form is a product of prime
-    forms and their inverses for the p dividing |a|, times the negated
-    principal form when a < 0 (for delta > 0, see the comment above
-    _principal_class).  When delta > 0, 2p <= s = isqrt(delta), so the window
-    s + 1 - 2p <= b <= s holds exactly one b of each class mod 2p, and the
-    form with that b is reduced as built.  A prime p with known(p) true is
-    passed over before its square root is taken; known is asked when p is
-    reached, so it sees what the forms yielded before p have spanned.  An
-    odd p with (delta/p) = -1 is passed over by Euler's criterion, one pow,
-    so every square root taken exists.
+    The forms generate the class group, the ordinary one when delta > 0:
+    every class has a reduced form (a, b, c) with 0 < a <= amax, and that
+    form is a product of prime forms and their inverses for the p dividing a
+    (for delta > 0, see the comment above _principal_class).  When
+    delta > 0, 2p <= s = isqrt(delta), so the window s + 1 - 2p <= b <= s
+    holds exactly one b of each class mod 2p, and the form with that b is
+    reduced as built.  A prime p with known(p) true is passed over before its
+    square root is taken; known is asked when p is reached, so it sees what
+    the forms yielded before p have spanned.  An odd p with (delta/p) = -1 is
+    passed over by Euler's criterion, one pow, so every square root taken
+    exists.
     """
     check_scan_limit("|delta|", abs(delta))
     s = isqrt(delta) if delta > 0 else 0
@@ -597,22 +606,6 @@ def _prime_forms(
             lo = s + 1 - 2 * p
             b = lo + (b - lo) % (2 * p)
             yield p, b, (b * b - delta) // (4 * p)
-    if delta > 0:
-        b = s - (s - delta) % 2
-        yield -1, b, (delta - b * b) // 4
-
-
-# For the subgroup H of the image positions {0, 1, 2, 3} (XOR) whose class is
-# the walked x itself, given as the bitmask of its positions 1, 2 and 3: the
-# class of each position as an offset from the first new class number, one
-# per coset of H, and the first position of each coset.
-_COSETS = {
-    0b000: ((0, 1, 2, 3), (0, 1, 2, 3)),
-    0b001: ((0, 0, 1, 1), (0, 2)),
-    0b010: ((0, 1, 0, 1), (0, 1)),
-    0b100: ((0, 1, 1, 0), (0, 1)),
-    0b111: ((0, 0, 0, 0), (0,)),
-}
 
 
 def _rho_arc(
@@ -624,9 +617,10 @@ def _rho_arc(
 
     An axis is a form (a, b, a), appended, or a form that is the mirror
     image of the one before it, not appended.  Either puts the mirror image
-    of a form of the cycle in the cycle, so only the cycle of a self-inverse
-    class has axes.  Each step is _rho_raw's branch for |c| <= s: c leads
-    the reduced rho-neighbour, and every reduced form has |a| < sqrt(delta).
+    of a form of the cycle in the cycle, so only the cycle of a narrowly
+    self-inverse class has axes.  Each step is _rho_raw's branch for
+    |c| <= s: c leads the reduced rho-neighbour, and every reduced form has
+    |a| < sqrt(delta).
     """
     while True:
         r = s - (s + b) % (2 * abs(c))
@@ -643,180 +637,187 @@ def _rho_arc(
 
 
 class _RhoIndex(dict):
-    """Narrow class index of the reduced forms of one delta > 0, for the span.
+    """Ordinary class index of the reduced forms of one delta > 0, for the span.
 
-    Looking up a form f not indexed yet walks its rho-cycle and gives the
-    class x of f a new class number, with each class among x**-1, x*sigma
-    and x**-1*sigma that is not x itself, sigma the class of the negated
-    principal form: the images (c, b, a), (-a, b, -c) and (-c, b, -a) of the
-    forms (a, b, c) of x are the cycles of those classes.  A later lookup of
-    a form of an image class finds one of its own images stored and takes
-    that class's number, so no image cycle is walked; the looked-up form is
-    not stored.  The cycle of a self-inverse class is walked only between
-    the two axes of the mirror (a, b, c) -> (c, b, a) (_rho_arc), storing at
-    most l/2 + 1 of its l forms, and a form of the other arc finds its
-    mirror image stored.  So index[f] names the class of any reduced form f.
-    The proofs are in the comment above _principal_class.
-    led[p] names a class that holds a reduced form led by p > 0: x for the
-    forms (p, b, c) of x, and x*sigma for its forms (-p, b, c).  The c of
-    the stored forms and the a of the first one lead every form of a cycle
-    walked in halves, as the c of a form is the a of its rho-neighbour and
-    of its mirror image.
+    Looking up a form f not indexed yet walks its rho-cycle, the narrow
+    class y of f, and gives the ordinary class x of f a new class number,
+    and x**-1 the next one unless x = x**-1.  For each form (a, b, c) of the
+    walked cycle, (-a, b, -c) lies in x, as a form of the other narrow class
+    of x, y*sigma, and (c, b, a) and (-c, b, -a) lie in x**-1.  A later
+    lookup of a form of x or x**-1 finds one of its own images stored and
+    takes that class's number, so no other cycle of x or x**-1 is walked;
+    the looked-up form is not stored.  The cycle of a narrowly self-inverse
+    class is walked only between the two axes of the mirror
+    (a, b, c) -> (c, b, a) (_rho_arc), storing at most l/2 + 1 of its l
+    forms, and a form of the other arc finds its mirror image stored.  So
+    index[f] names the class of any reduced form f, and inverse[k] the
+    inverse of class k.  The proofs are in the comment above
+    _principal_class.
+    led[p] names a class that holds a reduced form led by p > 0.  The c of
+    the stored forms and the a of the first one lead, up to sign, every form
+    of a cycle walked in halves, as the c of a form is the a of its
+    rho-neighbour and of its mirror image, and a class that holds a form
+    (-p, b, c) holds (p, b, -c).
     """
 
     def __init__(self, delta: int, s: int):
         super().__init__()
-        self.delta, self.s, self.size = delta, s, 0
+        self.delta, self.s = delta, s
         self.led: dict[int, int] = {}
-        # class number -> (the class numbers of x, x**-1, x*sigma and
-        # x**-1*sigma for the walked class x that numbered it, and the
-        # position of this class among those four)
-        self._orbits: dict[int, tuple[tuple[int, int, int, int], int]] = {}
+        self.inverse: list[int] = []
 
     def __missing__(self, f: tuple[int, int, int]) -> int:
-        cid, delta, s = self.size, self.delta, self.s
+        delta, s, inverse = self.delta, self.s, self.inverse
         a0, b0, c0 = f
-        images = (c0, b0, a0), (-a0, b0, -c0), (-c0, b0, -a0)
-        # image e of a form of the class at position k is a form of the class
-        # at position e ^ k: the involutions compose like XOR on 1 (inverse),
-        # 2 (sigma) and 3 (both).  f itself is not stored, so the walked
-        # halves of self-inverse cycles stay halves.
-        for e, g in enumerate(images, 1):
+        # f itself is not stored, so the walked halves of self-inverse
+        # cycles stay halves
+        k = self.get((-a0, b0, -c0))
+        if k is not None:
+            return k
+        for g in (c0, b0, a0), (-c0, b0, -a0):
             k = self.get(g)
             if k is not None:
-                numbers, at = self._orbits[k]
-                return numbers[e ^ at]
-        size = len(self)
+                return inverse[k]
+        cid, size = len(inverse), len(self)
         forms = [f]
         mirrored = a0 == c0 or _rho_arc(a0, b0, c0, delta, s, forms, f)
         if mirrored:
-            # x = x**-1: the walk met one axis of the mirror, and the arc
-            # from the mirror image of f runs to the other one
+            # the walk met one axis of the mirror, and the arc from the
+            # mirror image of f runs to the other one
             _rho_arc(c0, b0, a0, delta, s, forms, f)
         self.update(zip(forms, repeat(cid)))
         if len(self) != size + len(forms):
             raise ArithmeticError(f"rho walk from {f} did not close into a cycle")
-        # the image positions whose class is x itself, as a bitmask of 1, 2,
-        # 3; a cycle walked in halves holds the sigma image of f exactly when
-        # it stores that image or its mirror image, the image 3
-        if mirrored:
-            mask = 7 if images[1] in self or images[2] in self else 1
+        # x = x**-1 when the cycle has axes, or when it holds (-c0, b0, -a0),
+        # which no earlier walk stored, or f would have found it
+        if mirrored or (-c0, b0, -a0) in self:
+            inverse.append(cid)
         else:
-            mask = 2 if images[1] in self else 4 if images[2] in self else 0
-        offsets, firsts = _COSETS[mask]
-        numbers = tuple([cid + k for k in offsets])
-        for k in firsts:
-            self._orbits[numbers[k]] = numbers, k
-        self.size += len(firsts)
-        # the c of each stored form leads its rho-neighbour (in x) and, as
-        # the a of its mirror image, a form of x**-1; with a0 they are the
-        # leads of every form of the cycle
-        sigma = numbers[2]
-        led = self.led
-        led.update((c, cid) if c > 0 else (-c, sigma) for _, _, c in forms)
-        led[abs(a0)] = cid if a0 > 0 else sigma
+            inverse += cid + 1, cid
+        self.led.update(zip([abs(c) for _, _, c in forms], repeat(cid)))
+        self.led[abs(a0)] = cid
         return cid
 
 
-# Why the prime forms span the narrow class group when delta > 0.  A reduced
-# (a, b, c) has 0 < b < sqrt(delta), so 4|a*c| = delta - b*b < delta and
-# min(|a|, |c|) < sqrt(delta)/2.  rho maps it to a reduced form led by c, so
-# every rho-cycle, and with it every narrow class, holds a reduced form
-# (a, b, c) with |a| < sqrt(delta)/2, that is |a| <= isqrt(delta/4).  If
-# a < 0, the narrow class of (a, b, c) is that of (-a, b, -c) times the class
-# of the negated principal form, the last form _prime_forms yields.  With
-# a > 0, the ideal [a, (-b + sqrt(delta))/2] of (a, b, c) has norm a and
-# factors into prime ideals over the primes p | a, each split or ramified
-# since b*b ≡ delta mod 4a.  The class of a prime ideal of norm p is that of
-# the prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
-# p <= a <= isqrt(delta/4).  So the classes of the forms from _prime_forms
-# generate the group, and adjoining them all to the principal class lists it.
+# Why the prime forms span the ordinary class group when delta > 0.  A
+# reduced (a, b, c) has 0 < b < sqrt(delta), so 4|a*c| = delta - b*b < delta
+# and min(|a|, |c|) < sqrt(delta)/2.  rho maps it to a reduced form led by c,
+# so every rho-cycle, and with it every class, holds a reduced form (a, b, c)
+# with |a| < sqrt(delta)/2, that is |a| <= isqrt(delta/4), and the ordinary
+# class of (a, b, c) holds (-a, b, -c) (below), so every class holds one
+# with 0 < a <= isqrt(delta/4).  The ideal [a, (-b + sqrt(delta))/2] of
+# (a, b, c) has norm a and factors into prime ideals over the primes p | a,
+# each split or ramified since b*b ≡ delta mod 4a.  The class of a prime
+# ideal of norm p is that of the prime form (p, b_p, .) or of its inverse
+# (p, -b_p, .), and p <= a <= isqrt(delta/4).  So the classes of the forms
+# from _prime_forms generate the group, and adjoining them all to the
+# principal class lists it.
 #
-# Why one walk numbers up to four classes (_RhoIndex).  For sigma the class
-# of the negated principal form, the images (c, b, a), (-a, b, -c) and
-# (-c, b, -a) of a reduced form (a, b, c) of a class x are reduced forms of
-# x**-1, x*sigma and x**-1*sigma:
-# - (c, b, a) lies in x**-1, the class of (a, -b, c), by (x, y) -> (-y, x);
-# - (-a, b, -c) lies in x*sigma: it is the united-form product of (a, b, c)
+# Why one walk numbers x and x**-1 (_RhoIndex), and the narrow factor
+# (_principal_class).  For sigma the narrow class of the negated principal
+# form, the images (c, b, a), (-a, b, -c) and (-c, b, -a) of a reduced form
+# (a, b, c) of a narrow class y are reduced forms of y**-1, y*sigma and
+# y**-1*sigma:
+# - (c, b, a) lies in y**-1, the class of (a, -b, c), by (x, y) -> (-y, x);
+# - (-a, b, -c) lies in y*sigma: it is the united-form product of (a, b, c)
 #   with (-1, b, -a*c), a form of sigma;
 # - reducedness, |sqrt(delta) - 2|a|| < b < sqrt(delta), depends only on
 #   |a|, b and |c|, and is symmetric in |a| and |c|, since
 #   4|a*c| = (sqrt(delta) - b)*(sqrt(delta) + b).
-# The three maps are commuting involutions, and the reduced forms of a class
-# are one cycle, so each maps the cycle of x onto the whole cycle of its
-# image class.  An image of the walked form lies in the walked cycle exactly
-# when x = x**-1, sigma = 1 or x**2 = sigma.
+# The three maps are commuting involutions, and the reduced forms of a
+# narrow class are one cycle, so each maps the cycle of y onto the whole
+# cycle of its image class.  The narrow class group maps onto the ordinary
+# one with kernel {1, sigma} (Cohen, GTM 138, §5.2 and §5.6), so the
+# ordinary class x of y is the cycle of y with that of y*sigma, and x**-1
+# the cycles of y**-1 and y**-1*sigma.  x = x**-1 exactly when y**2 is 1 or
+# sigma, that is when the cycle of y holds (c, b, a) (it has axes, below)
+# or (-c, b, -a).  The narrow class number is h times the order of sigma:
+# h when sigma is principal, that is when the principal cycle holds the one
+# reduced form led by -1, (-1, b, (delta - b*b)/4) with s - 2 < b <= s (or,
+# walked in halves, its mirror image), and 2h when not.  sigma is principal
+# exactly when the fundamental unit has norm -1, which the primes of delta
+# do not decide: 136 = 8*17 has none ≡ 3 mod 4, yet sigma is not principal.
 #
-# Why a prime p whose led class is spanned is passed over.  A reduced form
+# Why a prime p whose led class is indexed is passed over.  A reduced form
 # (p, b, c) with p <= isqrt(delta/4) has 2p <= s, so sqrt(delta) - 2p < b <= s:
 # b lies in the window where _prime_forms builds p's prime form, and
 # b*b ≡ delta mod 4p puts b in the class of b_p or -b_p mod 2p.  So the
 # only reduced forms led by p are the prime forms of norm p, of the classes
-# P and P**-1.  Once the span, a group, holds the class index.led[p], it
-# holds P and P**-1, and p's prime form would not enlarge it: the forms that
-# enlarge the span are the same with and without the skip.  The test asks
-# the span (seen), not the index, which also numbers the classes x*sigma
-# beside each walked x before sigma, the last form, is spanned.  An inert p,
-# (delta/p) = -1, has no prime form at all; Euler's criterion,
-# delta**((p-1)/2) ≡ -1 mod p, passes it over before Tonelli-Shanks.
+# P and P**-1.  Between two prime forms every class the index has numbered
+# lies in the span: _adjoin keys only the prime form y it adjoins and
+# products of spanned classes with y, and each walk numbers a class x with
+# x**-1.  So once index.led holds p, the span, a group, holds P or P**-1 and
+# so both, and p's prime form would not enlarge it: the forms that enlarge
+# the span are the same with and without the skip.  An inert p, (delta/p) = -1, has
+# no prime form at all; Euler's criterion, delta**((p-1)/2) ≡ -1 mod p,
+# passes it over before Tonelli-Shanks.
 #
 # Why a self-inverse class is walked in halves.  The mirror
 # iota: (a, b, c) -> (c, b, a) satisfies iota*rho*iota = rho**-1 on reduced
 # forms: for rho(a, b, c) = (c, r, c'), the form rho(c', r, c) is led by c,
 # and its middle coefficient is ≡ -r ≡ b mod 2|c| and lies in the window
-# (s - 2|c|, s] that holds b, so it is (c, b, a).  If x = x**-1, iota maps
-# the cycle of x onto itself, as a reflection i -> k - i of the positions of
+# (s - 2|c|, s] that holds b, so it is (c, b, a).  If y = y**-1, iota maps
+# the cycle of y onto itself, as a reflection i -> k - i of the positions of
 # its l forms, and a reflection of a cycle has two axes: a position it
 # fixes, a form (a, b, a), or a pair of neighbours it swaps, each the mirror
 # image of the other.  An axis puts the mirror image of a form of the cycle
-# in the cycle, so it shows x = x**-1, and the cycle of a class with
-# x != x**-1 has none.  The walk from f goes forward to the first axis and
+# in the cycle, so it shows y = y**-1, and the cycle of a class with
+# y != y**-1 has none.  The walk from f goes forward to the first axis and
 # then, from the rho-neighbour of iota(f), forward to the second: that
 # second leg is the mirror image of the way back from f.  The forms it
 # stores are, each as itself or as its mirror image, the forms of one arc
 # between the axes, at most l/2 + 1 of them; a form of the other arc has its
-# mirror image stored, so the lookup through that image names x.  A cycle
-# with no axis is walked whole and is back at f after l steps.
+# mirror image stored, so the lookup through that image names x = x**-1.  A
+# cycle with no axis is walked whole and is back at f after l steps.
 
 
 def _principal_class(delta: int, s: int):
-    """The identity's reduced form, the class key of reduced forms, and the
-    class index's led (see _RhoIndex) when delta > 0.
+    """The identity's reduced form, the class key of reduced forms, the class
+    index's led (see _RhoIndex) and the narrow factor, the narrow class
+    number over the ordinary one.
 
     A reduced definite form is its own class key, so no class index is built
-    when delta < 0, and led is None.
+    when delta < 0, led is None and the factor is 1.  When delta > 0 the
+    principal cycle is walked here, and the factor is 1 if it holds the
+    negated principal form's reduced form (-1, b, c), and 2 if not.
     """
     one = _reduce_raw(*principal_form(delta), delta, s)
     if delta < 0:
-        return one, (lambda f: f), None
+        return one, (lambda f: f), None, 1
     index = _RhoIndex(delta, s)
-    return one, index.__getitem__, index.led
+    index[one]  # walks the principal cycle, in halves
+    b = s - (s - delta) % 2
+    c = (delta - b * b) // 4
+    # a cycle walked in halves stores a form or its mirror image
+    narrow = 1 if (-1, b, c) in index or (c, b, -1) in index else 2
+    return one, index.__getitem__, index.led, narrow
 
 
 def _squares_to_one(g: tuple[int, int, int], delta: int) -> bool:
     """Whether g, a form from _prime_forms, is known to have a class of order
-    at most 2: sigma, or the prime form of a ramified prime p | delta, whose
-    square is the class of (p), principal in the narrow sense as p > 0.  When
-    delta < 0, g is reduced, the one reduced form of its class, and the class
-    is its own inverse, as a ramified prime's is, exactly when b = 0, b = a
-    or a = c.
+    at most 2: the prime form of a ramified prime p | delta, whose square is
+    the class of (p), principal.  When delta < 0, g is reduced, the one
+    reduced form of its class, and the class is its own inverse, as a
+    ramified prime's is, exactly when b = 0, b = a or a = c.
     """
     a, b, c = g
     if delta < 0:
         return b == 0 or a in (b, c)
-    # sigma is (-1, b, c), and the prime forms of delta > 0 are built led by p
+    # the prime forms of delta > 0 are built led by p
     return delta % a == 0
 
 
 def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
     """(h, 3-torsion) of a fundamental discriminant of either sign, from prime forms.
 
-    h is the (narrow) class number if known.  If not, the whole group is
-    spanned from the prime forms first, its size is h, and the prime forms
-    that enlarged it, which generate it, go on to span the 3-Sylow subgroup.
-    When delta > 0, a prime whose reduced forms already lie in a spanned
-    class is passed over before its square root is taken (see the comment
-    above _principal_class).
+    h is the class number, the narrow one when delta > 0, if known.  If not,
+    the whole group, the ordinary one when delta > 0, is spanned from the
+    prime forms first, h is its size times the narrow factor of
+    _principal_class, and the prime forms that enlarged it, which generate
+    it, go on to span the 3-Sylow subgroup, which the narrow and ordinary
+    groups share.  When delta > 0, a prime whose reduced forms already lie
+    in an indexed class is passed over before its square root is taken (see
+    the comment above _principal_class).
     If 9 does not divide h, Lagrange settles the 3-torsion: 1 when 3 does
     not divide h, and 3 when 3 || h, as the 3-Sylow subgroup then has order
     3 and is C3.  So a known h with 9 not dividing it builds no form at all.
@@ -827,17 +828,17 @@ def _span_counts(delta: int, h: int | None = None) -> tuple[int, int]:
     s = isqrt(delta) if delta > 0 else 0
     spanned = h is None
     if spanned:
-        one, key, led = _principal_class(delta, s)
+        one, key, led, narrow = _principal_class(delta, s)
         group, seen = [one], {key(one)}
-        known = None if led is None else (lambda p: led.get(p) in seen)
+        known = None if led is None else led.__contains__
         gens = [
             g for g in _prime_forms(delta, known) if _adjoin(group, seen, g, delta, s, key)
         ]
-        h = len(group)
+        h = len(group) * narrow
     if h % 9:
         return h, 3 if h % 3 == 0 else 1
     if not spanned:
-        one, key, _ = _principal_class(delta, s)
+        one, key, _, _ = _principal_class(delta, s)
         # a ramified prime's form would be dropped below: pass over it first
         gens = _prime_forms(delta, lambda p: delta % p == 0)
     # g**m is the identity when g**2 is, as m, the 3'-part of h, is then even
@@ -888,10 +889,12 @@ def _check_fundamental(delta: int) -> None:
 def class_group_summary(delta: int) -> ClassGroupSummary:
     """Class number and 3-torsion of the (narrow, if delta > 0) class group.
 
-    For either sign the whole group is spanned from prime forms first
-    (_span_counts, _prime_forms), so h is the size of the span and no form
-    is enumerated; the 3-torsion is then counted inside the 3-Sylow subgroup
-    (_sylow_three_torsion).
+    For either sign the whole group, the ordinary one when delta > 0, is
+    spanned from prime forms first (_span_counts, _prime_forms), so h is the
+    size of the span, times the narrow factor of _principal_class when
+    delta > 0, and no form is enumerated; the 3-torsion is then counted
+    inside the 3-Sylow subgroup (_sylow_three_torsion), which the narrow and
+    ordinary groups share.
     """
     _check_fundamental(delta)
     return summary_from_counts(delta, *_span_counts(delta))

@@ -331,6 +331,36 @@ def test_sweep_matches_the_span_on_twist_families(monkeypatch):
             assert len(spreads) >= 2
 
 
+def test_sweep_plan_stops_summing_once_the_sweep_pays(monkeypatch):
+    # the A = 1 window at X = 4*10**5: one isqrt for a_max and one unit per
+    # delta only until 600 units outweigh the sweep's cells, not one per delta
+    family = [-4 * d for d in scan_parameters(1, 4 * 10**5)]
+    roots = []
+    isqrt = classgroup.isqrt
+    monkeypatch.setattr(classgroup, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    assert classgroup._sweep_plan(family) == _sweep_window(family)
+    assert (len(roots), len(family)) == (170, 7584)
+    monkeypatch.undo()
+
+    # the plan is the one the whole sum gives, on windows that pay and
+    # windows that do not
+    def whole_sum_plan(deltas):
+        if len(deltas) < 2:
+            return None
+        window = _sweep_window(deltas)
+        a_max = math.isqrt(-min(deltas) // 3)
+        cells = a_max * (20 * a_max + window[2] + 2**11)
+        units = sum(math.isqrt(-d) for d in deltas)
+        return window if cells <= classgroup._SWEEP_CELLS_PER_UNIT * units else None
+
+    plans = Counter()
+    for deltas in (family, family[:2], family[-3:], family[::500], [-4, -999_999_995]):
+        plan = classgroup._sweep_plan(deltas)
+        assert plan == whole_sum_plan(deltas), deltas[:3]
+        plans[plan is None] += 1
+    assert plans[True] and plans[False]
+
+
 def test_no_sweep_lane_of_one_a_passes_220():
     # _definite_class_numbers: one a adds to the lane of n at most
     # #{b in (-a, a] : b*b ≡ -n mod 4a}, half the roots mod 4a, a count
@@ -448,8 +478,9 @@ def test_compose_negative_leading_forms_directly():
 
 
 def test_mul_matches_general_composition_on_prime_forms(monkeypatch):
-    # every ordered pair of the prime forms and the principal form, squares
-    # included, of every fundamental |delta| <= 2000, compared by class
+    # every ordered pair of the prime forms, the negated principal form
+    # (delta > 0) and the principal form, squares included, of every
+    # fundamental |delta| <= 2000, compared by class
     compose = classgroup._compose_raw
     fallbacks = []
 
@@ -462,7 +493,8 @@ def test_mul_matches_general_composition_on_prime_forms(monkeypatch):
     for delta in negative_fundamentals(2000) + positive_fundamentals(2000):
         s = math.isqrt(delta) if delta > 0 else 0
         _, index, _ = _classes(delta, s)
-        forms = [*_prime_forms(delta), _reduce_raw(*principal_form(delta), delta, s)]
+        sigma = [negated_principal(delta)] if delta > 0 else []
+        forms = [*_prime_forms(delta), *sigma, _reduce_raw(*principal_form(delta), delta, s)]
         for f, g in itertools.product(forms, repeat=2):
             want = _reduce_raw(*compose(*f, *g, delta), delta, s)
             before = len(fallbacks)
@@ -628,10 +660,8 @@ def test_prime_forms_are_reduced_prime_forms():
             else:
                 assert _is_reduced_indefinite(a, b, s, delta), (delta, a, b, c)
         if delta > 0:
-            # the last form is the reduced negated principal form, built in
-            # the window s - 2 < b <= s like every prime form
-            a, b, c = forms.pop()
-            assert a == -1 and s - 2 < b <= s, (delta, a, b, c)
+            # every form is a prime form, built in the window s - 2p < b <= s;
+            # the negated principal form is not among them
             for a, b, c in forms:
                 assert s - 2 * a < b <= s, (delta, a, b, c)
         # a prime p <= sqrt(|delta|/3), or p <= sqrt(delta)/2 when delta > 0,
@@ -649,25 +679,31 @@ def test_prime_forms_are_reduced_prime_forms():
 
 
 def test_negated_principal_form_reaches_the_classes_no_prime_form_does(monkeypatch):
-    def class_count(delta):
-        return len(_classes(delta, math.isqrt(delta))[0])
+    # the prime forms span the ordinary group; the narrow classes beyond it
+    # are reached by the narrow factor, 2 exactly where the principal cycle
+    # does not hold the negated principal form
+    full = {}
+    for delta in positive_fundamentals(3000):
+        reps, oracle, identity = _classes(delta, math.isqrt(delta))
+        full[delta] = len(reps), oracle[negated_principal(delta)] == identity
+    principal_class = classgroup._principal_class
 
-    full = {delta: class_count(delta) for delta in positive_fundamentals(3000)}
-    prime_forms = classgroup._prime_forms
+    def without_narrow_factor(delta, s):
+        return *principal_class(delta, s)[:3], 1
 
-    def without_last_form(delta, known=None):
-        return iter(list(prime_forms(delta))[:-1])
-
-    monkeypatch.setattr(classgroup, "_prime_forms", without_last_form)
+    monkeypatch.setattr(classgroup, "_principal_class", without_narrow_factor)
     # Delta = 12 has no prime p <= isqrt(3) = 1, yet narrow h = 2
     assert class_group_summary(12).class_number == 1
-    needs = [d for d in full if class_group_summary(d).class_number < full[d]]
-    assert len(needs) == 27
-    assert needs[:8] == [12, 21, 28, 56, 69, 77, 92, 165]
+    ordinary = {d: class_group_summary(d).class_number for d in full}
+    needs = [d for d in full if ordinary[d] < full[d][0]]
+    assert len(needs) == 593
+    assert needs[:8] == [12, 21, 24, 28, 33, 44, 56, 57]
+    for delta, (h, sigma_is_one) in full.items():
+        assert h == ordinary[delta] * (1 if sigma_is_one else 2), delta
     monkeypatch.undo()
-    assert full[12] == 2
+    assert full[12] == (2, False)
     for delta in needs:
-        assert class_group_summary(delta).class_number == full[delta], delta
+        assert class_group_summary(delta).class_number == full[delta][0], delta
 
 
 def test_classes_match_the_rho_walk():
@@ -845,8 +881,9 @@ def span_index(monkeypatch, delta):
 
 def test_span_index_partitions_the_reduced_forms_like_the_oracle(monkeypatch):
     # every positive fundamental delta <= 10**4 and the 15 real fields of the
-    # A = -35 family at X = 10**6: the span numbers every class, and keys the
-    # reduced forms into the classes of the one-class-per-walk oracle
+    # A = -35 family at X = 10**6: the span numbers every ordinary class, and
+    # keys the reduced forms into the classes of the one-cycle-per-class
+    # oracle, up to sigma: (a, b, c) and (-a, b, -c) share an ordinary class
     family = [140 * d for d in scan_parameters(-35, 10**6)]
     assert len(family) == 15
     kinds = Counter()
@@ -854,38 +891,81 @@ def test_span_index_partitions_the_reduced_forms_like_the_oracle(monkeypatch):
         s = math.isqrt(delta)
         index, h = span_index(monkeypatch, delta)
         reps, oracle, identity = _classes(delta, s)
-        assert index.size == h == len(reps), delta
-        pairs = {(index[f], oracle[f]) for f in reduced_forms(delta)}
-        assert len(pairs) == len({i for i, _ in pairs}) == len(reps), delta
+        sigma_is_one = oracle[negated_principal(delta)] == identity
+        size = len(index.inverse)
+        assert h == len(reps) == size * (1 if sigma_is_one else 2), delta
+        pairs = {
+            (index[a, b, c], frozenset({oracle[a, b, c], oracle[-a, b, -c]}))
+            for a, b, c in reduced_forms(delta)
+        }
+        assert len(pairs) == len({i for i, _ in pairs}) == len({o for _, o in pairs}), delta
+        assert len(pairs) == size, delta
         # keying every reduced form numbered no class the span had not
-        assert index.size == h
-        # the image positions (1 inverse, 2 sigma, 3 both) that name x itself
-        for numbers, at in index._orbits.values():
-            if at == 0:
-                kinds[frozenset(e for e in range(1, 4) if numbers[e] == numbers[0])] += 1
-        sigma_is_one = index[negated_principal(delta)] == index[reps[identity]]
+        assert len(index.inverse) == size
+        # the walk numbers x**-1 beside x: (c, b, a) lies in the inverse
+        for a, b, c in reduced_forms(delta):
+            k = index[a, b, c]
+            assert index[c, b, a] == index.inverse[k], (delta, a, b, c)
+            assert index.inverse[index.inverse[k]] == k
+            # the ordinary class x of (a, b, c) is its own inverse exactly when
+            # its narrow class y has y = y**-1 or y**2 = sigma
+            y = oracle[a, b, c]
+            kind = (
+                "y = y**-1" if oracle[c, b, a] == y
+                else "y**2 = sigma" if oracle[-c, b, -a] == y
+                else "x != x**-1"
+            )
+            assert (index.inverse[k] == k) == (kind != "x != x**-1"), (delta, a, b, c)
+            kinds[kind] += 1
         kinds["sigma = 1" if sigma_is_one else "sigma != 1"] += 1
-    # x ambiguous, sigma = 1, x**2 = sigma, all three, and four distinct classes
-    for kind in ({1}, {2}, {3}, {1, 2, 3}, set()):
-        assert kinds[frozenset(kind)] > 0, (kind, kinds)
-    assert kinds["sigma = 1"] > 0 and kinds["sigma != 1"] > 0
+    for kind in ("y = y**-1", "y**2 = sigma", "x != x**-1", "sigma = 1", "sigma != 1"):
+        assert kinds[kind] > 0, (kind, kinds)
 
 
 @pytest.mark.parametrize("delta,sigma_is_one", [(229, True), (12, False), (21, False)])
 def test_span_index_places_the_negated_principal_form(monkeypatch, delta, sigma_is_one):
+    # sigma lies in the ordinary identity class, and the narrow factor says
+    # whether it is narrowly principal, as the oracle's cycles do
     s = math.isqrt(delta)
-    index, _ = span_index(monkeypatch, delta)
+    index, h = span_index(monkeypatch, delta)
     one = _reduce_raw(*principal_form(delta), delta, s)
     negated = negated_principal(delta)
-    assert (index[negated] == index[one]) == sigma_is_one
+    assert index[negated] == index[one]
+    narrow = classgroup._principal_class(delta, s)[3]
+    assert narrow == (1 if sigma_is_one else 2)
+    assert h == len(index.inverse) * narrow
     _, oracle, _ = _classes(delta, s)
     assert (oracle[negated] == oracle[one]) == sigma_is_one
 
 
+def test_narrow_factor_matches_the_oracle_cycles(monkeypatch):
+    # every positive fundamental delta <= 10**4: the span's narrow h is the
+    # oracle's count of rho-cycles, and twice the ordinary span's size
+    # exactly where the principal cycle does not hold the negated principal
+    # form
+    deltas = positive_fundamentals(10**4)
+    doubled = []
+    for delta in deltas:
+        reps, oracle, identity = _classes(delta, math.isqrt(delta))
+        index, h = span_index(monkeypatch, delta)
+        assert h == len(reps), delta
+        if oracle[negated_principal(delta)] == identity:
+            assert h == len(index.inverse), delta
+        else:
+            assert h == 2 * len(index.inverse), delta
+            doubled.append(delta)
+    assert (len(deltas), len(doubled)) == (3043, 2064)
+    # a prime q ≡ 3 mod 4 dividing delta makes sigma non-principal, but the
+    # converse fails: no shortcut from the primes of delta replaces the cycle
+    no_such_prime = [d for d in doubled if all(q % 4 != 3 for q, _ in factorize(d))]
+    assert len(no_such_prime) == 159
+    assert no_such_prime[:3] == [136, 205, 221]
+
+
 def test_span_skips_the_root_of_a_prime_whose_class_is_spanned(monkeypatch):
     # the A = -35 family at X = 10**6: the span takes a square root for no
-    # more than the odd primes p <= sqrt(delta)/2, each once, fewer in all,
-    # and still finds every class
+    # more than the odd primes p <= sqrt(delta)/2 that are not inert, each
+    # once, fewer in all, and still finds every class
     roots = []
     sqrt_mod_prime = classgroup._sqrt_mod_prime
 
@@ -899,7 +979,10 @@ def test_span_skips_the_root_of_a_prime_whose_class_is_spanned(monkeypatch):
         delta = 140 * d
         roots.clear()
         h = class_group_summary(delta).class_number
-        odd = [p for p in _primes() if 2 < p <= math.isqrt(delta // 4)]
+        odd = [
+            p for p in _primes()
+            if 2 < p <= math.isqrt(delta // 4) and kronecker(delta, p) != -1
+        ]
         assert roots == sorted(set(roots)) and set(roots) <= set(odd), delta
         assert h == len(_classes(delta, math.isqrt(delta))[0]), delta
         taken, primes = taken + len(roots), primes + len(odd)
@@ -908,9 +991,8 @@ def test_span_skips_the_root_of_a_prime_whose_class_is_spanned(monkeypatch):
 
 def test_span_skips_only_prime_forms_that_would_not_enlarge_it(monkeypatch):
     # the forms that enlarge the span, and so generate the 3-Sylow span, are
-    # the same with and without the skip: a skipped p's class is spanned
-    # already.  Asking the index instead of the span would skip a p whose
-    # class x*sigma is numbered beside a walked x before sigma is spanned.
+    # the same with and without the skip: a skipped p's class is indexed, and
+    # so spanned, already
     enlarging = []
     adjoin = classgroup._adjoin
 
@@ -940,8 +1022,8 @@ def test_prime_forms_pass_over_known_primes():
     least = every[0][0]
     passed = list(_prime_forms(delta, lambda p: p == least))
     assert passed == every[1:]
-    # the negated principal form is no prime form, and always comes last
-    assert list(_prime_forms(delta, lambda p: True)) == every[-1:]
+    # every form is a prime form: passing over every prime leaves none
+    assert list(_prime_forms(delta, lambda p: True)) == []
 
 
 def test_rho_index_with_images_refuses_a_walk_that_does_not_close():
@@ -958,9 +1040,10 @@ def test_rho_index_with_images_refuses_a_walk_that_does_not_close():
 
 def test_span_walks_self_inverse_cycles_between_their_mirror_axes(monkeypatch):
     # every positive fundamental delta <= 10**4 and the A = -35 family at
-    # X = 10**6, against the one-class-per-walk oracle: the span stores at
-    # most l/2 + 1 of the l forms of a self-inverse class, all l of any other
-    # class it walks, and a class that leads p for each p in led
+    # X = 10**6, against the one-cycle-per-class oracle: the span stores at
+    # most l/2 + 1 of the l forms of a narrowly self-inverse class, all l of
+    # any other class it walks, and a class that holds a form led by p for
+    # each p in led
     family = [140 * d for d in scan_parameters(-35, 10**6)]
     halved = whole = 0
     for delta in positive_fundamentals(10**4) + family:
@@ -984,15 +1067,14 @@ def test_span_walks_self_inverse_cycles_between_their_mirror_axes(monkeypatch):
                 assert len(kept) in (0, len(cycle)), (delta, cycle[0])
                 whole += len(kept) == len(cycle)
         # keying every reduced form stores none of them
-        named = {index[f]: oracle[f] for f in oracle}
+        named = {f: index[f] for f in oracle}
         assert set(index) == stored, delta
         for p in _primes():
             if p > math.isqrt(delta // 4):
                 break
             led = [f for f in oracle if f[0] == p]
             if led:
-                classes = {oracle[f] for f in led} | {oracle[c, b, a] for a, b, c in led}
-                assert named[index.led[p]] in classes, (delta, p)
+                assert index.led[p] in {named[f] for f in led}, (delta, p)
     assert halved > 0 and whole > 0
 
 
