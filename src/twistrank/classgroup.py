@@ -10,16 +10,18 @@ their odd part, which is all the 3-rank machinery consumes.  Composition is
 Dirichlet's, with one modular inverse for a square or a product of forms
 with coprime leading coefficients (_mul).  One routine (_span_counts)
 serves both signs: it spans the whole group from the prime forms of norm
-p <= sqrt(|delta|/3), or p <= sqrt(delta)/2 when delta > 0, entering each
-new class by its reduced form, so h is the size of the span (times the
-narrow factor when delta > 0) and no form is enumerated.  When delta > 0 a
-class x is entered by walking one of its rho-cycles (_RhoIndex), and that
-one walk also numbers x**-1; the cycle of a narrowly self-inverse class is
-walked only between the two axes of its mirror, and a prime whose class is
-spanned already is passed over before its square root is taken.  For
-either sign an inert prime, (delta/p) = -1, is passed over by Euler's
-criterion, one pow.  The proofs are stated once, in the comment above
-_principal_class.
+p <= sqrt(|delta|/3), or p <= sqrt((delta + 4)/9) when delta > 0 (Markov's
+bound on the minimum of an indefinite form: A. Markoff, Math. Ann. 15
+(1879) and 17 (1880); Cusick and Flahive, The Markoff and Lagrange Spectra,
+AMS 1989), entering each new class by its reduced form, so h is the size of
+the span (times the narrow factor when delta > 0) and no form is
+enumerated.  When delta > 0 a class x is entered by walking one of its
+rho-cycles (_RhoIndex), and that one walk also numbers x**-1; the cycle of
+a narrowly self-inverse class is walked only between the two axes of its
+mirror, and a prime whose class is spanned already is passed over before
+its square root is taken.  For either sign an inert prime, (delta/p) = -1,
+is passed over by Euler's criterion, one pow.  The proofs are stated once,
+in the comment above _principal_class.
 When 9 does not divide h, Lagrange settles the 3-torsion in _span_counts:
 1 if 3 does not divide h, and 3 if 3 || h, since a group of order 3 is C3.
 Otherwise it is counted inside the 3-Sylow subgroup S, |S| = 3**v with
@@ -56,7 +58,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, isqrt
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -216,7 +218,7 @@ def _primes() -> tuple[int, ...]:
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return tuple(p for p in range(n + 1) if sieve[p])
+    return tuple(compress(range(n + 1), sieve))
 
 
 def _sqrt_mod_prime(x: int, p: int) -> int | None:
@@ -569,22 +571,22 @@ def _prime_forms(
     """Reduced prime forms (p, b, (b*b - delta)/4p), for the primes p <= amax
     with (delta/p) != -1, in increasing order of p.
 
-    amax is isqrt(|delta|/3) when delta < 0 and isqrt(delta/4) when delta > 0.
-    The forms generate the class group, the ordinary one when delta > 0:
-    every class has a reduced form (a, b, c) with 0 < a <= amax, and that
-    form is a product of prime forms and their inverses for the p dividing a
-    (for delta > 0, see the comment above _principal_class).  When
-    delta > 0, 2p <= s = isqrt(delta), so the window s + 1 - 2p <= b <= s
-    holds exactly one b of each class mod 2p, and the form with that b is
-    reduced as built.  A prime p with known(p) true is passed over before its
-    square root is taken; known is asked when p is reached, so it sees what
-    the forms yielded before p have spanned.  An odd p with (delta/p) = -1 is
-    passed over by Euler's criterion, one pow, so every square root taken
-    exists.
+    amax is isqrt(|delta|/3) when delta < 0 and isqrt((delta + 4)/9), Markov's
+    bound, when delta > 0.  The forms generate the class group, the ordinary
+    one when delta > 0: every class has a reduced form (a, b, c) with
+    0 < a <= amax, and that form is a product of prime forms and their
+    inverses for the p dividing a (for delta > 0, see the comment above
+    _principal_class).  When delta > 0, 2p <= s = isqrt(delta), so the
+    window s + 1 - 2p <= b <= s holds exactly one b of each class mod 2p,
+    and the form with that b is reduced as built.  A prime p with known(p)
+    true is passed over before its square root is taken; known is asked when
+    p is reached, so it sees what the forms yielded before p have spanned.
+    An odd p with (delta/p) = -1 is passed over by Euler's criterion, one
+    pow, so every square root taken exists.
     """
     check_scan_limit("|delta|", abs(delta))
     s = isqrt(delta) if delta > 0 else 0
-    amax = isqrt(delta // 4) if delta > 0 else isqrt(-delta // 3)
+    amax = isqrt((delta + 4) // 9) if delta > 0 else isqrt(-delta // 3)
     for p in _primes():
         if p > amax:
             break
@@ -699,19 +701,38 @@ class _RhoIndex(dict):
         return cid
 
 
-# Why the prime forms span the ordinary class group when delta > 0.  A
-# reduced (a, b, c) has 0 < b < sqrt(delta), so 4|a*c| = delta - b*b < delta
-# and min(|a|, |c|) < sqrt(delta)/2.  rho maps it to a reduced form led by c,
-# so every rho-cycle, and with it every class, holds a reduced form (a, b, c)
-# with |a| < sqrt(delta)/2, that is |a| <= isqrt(delta/4), and the ordinary
-# class of (a, b, c) holds (-a, b, -c) (below), so every class holds one
-# with 0 < a <= isqrt(delta/4).  The ideal [a, (-b + sqrt(delta))/2] of
-# (a, b, c) has norm a and factors into prime ideals over the primes p | a,
-# each split or ramified since b*b ≡ delta mod 4a.  The class of a prime
-# ideal of norm p is that of the prime form (p, b_p, .) or of its inverse
-# (p, -b_p, .), and p <= a <= isqrt(delta/4).  So the classes of the forms
-# from _prime_forms generate the group, and adjoining them all to the
-# principal class lists it.
+# Why the prime forms span the ordinary class group when delta > 0.  Let
+# m(f) be the least |f(x, y)| over the integer vectors (x, y) != 0.  Forms
+# of one class take the same values, and for a form f of discriminant delta
+# m = m(f) is a positive integer, attained, as delta is not a square.
+# Markov's theorem (A. Markoff, Math. Ann. 15 (1879) and 17 (1880); Cusick
+# and Flahive, The Markoff and Lagrange Spectra, AMS 1989, ch. 1 and 2):
+# either sqrt(delta)/m >= 3, or f is equivalent to t*F for a real t and a
+# Markov form F, an integral form of discriminant 9*mu**2 - 4 and minimum
+# mu for a Markov number mu (1, 2, 5, 13, 29, ...).  In the first case
+# 9*m*m <= delta, with equality only for a square delta, so m*m < delta/9.
+# In the second, f is primitive (delta is fundamental) and F is integral,
+# so |t| is 1 over the content of F, delta = t*t*(9*mu**2 - 4) is at most
+# 9*mu**2 - 4, and m*m = t*t*mu*mu = delta*mu*mu/(9*mu**2 - 4), which is at
+# most (delta + 4)/9 exactly when delta <= 9*mu**2 - 4.
+# So m <= isqrt((delta + 4)/9), the bound of _prime_forms, and it is sharp:
+# at delta = 221 = 9*5**2 - 4 the class of the Markov form (5, 11, -5) holds
+# no form led by less than 5 in absolute value.  m is attained at a
+# primitive vector, since g*v with g > 1 has |f(g*v)| = g*g*|f(v)|, and a
+# primitive vector is the first column of a matrix of determinant 1, so f
+# is properly equivalent to a form (a, b, c) with |a| = m.  As
+# m*m <= (delta + 4)/9 < delta/4 for delta >= 5, 2m <= s = isqrt(delta), and
+# (x, y) -> (x + k*y, y) moves b by 2mk into the window s - 2m < b <= s,
+# where |sqrt(delta) - 2|a|| < b < sqrt(delta): that form is reduced.  The
+# ordinary class of (a, b, c) holds (-a, b, -c) (below), so every ordinary
+# class holds a reduced form (a, b, c) with 0 < a <= isqrt((delta + 4)/9).
+# The ideal [a, (-b + sqrt(delta))/2] of (a, b, c) has norm a and factors
+# into prime ideals over the primes p | a, each split or ramified since
+# b*b ≡ delta mod 4a.  The class of a prime ideal of norm p is that of the
+# prime form (p, b_p, .) or of its inverse (p, -b_p, .), and
+# p <= a <= isqrt((delta + 4)/9).  So the classes of the forms from
+# _prime_forms generate the group, and adjoining them all to the principal
+# class lists it.
 #
 # Why one walk numbers x and x**-1 (_RhoIndex), and the narrow factor
 # (_principal_class).  For sigma the narrow class of the negated principal
@@ -739,7 +760,8 @@ class _RhoIndex(dict):
 # do not decide: 136 = 8*17 has none ≡ 3 mod 4, yet sigma is not principal.
 #
 # Why a prime p whose led class is indexed is passed over.  A reduced form
-# (p, b, c) with p <= isqrt(delta/4) has 2p <= s, so sqrt(delta) - 2p < b <= s:
+# (p, b, c) with p <= isqrt(delta/4), as every p of _prime_forms is, has
+# 2p <= s, so sqrt(delta) - 2p < b <= s:
 # b lies in the window where _prime_forms builds p's prime form, and
 # b*b ≡ delta mod 4p puts b in the class of b_p or -b_p mod 2p.  So the
 # only reduced forms led by p are the prime forms of norm p, of the classes

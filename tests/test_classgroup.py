@@ -252,6 +252,9 @@ def test_prime_list_matches_naive_loop():
     naive = [t for t in range(2, end + 1) if all(t % p for p in range(2, math.isqrt(t) + 1))]
     assert list(_primes()) == naive
     assert len(naive) == 3401 and naive[-1] == 31_607
+    # the cached primes are a tuple, not the sieve's one-pass iterator: a
+    # second caller finds them all
+    assert _primes() is _primes() and list(_primes()) == naive
 
 
 def test_reduced_forms_indefinite_basic_properties():
@@ -480,7 +483,9 @@ def test_compose_negative_leading_forms_directly():
 def test_mul_matches_general_composition_on_prime_forms(monkeypatch):
     # every ordered pair of the prime forms, the negated principal form
     # (delta > 0) and the principal form, squares included, of every
-    # fundamental |delta| <= 2000, compared by class
+    # fundamental |delta| <= 2000, compared by class; when delta > 0 the
+    # prime forms run to sqrt(delta)/2, past the span's Markov bound, each
+    # built in the window s - 2p < b <= s as _prime_forms builds its own
     compose = classgroup._compose_raw
     fallbacks = []
 
@@ -494,7 +499,18 @@ def test_mul_matches_general_composition_on_prime_forms(monkeypatch):
         s = math.isqrt(delta) if delta > 0 else 0
         _, index, _ = _classes(delta, s)
         sigma = [negated_principal(delta)] if delta > 0 else []
-        forms = [*_prime_forms(delta), *sigma, _reduce_raw(*principal_form(delta), delta, s)]
+        beyond = [
+            next(
+                (p, b, (b * b - delta) // (4 * p))
+                for b in range(s + 1 - 2 * p, s + 1) if (b * b - delta) % (4 * p) == 0
+            )
+            for p in _primes()
+            if delta > 0 and math.isqrt((delta + 4) // 9) < p <= math.isqrt(delta // 4)
+            and kronecker(delta, p) != -1
+        ]
+        forms = [
+            *_prime_forms(delta), *beyond, *sigma, _reduce_raw(*principal_form(delta), delta, s)
+        ]
         for f, g in itertools.product(forms, repeat=2):
             want = _reduce_raw(*compose(*f, *g, delta), delta, s)
             before = len(fallbacks)
@@ -664,10 +680,10 @@ def test_prime_forms_are_reduced_prime_forms():
             # the negated principal form is not among them
             for a, b, c in forms:
                 assert s - 2 * a < b <= s, (delta, a, b, c)
-        # a prime p <= sqrt(|delta|/3), or p <= sqrt(delta)/2 when delta > 0,
-        # yields a form exactly when (delta/p) != -1; when delta > 0 the form
-        # is led by p
-        amax = math.isqrt(delta // 4) if delta > 0 else math.isqrt(-delta // 3)
+        # a prime p <= sqrt(|delta|/3), or p <= sqrt((delta + 4)/9) (Markov's
+        # bound) when delta > 0, yields a form exactly when (delta/p) != -1;
+        # when delta > 0 the form is led by p
+        amax = math.isqrt((delta + 4) // 9) if delta > 0 else math.isqrt(-delta // 3)
         primes = [p for p in _primes() if p <= amax and kronecker(delta, p) != -1]
         assert len(forms) == len(primes), delta
         if delta > 0:
@@ -676,6 +692,30 @@ def test_prime_forms_are_reduced_prime_forms():
     for delta in (-(MAX_DISCRIMINANT + 3), MAX_DISCRIMINANT + 5):
         with pytest.raises(ValueError, match="exceeds the scan limit"):
             next(_prime_forms(delta))
+
+
+def test_markov_bound_is_sharp():
+    # every positive fundamental delta <= 20,000: each ordinary class of the
+    # oracle holds a reduced form (a, b, c) with |a| <= isqrt((delta + 4)/9),
+    # the bound of _prime_forms.  The least |a| of a narrow class y is that
+    # of y*sigma, whose forms are the (-a, b, -c), so the narrow cycles give
+    # the ordinary classes' least |a|.  It passes sqrt(delta/9) only where a
+    # class holds a Markov form, delta = 9*mu**2 - 4 over the content of
+    # that form squared: mu = 1, 2 (content 2), 5, 13, 29
+    sharp = {}
+    for delta in positive_fundamentals(20_000):
+        _, oracle, _ = _classes(delta, math.isqrt(delta))
+        least = {}
+        for (a, _, _), k in oracle.items():
+            least[k] = min(least.get(k, abs(a)), abs(a))
+        m = max(least.values())
+        assert m <= math.isqrt((delta + 4) // 9), delta
+        if 9 * m * m > delta:
+            sharp[delta] = m
+    assert sharp == {5: 1, 8: 1, 221: 5, 1517: 13, 7565: 29}
+    # the class that attains the bound at 221 is that of the Markov form
+    _, oracle, _ = _classes(221, 14)
+    assert min(abs(a) for (a, _, _), k in oracle.items() if k == oracle[5, 11, -5]) == 5
 
 
 def test_negated_principal_form_reaches_the_classes_no_prime_form_does(monkeypatch):
@@ -964,8 +1004,8 @@ def test_narrow_factor_matches_the_oracle_cycles(monkeypatch):
 
 def test_span_skips_the_root_of_a_prime_whose_class_is_spanned(monkeypatch):
     # the A = -35 family at X = 10**6: the span takes a square root for no
-    # more than the odd primes p <= sqrt(delta)/2 that are not inert, each
-    # once, fewer in all, and still finds every class
+    # more than the odd primes p <= sqrt((delta + 4)/9) that are not inert,
+    # each once, fewer in all, and still finds every class
     roots = []
     sqrt_mod_prime = classgroup._sqrt_mod_prime
 
@@ -981,7 +1021,7 @@ def test_span_skips_the_root_of_a_prime_whose_class_is_spanned(monkeypatch):
         h = class_group_summary(delta).class_number
         odd = [
             p for p in _primes()
-            if 2 < p <= math.isqrt(delta // 4) and kronecker(delta, p) != -1
+            if 2 < p <= math.isqrt((delta + 4) // 9) and kronecker(delta, p) != -1
         ]
         assert roots == sorted(set(roots)) and set(roots) <= set(odd), delta
         assert h == len(_classes(delta, math.isqrt(delta))[0]), delta
